@@ -15,6 +15,7 @@ import logging
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -152,18 +153,22 @@ def preprocess(interactions: list[Interaction], min_actions: int = 5,
 
     Events with a rating present and <= rating_threshold are removed first
     (a rating strictly higher than the threshold counts as positive
-    feedback; unrated events are implicit positives). Users and items with
-    fewer than min_actions surviving events are then removed, iterating
-    until both constraints hold simultaneously. Ids are re-compacted in
-    first-appearance order of the surviving events.
+    feedback; unrated events are implicit positives). Users with fewer than
+    max(min_actions, 3) surviving events and items with fewer than
+    min_actions are then removed, iterating until both constraints hold
+    simultaneously: leave-one-out holds out two events per user and needs
+    at least one more to train on. Ids are re-compacted in first-appearance
+    order of the surviving events.
     """
+    min_user_actions = max(min_actions, 3)
     kept = [it for it in interactions
             if it.rating is None or it.rating > rating_threshold]
     while True:
         u_count = Counter(it.user for it in kept)
         v_count = Counter(it.item for it in kept)
         filtered = [it for it in kept
-                    if u_count[it.user] >= min_actions and v_count[it.item] >= min_actions]
+                    if u_count[it.user] >= min_user_actions
+                    and v_count[it.item] >= min_actions]
         if len(filtered) == len(kept):
             break
         kept = filtered
@@ -369,7 +374,8 @@ class PreparedDataset:
 
     @classmethod
     def load(cls, out_dir) -> "PreparedDataset":
-        with open(os.path.join(out_dir, "dataset.json"), "r", encoding="utf-8") as fh:
+        path = os.path.join(out_dir, "dataset.json")
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != "tea-dataset-1":
             raise ValueError(f"unrecognized dataset snapshot in {out_dir}")
@@ -385,6 +391,8 @@ class PreparedDataset:
             for u in payload["users"]
         ]
         social = SocialGraph({int(k): v for k, v in payload["social"].items()})
+        _check_snapshot(path, payload["n_users"], payload["n_items"],
+                        payload["config"].get("l_s"), users, social)
         ids = {}
         for fname in ("user_ids.tsv", "item_ids.tsv"):
             rows = []
@@ -396,6 +404,41 @@ class PreparedDataset:
         return cls(payload["n_users"], payload["n_items"], users, social,
                    payload["config"], ids["user_ids.tsv"], ids["item_ids.tsv"],
                    payload["n_interactions"])
+
+
+def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
+                    users: list[UserRecord], social: SocialGraph) -> None:
+    """Reject a snapshot the scorer would index out of range.
+
+    Every item id must be below n_items and every user id below n_users;
+    each user needs 1..l_s training events, one bucket fewer than events
+    and one walk set per event.
+    """
+    def ids_in_range(who: str, kind: str, ids, bound: int) -> None:
+        for x in ids:
+            if type(x) is not int or not 0 <= x < bound:
+                raise ValueError(f"{path}: {who} has {kind} id {x!r} outside "
+                                 f"[0, {bound})")
+
+    if len(users) != n_users:
+        raise ValueError(f"{path}: {len(users)} user records, n_users={n_users}")
+    for u, rec in enumerate(users):
+        who = f"user {u}"
+        n = len(rec.seq_items)
+        if n < 1 or (l_s is not None and n > l_s):
+            raise ValueError(f"{path}: {who} has {n} training events, "
+                             f"expected 1 to l_s={l_s}")
+        if len(rec.buckets) != n - 1 or len(rec.walks) != n:
+            raise ValueError(
+                f"{path}: {who} has {len(rec.buckets)} buckets and "
+                f"{len(rec.walks)} walk sets for {n} training events; "
+                f"expected {n - 1} and {n}")
+        ids_in_range(who, "item", chain(rec.seq_items, (rec.val_item, rec.test_item),
+                                        rec.bucket_val, rec.bucket_gap,
+                                        *rec.buckets), n_items)
+        ids_in_range(who, "user", chain(rec.walks_val, *rec.walks), n_users)
+    for u, nbs in social.neighbors.items():
+        ids_in_range("the social graph", "user", chain((u,), nbs), n_users)
 
 
 def prepare_dataset(interactions_path, social_path, min_actions: int = 5,

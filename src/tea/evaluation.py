@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreparedDataset
-from .model import eval_context, score_candidates
+from .model import score_user_steps, user_context
 from .params import ModelParams
 
 
@@ -115,12 +115,15 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
     """Rank every user's held-out item and average HR/NDCG over users.
 
     `scorer(params, ctx, candidates) -> array` can be injected for tests;
-    the default scores with the trained model in evaluation mode.
+    the default scores the held-out step `len(ctx.items)` with the trained
+    model in evaluation mode.
     """
+    if split not in ("val", "test"):
+        raise ValueError(f"split must be 'val' or 'test', got {split!r}")
     t0 = time.monotonic()
     if scorer is None:
         def scorer(p, ctx, cands):
-            return score_candidates(p, ctx, cands, training=False).data
+            return score_user_steps(p, ctx, [len(ctx.items)], [cands])[0].data
     ranks: dict[int, int] = {}
     sizes: dict[int, int] = {}
     for user in range(ds.n_users):
@@ -128,7 +131,7 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
         truth = rec.val_item if split == "val" else rec.test_item
         rng = _eval_rng(cfg.seed, split, user)
         candidates = build_candidates(truth, ds.n_items, cfg.n_neg, rng)
-        scores = scorer(params, eval_context(ds, user, split), candidates)
+        scores = scorer(params, user_context(ds, user, split), candidates)
         ranks[user] = rank(scores, truth_index=0)
         sizes[user] = len(candidates)
     hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks.values()])) for k in cfg.ks}

@@ -1,10 +1,17 @@
-"""End-to-end candidate scoring: assemble a step's inputs and add f + g.
+"""End-to-end candidate scoring: f + g through one route.
 
-A StepContext freezes everything the two scorers may look at for one
-prediction: the history prefix, the neighbor-item buckets feeding the
-temporal GRU, the walk set anchored at the most recent observed event, and
-the social neighborhood. Contexts for held-out targets are built from
-pre-target data only.
+A UserContext holds everything the scorers may look at for one user and
+split: the observed items, the neighbor-item buckets feeding the temporal
+GRU, the co-interactor walk set of each observed event, and the social
+neighborhood. Step s predicts the event after `items[:s]`; it sees
+`buckets[:s]`, the walk set `walks[s - 1]` anchored at `items[s - 1]`, and
+the neighbors. Contexts for held-out targets are built from pre-target
+data only.
+
+`score_user_steps` is the only production scorer: training passes all of
+a user's steps, evaluation the single held-out step.
+`score_candidates_single_route` recomputes the same scores one candidate
+at a time and exists as the test oracle.
 """
 
 from __future__ import annotations
@@ -22,158 +29,91 @@ from .transition import WalkAggregate
 
 
 @dataclass
-class StepContext:
+class UserContext:
     user: int
-    history: list[int]              # item ids, chronological
-    buckets: list[list[int]]        # neighbor items per step feeding the GRU
-    anchors: list[int | None]       # the user's own item opening each bucket
-    walk_users: list[int]           # co-interactors of the last observed event
-    walk_anchor: int | None
+    items: list[int]            # observed item ids, chronological
+    buckets: list[list[int]]    # buckets[t]: neighbor items after items[t]
+    walks: list[list[int]]      # walks[t]: co-interactors of items[t]
     neighbors: list[int]
 
 
-def training_context(ds: PreparedDataset, user: int, step: int) -> StepContext:
-    """Context for predicting the user's training event at index `step` (>= 1)."""
-    rec = ds.users[user]
-    if not 1 <= step < len(rec.seq_items):
-        raise IndexError(f"step {step} out of range for user {user}")
-    history = rec.seq_items[:step]
-    return StepContext(
-        user=user,
-        history=history,
-        buckets=rec.buckets[:step],
-        anchors=list(rec.seq_items[:step]),
-        walk_users=rec.walks[step - 1],
-        walk_anchor=rec.seq_items[step - 1],
-        neighbors=ds.social.of(user),
-    )
+def user_context(ds: PreparedDataset, user: int, split: str) -> UserContext:
+    """Context for the user's training steps or held-out target.
 
-
-def eval_context(ds: PreparedDataset, user: int, split: str) -> StepContext:
-    """Context for the held-out validation or test target of a user.
-
-    The validation target sees the training sequence; the test target
-    additionally sees the validation event (it happened before the test
-    timestamp). Held-out events of *other* users are never visible either
-    way: buckets and walks are built from training events only.
+    "train" holds the training sequence; steps 1..len(items)-1 predict the
+    user's own next events. "val" adds the bucket up to the validation
+    timestamp; "test" additionally sees the validation event (it happened
+    before the test timestamp). For both, step len(items) predicts the
+    held-out item. Held-out events of *other* users are never visible:
+    buckets and walks are built from training events only.
     """
     rec = ds.users[user]
+    neighbors = ds.social.of(user)
+    if split == "train":
+        return UserContext(user, rec.seq_items, rec.buckets, rec.walks, neighbors)
     if split == "val":
-        return StepContext(
-            user=user,
-            history=list(rec.seq_items),
-            buckets=rec.buckets + [rec.bucket_val],
-            anchors=list(rec.seq_items),
-            walk_users=rec.walks[-1],
-            walk_anchor=rec.seq_items[-1],
-            neighbors=ds.social.of(user),
-        )
+        return UserContext(user, rec.seq_items, rec.buckets + [rec.bucket_val],
+                           rec.walks, neighbors)
     if split != "test":
-        raise ValueError(f"split must be 'val' or 'test', got {split!r}")
-    return StepContext(
-        user=user,
-        history=rec.seq_items + [rec.val_item],
-        buckets=rec.buckets + [rec.bucket_val, rec.bucket_gap],
-        anchors=rec.seq_items + [rec.val_item],
-        walk_users=rec.walks_val,
-        walk_anchor=rec.val_item,
-        neighbors=ds.social.of(user),
-    )
+        raise ValueError(f"split must be 'train', 'val' or 'test', got {split!r}")
+    return UserContext(user, rec.seq_items + [rec.val_item],
+                       rec.buckets + [rec.bucket_val, rec.bucket_gap],
+                       rec.walks + [rec.walks_val], neighbors)
 
 
 def positive_target(ds: PreparedDataset, user: int, step: int) -> int:
     return ds.users[user].seq_items[step]
 
 
-def _clip_history(history: list[int], l_s: int) -> list[int]:
-    # The candidate occupies the next position index, which must stay < l_s.
-    return history[-(l_s - 1):]
+def score_user_steps(params: ModelParams, ctx: UserContext, steps: list[int],
+                     candidate_lists: list[list[int]], training: bool = False,
+                     rngs: list | None = None, p_drop: float = 0.5) -> list[Tensor]:
+    """f + g for the candidate set of each step, shape (len(candidates),) each.
 
-
-def score_candidates(params: ModelParams, ctx: StepContext, candidates: list[int],
-                     training: bool = False, rng: np.random.Generator | None = None,
-                     p_drop: float = 0.5) -> Tensor:
-    """f + g for every candidate, shape (len(candidates),)."""
-    history = _clip_history(ctx.history, params.l_s)
-    if params.use_walks:
-        walk = _fast_walk(params, ctx)
-    else:
-        d = params.d
-        walk = WalkAggregate(ad.zeros(d), ad.zeros(d), [])
-    g = transition.transition_scores(params.transition, ctx.user, history,
-                                     candidates, walk, training, rng, p_drop)
-    h_temporal = unary.aggregate_steps(params.unary, ctx.buckets, ctx.anchors,
-                                       params.l_s)
-    h_social = unary.social_aggregate(params.unary, ctx.neighbors)
-    f = unary.unary_scores(params.unary, h_temporal, h_social, candidates,
-                           training, rng, p_drop)
-    return ad.add(f, g)
-
-
-def _fast_walk(params: ModelParams, ctx: StepContext) -> WalkAggregate:
-    """Walk aggregation without the per-walk loop.
-
-    The GRU's first two outputs depend only on the user and anchor item, so
-    every walk in the set produces the same user/item representations and
-    the mean collapses to a single pass. `transition.walk_aggregate` is the
-    literal per-walk route; tests assert the two agree.
+    Everything that does not depend on the step or the candidate is
+    computed once: the social aggregate, the temporal GRU states, attention
+    keys and values, and the walk GRU's first stage. Windows follow the
+    largest step s: attention runs over `items[max(0, s - (l_s - 1)):s]`
+    with positions counted from 0 (the candidate takes the next position),
+    the temporal GRU over `buckets[max(0, s - l_s):s]` from a zero state.
+    Steps below l_s all share the window that starts at 0; a call whose
+    steps would need windows with different starts raises ValueError.
     """
-    d = params.d
-    if not ctx.walk_users or ctx.walk_anchor is None:
-        return WalkAggregate(ad.zeros(d), ad.zeros(d), [])
-    trans = params.transition
-    h1 = ad.gru_cell(embedding_row(params.shared.user, ctx.user), ad.zeros(d),
-                     trans.walk_gru)
-    h2 = ad.gru_cell(embedding_row(params.shared.item, ctx.walk_anchor), h1,
-                     trans.walk_gru)
-    return WalkAggregate(h1, h2, [])
-
-
-def score_user_steps(params: ModelParams, ds: PreparedDataset, user: int,
-                     steps: list[int], candidate_lists: list[list[int]],
-                     training: bool = False, rngs: list | None = None,
-                     p_drop: float = 0.5) -> list[Tensor]:
-    """Score candidate sets for several training steps of one user at once.
-
-    Identical math to per-step `score_candidates`, but everything that does
-    not depend on the step or the candidate is computed once: the social
-    aggregate, the neighbor-bucket GRU prefix states, attention keys and
-    values over the user's sequence, and the walk GRU's first stage. Falls
-    back to the per-step route when the sequence is longer than the
-    attention window (position indices would shift between steps).
-    """
-    rec = ds.users[user]
-    seq = rec.seq_items
+    l_s, d = params.l_s, params.d
+    s_max = max(steps)
+    if min(steps) < 1 or s_max > len(ctx.buckets):
+        raise IndexError(f"steps {steps} out of range for user {ctx.user}")
+    lo = max(0, s_max - (l_s - 1))
+    if any(max(0, s - (l_s - 1)) != lo for s in steps):
+        raise ValueError(f"steps {steps} need more than one attention window "
+                         f"(l_s={l_s}); score them in separate calls")
+    lo_gru = max(0, s_max - l_s)
     if rngs is None:
         rngs = [None] * len(steps)
-    if len(seq) > params.l_s - 1:
-        return [score_candidates(params, training_context(ds, user, s), cands,
-                                 training, rng, p_drop)
-                for s, cands, rng in zip(steps, candidate_lists, rngs)]
 
-    d = params.d
     trans, un = params.transition, params.unary
     sh = params.shared
-    max_step = max(steps)
+    items = ctx.items
 
-    h_social = unary.social_aggregate(un, ds.social.of(user))
+    h_social = unary.social_aggregate(un, ctx.neighbors)
     h_states = [ad.zeros(d)]
-    for t in range(max_step):
+    for t in range(lo_gru, s_max):
         if un.aggregator == "attention":
-            summary = unary.bipartite_aggregate_attention(un, seq[t], rec.buckets[t])
+            summary = unary.bipartite_aggregate_attention(un, items[t], ctx.buckets[t])
         else:
-            summary = unary.bipartite_aggregate_sage(un, rec.buckets[t])
+            summary = unary.bipartite_aggregate_sage(un, ctx.buckets[t])
         h_states.append(ad.gru_cell(summary, h_states[-1], un.temporal_gru))
 
-    p_user = embedding_row(sh.user, user)
+    p_user = embedding_row(sh.user, ctx.user)
     walk_h1 = None
-    if params.use_walks and any(rec.walks[s - 1] for s in steps):
+    if params.use_walks and any(ctx.walks[s - 1] for s in steps):
         walk_h1 = ad.gru_cell(p_user, ad.zeros(d), trans.walk_gru)
 
-    e_hist = ad.add(ad.gather_rows(sh.item, seq[:max_step]),
-                    ad.gather_rows(sh.position, list(range(max_step))))
-    keys = ad.matmul(e_hist, ad.transpose(trans.w_k))
-    values = ad.matmul(e_hist, ad.transpose(trans.w_v))
+    if s_max > lo:
+        e_hist = ad.add(ad.gather_rows(sh.item, items[lo:s_max]),
+                        ad.gather_rows(sh.position, list(range(s_max - lo))))
+        keys = ad.matmul(e_hist, ad.transpose(trans.w_k))
+        values = ad.matmul(e_hist, ad.transpose(trans.w_v))
     w3_h = ad.slice_cols(trans.w_g3, 0, d)
     w3_wu = ad.slice_cols(trans.w_g3, d, 2 * d)
     w3_wi = ad.slice_cols(trans.w_g3, 2 * d, 3 * d)
@@ -184,48 +124,54 @@ def score_user_steps(params: ModelParams, ds: PreparedDataset, user: int,
     inv_sqrt_d = 1.0 / np.sqrt(d)
     for s, cands, rng in zip(steps, candidate_lists, rngs):
         q_cands = ad.gather_rows(sh.item, cands)
-        e_cands = ad.add(q_cands, embedding_row(sh.position, s))
-        queries = ad.matmul(e_cands, ad.transpose(trans.w_q))
-        logits = ad.scale(
-            ad.matmul(queries, ad.transpose(ad.slice_rows(keys, 0, s))), inv_sqrt_d)
-        attn = ad.masked_softmax(logits, np.ones((len(cands), s), dtype=bool))
-        z = ad.matmul(attn, ad.slice_rows(values, 0, s))
+        n = s - lo
+        if n:
+            e_cands = ad.add(q_cands, embedding_row(sh.position, n))
+            queries = ad.matmul(e_cands, ad.transpose(trans.w_q))
+            logits = ad.scale(
+                ad.matmul(queries, ad.transpose(ad.slice_rows(keys, 0, n))), inv_sqrt_d)
+            attn = ad.masked_softmax(logits, np.ones((len(cands), n), dtype=bool))
+            z = ad.matmul(attn, ad.slice_rows(values, 0, n))
+        else:
+            z = ad.zeros(len(cands), d)  # empty window (l_s = 1): cold start
         hidden = ad.relu(ad.add(ad.matmul(z, ad.transpose(trans.w_g1)), trans.b_g1))
         h = ad.add(ad.add(ad.matmul(hidden, ad.transpose(trans.w_g2)), trans.b_g2),
                    p_user)
         if training:
             h = ad.dropout(h, p_drop, rng)
-        if walk_h1 is not None and rec.walks[s - 1]:
-            h_wu = walk_h1
-            h_wi = ad.gru_cell(embedding_row(sh.item, seq[s - 1]), walk_h1,
+        if walk_h1 is not None and ctx.walks[s - 1]:
+            h_wi = ad.gru_cell(embedding_row(sh.item, items[s - 1]), walk_h1,
                                trans.walk_gru)
-            shared_part = ad.add(ad.add(ad.matmul(w3_wu, h_wu),
+            shared_part = ad.add(ad.add(ad.matmul(w3_wu, walk_h1),
                                         ad.matmul(w3_wi, h_wi)), pu_part)
         else:
             shared_part = pu_part
         g = ad.row_sum(ad.mul(ad.add(ad.matmul(h, ad.transpose(w3_h)), shared_part),
                               q_cands))
-        h_user = unary.fuse_context(un, h_states[s], h_social, training, rng, p_drop)
+        h_user = unary.fuse_context(un, h_states[s - lo_gru], h_social, training,
+                                    rng, p_drop)
         f = ad.matmul(q_cands, h_user)
         out.append(ad.add(f, g))
     return out
 
 
-def score_candidates_single_route(params: ModelParams, ctx: StepContext,
+def score_candidates_single_route(params: ModelParams, ctx: UserContext, step: int,
                                   candidates: list[int]) -> np.ndarray:
     """Reference scoring through the one-candidate-at-a-time functions.
 
-    Exists as the slow twin of `score_candidates` for tests; evaluation
-    mode only.
+    The slow twin of `score_user_steps` for tests; evaluation mode only.
+    The history keeps the last l_s - 1 items before the step and the
+    temporal GRU its last l_s buckets.
     """
-    history = _clip_history(ctx.history, params.l_s)
+    l_s = params.l_s
+    history = ctx.items[max(0, step - (l_s - 1)):step]
     if params.use_walks:
         walk = transition.walk_aggregate(params.transition, ctx.user,
-                                         ctx.walk_anchor, ctx.walk_users)
+                                         ctx.items[step - 1], ctx.walks[step - 1])
     else:
         walk = WalkAggregate(ad.zeros(params.d), ad.zeros(params.d), [])
-    h_temporal = unary.aggregate_steps(params.unary, ctx.buckets, ctx.anchors,
-                                       params.l_s)
+    h_temporal = unary.aggregate_steps(params.unary, ctx.buckets[:step],
+                                       ctx.items[:step], l_s)
     h_social = unary.social_aggregate(params.unary, ctx.neighbors)
     out = []
     for cand in candidates:

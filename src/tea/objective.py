@@ -18,6 +18,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+class NonFiniteScoreError(ValueError):
+    """A candidate score reached the loss as NaN or infinity."""
+
+
 @dataclass
 class ScoredStep:
     """One prediction step's scores: the target and its sampled negatives."""
@@ -50,7 +54,7 @@ def sequence_loss(batch: list[ScoredStep], n_s: int) -> Tensor:
                 f"negative scores, expected {n_s}")
         if not (np.isfinite(s.positive.data).all()
                 and np.isfinite(s.negatives.data).all()):
-            raise ValueError(f"non-finite score at step ({s.user},{s.step})")
+            raise NonFiniteScoreError(f"non-finite score at step ({s.user},{s.step})")
     positives = ad.concat([s.positive for s in batch])
     negatives = ad.concat([s.negatives for s in batch])
     # -log sig(x) = softplus(-x);  -log sig(-x) = softplus(x)

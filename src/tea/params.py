@@ -230,14 +230,22 @@ def save_checkpoint(path, params: ModelParams, config: dict, epoch: int) -> None
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _read_exactly(fh, n: int, path, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise IncompatibleCheckpointError(
+            f"{path}: truncated checkpoint ({what}: {len(raw)} of {n} bytes)")
+    return raw
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC.encode("ascii"):
             raise IncompatibleCheckpointError(
                 f"bad checkpoint header {magic!r}; expected \"{CHECKPOINT_MAGIC}\"")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exactly(fh, 8, path, "header length"))
+        header = json.loads(_read_exactly(fh, hlen, path, "header").decode("utf-8"))
         if header.get("format") != CHECKPOINT_MAGIC:
             raise IncompatibleCheckpointError("checkpoint header format mismatch")
         params = init_params(header["n_users"], header["n_items"], header["d"],
@@ -251,6 +259,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
             if t.data.shape != shape:
                 raise IncompatibleCheckpointError(
                     f"tensor {name!r} shape {shape} != expected {t.data.shape}")
-            raw = fh.read(8 * int(np.prod(shape)) if shape else 8)
+            raw = _read_exactly(fh, 8 * int(np.prod(shape)), path, f"tensor {name!r}")
             t.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise IncompatibleCheckpointError(
+                f"{path}: trailing bytes after the last tensor")
     return params, header["config"], header["epoch"]

@@ -15,8 +15,9 @@ import numpy as np
 from .autodiff import AdamState, Tape, adam_step, backward
 from .data import PreparedDataset, sample_negatives
 from .evaluation import EvalConfig, evaluate_all
-from .model import positive_target, score_user_steps
-from .objective import scored_step_from, sequence_loss, total_loss
+from .model import positive_target, score_user_steps, user_context
+from .objective import (NonFiniteScoreError, scored_step_from, sequence_loss,
+                        total_loss)
 from .params import ModelParams, init_params
 
 
@@ -155,32 +156,29 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         loss_sum = 0.0
         n_steps = 0
         for batch_idx, batch in enumerate(batches):
-            try:
-                with Tape() as tape:
-                    scored = []
-                    for i in batch:
-                        user, steps = user_steps[i]
-                        rngs, cand_lists = [], []
-                        for step in steps:
-                            rng = _example_rng(config.seed, epoch, user, step)
-                            pos = positive_target(ds, user, step)
-                            negs = sample_negatives(pos, ds.n_items,
-                                                    config.n_s, rng)
-                            cand_lists.append([pos] + negs)
-                            rngs.append(rng)
-                        score_list = score_user_steps(
-                            params, ds, user, steps, cand_lists,
-                            training=True, rngs=rngs, p_drop=config.p_drop)
-                        for step, scores in zip(steps, score_list):
-                            scored.append(scored_step_from(scores, user, step))
-                    loss = total_loss(sequence_loss(scored, config.n_s), named,
-                                      config.gamma)
-                loss_value = loss.item()
-            except ValueError as exc:
-                if "non-finite" not in str(exc):
-                    raise
-                raise NumericalError(epoch, batch_idx,
-                                     _param_norm(named)) from exc
+            with Tape() as tape:
+                scored = []
+                for i in batch:
+                    user, steps = user_steps[i]
+                    rngs, cand_lists = [], []
+                    for step in steps:
+                        rng = _example_rng(config.seed, epoch, user, step)
+                        pos = positive_target(ds, user, step)
+                        negs = sample_negatives(pos, ds.n_items, config.n_s, rng)
+                        cand_lists.append([pos] + negs)
+                        rngs.append(rng)
+                    score_list = score_user_steps(
+                        params, user_context(ds, user, "train"), steps, cand_lists,
+                        training=True, rngs=rngs, p_drop=config.p_drop)
+                    for step, scores in zip(steps, score_list):
+                        scored.append(scored_step_from(scores, user, step))
+                try:
+                    crf_loss = sequence_loss(scored, config.n_s)
+                except NonFiniteScoreError as exc:
+                    raise NumericalError(epoch, batch_idx,
+                                         _param_norm(named)) from exc
+                loss = total_loss(crf_loss, named, config.gamma)
+            loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NumericalError(epoch, batch_idx, _param_norm(named))
             grads = backward(loss, tape)

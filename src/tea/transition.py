@@ -3,9 +3,9 @@
 Scores a candidate next item against the user's own history: causal
 self-attention with position embeddings over the truncated sequence,
 a co-interaction walk GRU, and a bilinear head against the candidate
-embedding. Single-candidate functions mirror the score formula term by
-term; `transition_scores` is the vectorized route used for training and
-ranking, and the two must agree (asserted in tests).
+embedding. The functions here score one candidate at a time and mirror
+the score formula term by term; `model.score_user_steps` computes the
+same scores for whole candidate sets, and tests assert the two agree.
 """
 
 from __future__ import annotations
@@ -139,52 +139,3 @@ def transition_score(params: TransitionParams, user: int, history: list[int],
     joint = ad.concat([h, walk.h_user, walk.h_item, p_user])
     projected = ad.matmul(params.w_g3, joint)
     return ad.dot(projected, embedding_row(params.shared.item, candidate))
-
-
-def transition_scores(params: TransitionParams, user: int, history: list[int],
-                      candidates: list[int], walk: WalkAggregate,
-                      training: bool = False,
-                      rng: np.random.Generator | None = None,
-                      p_drop: float = 0.5) -> Tensor:
-    """Vectorized transition scores for a candidate set, shape (len(candidates),).
-
-    Identical math to `transition_score`, with the candidate-independent
-    pieces (keys, values, walk outputs) computed once and w_g3 split into
-    its four column blocks so no per-candidate tiling is needed.
-    """
-    d = params.shared.item.data.shape[1]
-    sh = params.shared
-    p_user = embedding_row(sh.user, user)
-    q_cands = ad.gather_rows(sh.item, candidates)
-    k_next = embedding_row(sh.position, len(history))
-    e_cands = ad.add(q_cands, k_next)
-
-    if history:
-        e_hist = _history_embeddings(params, history)
-        keys = ad.matmul(e_hist, ad.transpose(params.w_k))
-        values = ad.matmul(e_hist, ad.transpose(params.w_v))
-        queries = ad.matmul(e_cands, ad.transpose(params.w_q))
-        logits = ad.scale(ad.matmul(queries, ad.transpose(keys)), 1.0 / np.sqrt(d))
-        attn = ad.masked_softmax(
-            logits, np.ones((len(candidates), len(history)), dtype=bool))
-        z = ad.matmul(attn, values)
-        hidden = ad.relu(ad.add(ad.matmul(z, ad.transpose(params.w_g1)), params.b_g1))
-        h = ad.add(ad.add(ad.matmul(hidden, ad.transpose(params.w_g2)), params.b_g2),
-                   p_user)
-    else:
-        hidden0 = ad.relu(params.b_g1)
-        h0 = ad.add(ad.add(p_user, ad.matmul(params.w_g2, hidden0)), params.b_g2)
-        ones = ad.constant(np.ones((len(candidates), 1)))
-        h = ad.matmul(ones, ad.reshape(h0, (1, d)))
-    if training:
-        h = ad.dropout(h, p_drop, rng)
-
-    w3_h = ad.slice_cols(params.w_g3, 0, d)
-    w3_wu = ad.slice_cols(params.w_g3, d, 2 * d)
-    w3_wi = ad.slice_cols(params.w_g3, 2 * d, 3 * d)
-    w3_pu = ad.slice_cols(params.w_g3, 3 * d, 4 * d)
-    shared_part = ad.add(ad.add(ad.matmul(w3_wu, walk.h_user),
-                                ad.matmul(w3_wi, walk.h_item)),
-                         ad.matmul(w3_pu, p_user))
-    projected = ad.add(ad.matmul(h, ad.transpose(w3_h)), shared_part)
-    return ad.row_sum(ad.mul(projected, q_cands))

@@ -105,17 +105,3 @@ def aggregate_steps(params: UnaryParams, buckets: list[list[int]],
         else:
             summaries.append(bipartite_aggregate_sage(params, bucket))
     return temporal_recurrence(params, summaries)
-
-
-def unary_scores(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
-                 candidates: list[int], training: bool = False,
-                 rng: np.random.Generator | None = None,
-                 p_drop: float = 0.5) -> Tensor:
-    """Vectorized unary scores, shape (len(candidates),).
-
-    The fused user context is candidate-independent, so the batched score
-    is one matrix-vector product against the candidate embeddings.
-    """
-    h_user = fuse_context(params, h_temporal, h_social, training, rng, p_drop)
-    q_cands = ad.gather_rows(params.shared.item, candidates)
-    return ad.matmul(q_cands, h_user)

@@ -16,9 +16,8 @@ from tea import autodiff as ad
 from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
 from tea.evaluation import (EvalConfig, evaluate_all, hr_at_k, ndcg_at_k, rank)
-from tea.model import (positive_target, score_candidates,
-                       score_candidates_single_route, eval_context,
-                       training_context)
+from tea.model import (positive_target, score_candidates_single_route,
+                       score_user_steps, user_context)
 from tea.objective import (ScoredStep, exact_conditional, scored_step_from,
                            sequence_loss, total_loss)
 from tea.params import init_params
@@ -52,8 +51,8 @@ def _tiny_loss_setup(seed):
     negs = sample_negatives(pos, 5, 2, rng)
 
     def build_loss():
-        scores = score_candidates(params, training_context(ds, user, step),
-                                  [pos] + negs)
+        scores = score_user_steps(params, user_context(ds, user, "train"),
+                                  [step], [[pos] + negs])[0]
         crf = sequence_loss([scored_step_from(scores, user, step)], n_s=2)
         return total_loss(crf, params.trainable(), gamma=5e-4)
 
@@ -98,12 +97,13 @@ class TestCriterion2ExactConditional:
                                      seed=20_000 + draw)
                 rng = np.random.default_rng(draw)
                 user = int(rng.integers(0, 6))
-                ctx = training_context(ds, user, int(rng.integers(1, 4)))
+                ctx = user_context(ds, user, "train")
+                step = int(rng.integers(1, 4))
                 all_items = list(range(50))
-                fast = score_candidates(params, ctx, all_items).data
+                fast = score_user_steps(params, ctx, [step], [all_items])[0].data
                 probs = exact_conditional(fast)
                 assert abs(probs.sum() - 1.0) <= 1e-8
-                slow = score_candidates_single_route(params, ctx, all_items)
+                slow = score_candidates_single_route(params, ctx, step, all_items)
                 enumerated = np.exp(slow) / np.exp(slow).sum()
                 np.testing.assert_allclose(probs, enumerated, atol=1e-10)
 

@@ -2,10 +2,13 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from tea import autodiff as ad
+from tea import training
 from tea.cli import main
 from tea.params import load_checkpoint
 
@@ -50,6 +53,18 @@ class TestPrepare:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "/no/such/file.tsv" in capsys.readouterr().err
+
+    def test_min_actions_one_drops_users_below_three_events(self, corpus_files,
+                                                             tmp_path):
+        inter, social = corpus_files
+        sparse = tmp_path / "sparse.tsv"
+        sparse.write_text(open(inter).read() + "x1\tv0\t1600000000\n"
+                          "x2\tv1\t1600000000\nx2\tv2\t1600000100\n")
+        out = tmp_path / "o"
+        code = main(["prepare", "--interactions", str(sparse), "--social", social,
+                     "--out", str(out), "--min-actions", "1", "--ls", "16"])
+        assert code == 0
+        assert json.load(open(out / "stats.json"))["users"] == 10
 
     def test_empty_output_exit_3(self, corpus_files, tmp_path):
         inter, social = corpus_files
@@ -101,6 +116,19 @@ class TestTrain:
         assert "non-finite" in capsys.readouterr().err
 
 
+    def test_nan_score_exit_4(self, data_dir, tmp_path, capsys, monkeypatch):
+        def nan_scores(*args, **kwargs):
+            return [ad.Tensor(np.full(s.data.shape, np.nan))
+                    for s in real(*args, **kwargs)]
+
+        real = training.score_user_steps
+        monkeypatch.setattr(training, "score_user_steps", nan_scores)
+        code = main(["train", "--data", data_dir, "--variant", "tea-s",
+                     "--out", str(tmp_path / "o")] + _FAST)
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained_dir(data_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_train"))
@@ -137,6 +165,37 @@ class TestEval:
         code = main(["eval", "--data", data_dir, "--checkpoint", str(bad)])
         assert code == 5
         assert "TEA-CKPT-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["short_blob", "short_header", "trailing"])
+    def test_truncated_or_padded_checkpoint_exit_5(self, data_dir, trained_dir,
+                                                   tmp_path, capsys, cut):
+        raw = open(os.path.join(trained_dir, "checkpoint.tea"), "rb").read()
+        edited = {"short_blob": raw[:-100], "short_header": raw[:20],
+                  "trailing": raw + b"\x00\x00"}[cut]
+        bad = tmp_path / "edited.tea"
+        bad.write_bytes(edited)
+        code = main(["eval", "--data", data_dir, "--checkpoint", str(bad)])
+        assert code == 5
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["seq_items", "buckets"])
+    def test_corrupted_dataset_exit_2(self, data_dir, trained_dir, tmp_path,
+                                      capsys, field):
+        snap = tmp_path / "snap"
+        shutil.copytree(data_dir, snap)
+        path = snap / "dataset.json"
+        payload = json.loads(path.read_text())
+        user = payload["users"][0]
+        if field == "seq_items":
+            user["seq_items"][0] = 10**6
+        else:
+            user["buckets"] = user["buckets"][:2]
+        path.write_text(json.dumps(payload))
+        code = main(["eval", "--data", str(snap), "--checkpoint",
+                     os.path.join(trained_dir, "checkpoint.tea"),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_json_identical_modulo_wall_clock(self, data_dir, trained_dir, tmp_path):
         reports = []

@@ -1,5 +1,7 @@
 """Ingestion, filtering, splitting, buckets, walks, negative sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,25 @@ class TestPreprocess:
     def test_everything_filtered_raises(self):
         with pytest.raises(EmptyDatasetError):
             preprocess(_events([(0, 0, 1), (0, 1, 2)]), min_actions=1000)
+
+    def test_users_need_three_events_for_leave_one_out(self):
+        # min_actions=1 keeps every item, but users 1 (one event) and 2 (two
+        # events) cannot give up a validation and a test event and still
+        # train on one
+        events = _events([(0, i, i) for i in range(3)] + [(1, 0, 10)]
+                         + [(2, 1, 20), (2, 2, 21)])
+        res = preprocess(events, min_actions=1)
+        assert sorted(res.user_remap) == [0]
+        assert len(res.interactions) == 3
+
+    def test_prepare_with_min_actions_one(self, tmp_path):
+        rows, pairs = cycle_corpus(n_users=6, n_items=10, length=5)
+        rows += [("short1", "v0", 1_600_000_000), ("short2", "v1", 1_600_000_000),
+                 ("short2", "v2", 1_600_000_100)]
+        inter, social = write_corpus(str(tmp_path), rows, pairs)
+        ds = prepare_dataset(inter, social, min_actions=1, l_s=10, l_n=4)
+        assert ds.user_ids == [f"u{u}" for u in range(6)]
+        assert all(len(rec.seq_items) == 3 for rec in ds.users)
 
     def test_remap_is_bijection(self):
         events = _events([(u, i, u + i) for u in range(8) for i in range(8)])
@@ -343,6 +364,43 @@ class TestPreparedDataset:
             assert a == b
         assert loaded.social.neighbors == prepared.social.neighbors
         assert loaded.user_ids == prepared.user_ids
+
+    def _corrupt_snapshot(self, prepared, tmp_path, edit):
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        path = snap / "dataset.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return snap
+
+    def test_load_rejects_out_of_range_item(self, prepared, tmp_path):
+        def edit(payload):
+            payload["users"][3]["seq_items"][1] = 10**6
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json.*user 3.*1000000"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_out_of_range_user(self, prepared, tmp_path):
+        def edit(payload):
+            payload["users"][0]["walks"][2] = [12]
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json.*user id 12"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_short_buckets(self, prepared, tmp_path):
+        def edit(payload):
+            payload["users"][0]["buckets"] = payload["users"][0]["buckets"][:2]
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json.*2 buckets"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_short_walks(self, prepared, tmp_path):
+        def edit(payload):
+            payload["users"][5]["walks"].pop()
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json.*5 walk sets"):
+            PreparedDataset.load(snap)
 
     def test_stats_fields(self, prepared):
         stats = prepared.stats()

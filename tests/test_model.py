@@ -4,45 +4,54 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.model import (StepContext, eval_context, score_candidates,
-                       score_candidates_single_route, score_user_steps,
-                       training_context)
+from tea.data import prepare_dataset
+from tea.model import (UserContext, score_candidates_single_route,
+                       score_user_steps, user_context)
 from tea.params import init_params
 
+from corpus import cycle_corpus, synthetic_dataset, write_corpus
 from gradcheck import assert_gradients_match
+
+VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
 
 
 class TestContexts:
     def test_training_context_shape(self, toy_dataset):
-        ctx = training_context(toy_dataset, user=0, step=3)
+        ctx = user_context(toy_dataset, user=0, split="train")
         rec = toy_dataset.users[0]
-        assert ctx.history == rec.seq_items[:3]
-        assert ctx.buckets == rec.buckets[:3]
-        assert ctx.anchors == rec.seq_items[:3]
-        assert ctx.walk_anchor == rec.seq_items[2]
-        assert ctx.walk_users == rec.walks[2]
+        # step 3 sees the first three events and the walk set of the third
+        assert ctx.items[:3] == rec.seq_items[:3]
+        assert ctx.buckets[:3] == rec.buckets[:3]
+        assert ctx.items[2] == rec.seq_items[2]
+        assert ctx.walks[2] == rec.walks[2]
+        assert ctx.neighbors == toy_dataset.social.of(0)
 
     def test_training_context_bounds(self, toy_dataset):
+        params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
+                             l_s=toy_dataset.config["l_s"], variant="tea-s",
+                             seed=90)
+        ctx = user_context(toy_dataset, 0, "train")
         with pytest.raises(IndexError):
-            training_context(toy_dataset, 0, 0)
+            score_user_steps(params, ctx, [0], [[1]])
         with pytest.raises(IndexError):
-            training_context(toy_dataset, 0, len(toy_dataset.users[0].seq_items))
+            score_user_steps(params, ctx, [len(toy_dataset.users[0].seq_items)],
+                             [[1]])
 
     def test_val_context(self, toy_dataset):
-        ctx = eval_context(toy_dataset, 1, "val")
+        ctx = user_context(toy_dataset, 1, "val")
         rec = toy_dataset.users[1]
-        assert ctx.history == rec.seq_items
+        assert ctx.items == rec.seq_items
         assert ctx.buckets[-1] == rec.bucket_val
-        assert ctx.walk_anchor == rec.seq_items[-1]
+        assert ctx.items[-1] == rec.seq_items[-1]
+        assert ctx.walks[-1] == rec.walks[-1]
 
     def test_test_context_sees_validation_event(self, toy_dataset):
-        ctx = eval_context(toy_dataset, 1, "test")
+        ctx = user_context(toy_dataset, 1, "test")
         rec = toy_dataset.users[1]
-        assert ctx.history == rec.seq_items + [rec.val_item]
+        assert ctx.items == rec.seq_items + [rec.val_item]
         assert ctx.buckets[-2:] == [rec.bucket_val, rec.bucket_gap]
-        assert ctx.anchors[-1] == rec.val_item
-        assert ctx.walk_anchor == rec.val_item
-        assert ctx.walk_users == rec.walks_val
+        assert ctx.items[-1] == rec.val_item
+        assert ctx.walks[-1] == rec.walks_val
 
     def test_no_context_contains_the_target(self, toy_dataset):
         # The target item may legitimately appear in history (revisits), but
@@ -50,53 +59,59 @@ class TestContexts:
         # data, checked in test_data; here we check the history cutoff.
         for user in range(toy_dataset.n_users):
             rec = toy_dataset.users[user]
-            ctx_val = eval_context(toy_dataset, user, "val")
-            assert len(ctx_val.history) == len(rec.seq_items)
-            ctx_test = eval_context(toy_dataset, user, "test")
-            assert len(ctx_test.history) == len(rec.seq_items) + 1
+            ctx_val = user_context(toy_dataset, user, "val")
+            assert len(ctx_val.items) == len(rec.seq_items)
+            ctx_test = user_context(toy_dataset, user, "test")
+            assert len(ctx_test.items) == len(rec.seq_items) + 1
+            # the held-out step len(items) is the last one the context can score
+            for ctx in (ctx_val, ctx_test):
+                assert len(ctx.buckets) == len(ctx.walks) == len(ctx.items)
 
     def test_unknown_split_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
-            eval_context(toy_dataset, 0, "train")
+            user_context(toy_dataset, 0, "holdout")
 
 
-def _ctx(user=1, history=(0, 2, 3), walks=(2, 0)):
-    return StepContext(user=user, history=list(history),
-                       buckets=[[1, 2], [], [0, 4]], anchors=[0, 2, 3],
-                       walk_users=list(walks), walk_anchor=history[-1] if history else None,
-                       neighbors=[0, 2])
+def _ctx(user=1, items=(0, 2, 3), walks=(2, 0)):
+    return UserContext(user=user, items=list(items),
+                       buckets=[[1, 2], [], [0, 4]],
+                       walks=[[1], [], list(walks)], neighbors=[0, 2])
+
+
+def _score(params, ctx, cands, **kwargs):
+    """Scores of the held-out step len(ctx.items)."""
+    return score_user_steps(params, ctx, [len(ctx.items)], [cands], **kwargs)[0]
 
 
 class TestScoring:
-    @pytest.mark.parametrize("variant", ["tea-s", "tea-a", "tea-rs", "tea-ra"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_batched_equals_single_route(self, variant):
         params = init_params(3, 5, 4, 6, variant, seed=19)
         ctx = _ctx()
         cands = [0, 1, 2, 3, 4]
-        batched = score_candidates(params, ctx, cands).data
-        single = score_candidates_single_route(params, ctx, cands)
+        batched = _score(params, ctx, cands).data
+        single = score_candidates_single_route(params, ctx, 3, cands)
         np.testing.assert_allclose(batched, single, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        a = score_candidates(params, _ctx(), [0, 1]).data
-        b = score_candidates(params, _ctx(), [0, 1]).data
+        a = _score(params, _ctx(), [0, 1]).data
+        b = _score(params, _ctx(), [0, 1]).data
         np.testing.assert_array_equal(a, b)
 
     def test_training_mode_dropout_changes_scores(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        eval_scores = score_candidates(params, _ctx(), [0, 1]).data
-        train_scores = score_candidates(params, _ctx(), [0, 1], training=True,
-                                        rng=np.random.default_rng(0),
-                                        p_drop=0.5).data
+        eval_scores = _score(params, _ctx(), [0, 1]).data
+        train_scores = _score(params, _ctx(), [0, 1], training=True,
+                              rngs=[np.random.default_rng(0)], p_drop=0.5).data
         assert not np.allclose(eval_scores, train_scores)
 
     def test_same_dropout_stream_reproduces(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        a = score_candidates(params, _ctx(), [0, 1], training=True,
-                             rng=np.random.default_rng(3)).data
-        b = score_candidates(params, _ctx(), [0, 1], training=True,
-                             rng=np.random.default_rng(3)).data
+        a = _score(params, _ctx(), [0, 1], training=True,
+                   rngs=[np.random.default_rng(3)]).data
+        b = _score(params, _ctx(), [0, 1], training=True,
+                   rngs=[np.random.default_rng(3)]).data
         np.testing.assert_array_equal(a, b)
 
     def test_reduced_variant_equals_full_with_zeroed_walks(self):
@@ -110,75 +125,133 @@ class TestScoring:
             assert name_f == name_r
             np.testing.assert_array_equal(t_f.data, t_r.data)
         ctx = _ctx()
-        no_walk_ctx = StepContext(ctx.user, ctx.history, ctx.buckets, ctx.anchors,
-                                  [], None, ctx.neighbors)
-        got_reduced = score_candidates(reduced, ctx, [0, 1, 2]).data
-        got_full_zeroed = score_candidates(full, no_walk_ctx, [0, 1, 2]).data
+        no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
+                                  [[] for _ in ctx.walks], ctx.neighbors)
+        got_reduced = _score(reduced, ctx, [0, 1, 2]).data
+        got_full_zeroed = _score(full, no_walk_ctx, [0, 1, 2]).data
         np.testing.assert_allclose(got_reduced, got_full_zeroed, atol=1e-15)
 
     def test_attention_reduced_variant(self):
         full = init_params(3, 5, 4, 6, "tea-a", seed=29)
         reduced = init_params(3, 5, 4, 6, "tea-ra", seed=29)
         ctx = _ctx()
-        no_walk_ctx = StepContext(ctx.user, ctx.history, ctx.buckets, ctx.anchors,
-                                  [], None, ctx.neighbors)
+        no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
+                                  [[] for _ in ctx.walks], ctx.neighbors)
         np.testing.assert_allclose(
-            score_candidates(reduced, ctx, [1, 4]).data,
-            score_candidates(full, no_walk_ctx, [1, 4]).data, atol=1e-15)
+            _score(reduced, ctx, [1, 4]).data,
+            _score(full, no_walk_ctx, [1, 4]).data, atol=1e-15)
 
-    def test_history_clipped_to_window(self):
-        params = init_params(3, 9, 4, 4, "tea-s", seed=31)  # l_s = 4
-        long_hist = [0, 1, 2, 3, 4, 5, 6]
-        ctx = StepContext(0, long_hist, [], [], [], None, [])
-        clipped = StepContext(0, long_hist[-3:], [], [], [], None, [])
-        np.testing.assert_array_equal(score_candidates(params, ctx, [7]).data,
-                                      score_candidates(params, clipped, [7]).data)
+
+@pytest.fixture(scope="module")
+def truncated_dataset(tmp_path_factory):
+    """Cycle corpus prepared with l_s=8: every sequence is cut to exactly l_s."""
+    tmp = tmp_path_factory.mktemp("truncated_corpus")
+    rows, pairs = cycle_corpus(n_users=10, n_items=20, length=16, stride=2)
+    ds = prepare_dataset(*write_corpus(str(tmp), rows, pairs), l_s=8, l_n=5,
+                         seed=0)
+    assert all(len(rec.seq_items) == 8 for rec in ds.users)
+    return ds
+
+
+class TestWindows:
+    """Window rule of the one route, checked against the single-candidate oracle."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_steps_at_l_s(self, truncated_dataset, variant):
+        ds = truncated_dataset
+        params = init_params(ds.n_users, ds.n_items, d=4, l_s=8,
+                             variant=variant, seed=94)
+        rng = np.random.default_rng(4)
+        for user in range(ds.n_users):
+            ctx = user_context(ds, user, "train")
+            steps = list(range(1, len(ctx.items)))
+            cand_lists = [rng.integers(0, ds.n_items, size=6).tolist()
+                          for _ in steps]
+            got = score_user_steps(params, ctx, steps, cand_lists)
+            for step, cands, scores in zip(steps, cand_lists, got):
+                want = score_candidates_single_route(params, ctx, step, cands)
+                np.testing.assert_allclose(scores.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seq_len", [4, 5, 6])
+    def test_held_out_steps_around_l_s(self, variant, seq_len):
+        # with l_s=5, val scores step seq_len and test step seq_len + 1:
+        # together they cover s = l_s and s = l_s + 1 for both splits
+        l_s = 5
+        ds = synthetic_dataset(n_users=4, n_items=9, seq_len=seq_len,
+                               seed=300 + seq_len, l_s=l_s)
+        params = init_params(4, 9, d=4, l_s=l_s, variant=variant, seed=95)
+        cands = list(range(9))
+        for user in range(ds.n_users):
+            for split in ("val", "test"):
+                ctx = user_context(ds, user, split)
+                step = len(ctx.items)
+                got = _score(params, ctx, cands).data
+                want = score_candidates_single_route(params, ctx, step, cands)
+                np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_sees_only_its_window(self, variant):
+        """Step s of a long context scores as the context cut at max(0, s - l_s)."""
+        l_s = 4
+        ds = synthetic_dataset(n_users=3, n_items=9, seq_len=14, seed=310,
+                               l_s=l_s)
+        params = init_params(3, 9, d=4, l_s=l_s, variant=variant, seed=96)
+        cands = [0, 3, 5, 8]
+        for user in range(ds.n_users):
+            ctx = user_context(ds, user, "train")
+            for s in range(1, len(ctx.items)):
+                cut = max(0, s - l_s)
+                short = UserContext(ctx.user, ctx.items[cut:], ctx.buckets[cut:],
+                                    ctx.walks[cut:], ctx.neighbors)
+                got = score_user_steps(params, ctx, [s], [cands])[0].data
+                want = score_user_steps(params, short, [s - cut], [cands])[0].data
+                np.testing.assert_allclose(got, want, atol=1e-12)
+                np.testing.assert_allclose(
+                    got, score_candidates_single_route(params, ctx, s, cands),
+                    atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_steps_spanning_two_windows_rejected(self, variant):
+        l_s = 4
+        ds = synthetic_dataset(n_users=2, n_items=9, seq_len=8, seed=320, l_s=l_s)
+        params = init_params(2, 9, d=4, l_s=l_s, variant=variant, seed=97)
+        ctx = user_context(ds, 0, "train")
+        for steps in ([l_s - 1, l_s], [l_s, l_s + 1], [1, 6]):
+            with pytest.raises(ValueError, match="window"):
+                score_user_steps(params, ctx, steps, [[0, 1]] * len(steps))
+        # every step below l_s shares the window that starts at 0
+        score_user_steps(params, ctx, [1, l_s - 1], [[0, 1], [2, 3]])
 
 
 class TestGroupedScoring:
-    """The per-user multi-step route must match the per-step route exactly."""
+    """A multi-step call must match one call per step exactly."""
 
-    @pytest.mark.parametrize("variant", ["tea-s", "tea-a", "tea-rs", "tea-ra"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_grouped_equals_per_step(self, toy_dataset, variant):
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
                              l_s=toy_dataset.config["l_s"], variant=variant,
                              seed=91)
         user = 2
-        t_len = len(toy_dataset.users[user].seq_items)
-        steps = list(range(1, t_len))
+        ctx = user_context(toy_dataset, user, "train")
+        steps = list(range(1, len(ctx.items)))
         rng = np.random.default_rng(0)
         cand_lists = [rng.integers(0, toy_dataset.n_items, size=6).tolist()
                       for _ in steps]
-        grouped = score_user_steps(params, toy_dataset, user, steps, cand_lists)
+        grouped = score_user_steps(params, ctx, steps, cand_lists)
         for step, cands, got in zip(steps, cand_lists, grouped):
-            want = score_candidates(params, training_context(toy_dataset, user, step),
-                                    cands)
-            np.testing.assert_allclose(got.data, want.data, atol=1e-12)
-
-    def test_long_sequence_falls_back(self, toy_dataset):
-        # l_s smaller than the sequence forces the per-step route; results
-        # must still match it by construction
-        params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
-                             l_s=4, variant="tea-s", seed=92)
-        user = 0
-        steps = [2, 5]
-        cand_lists = [[0, 1], [2, 3]]
-        grouped = score_user_steps(params, toy_dataset, user, steps, cand_lists)
-        for step, cands, got in zip(steps, cand_lists, grouped):
-            want = score_candidates(params, training_context(toy_dataset, user, step),
-                                    cands)
+            want = score_user_steps(params, ctx, [step], [cands])[0]
             np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
     def test_grouped_gradients(self, toy_dataset):
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
                              l_s=toy_dataset.config["l_s"], variant="tea-s",
                              seed=93)
-        user = 1
+        ctx = user_context(toy_dataset, 1, "train")
         target = ad.Tensor(np.random.default_rng(2).normal(size=3))
 
         def build():
-            outs = score_user_steps(params, toy_dataset, user, [1, 3],
-                                    [[0, 2, 4], [1, 3, 5]])
+            outs = score_user_steps(params, ctx, [1, 3], [[0, 2, 4], [1, 3, 5]])
             both = ad.add(ad.mul(outs[0], target), ad.mul(outs[1], target))
             return ad.total_sum(both)
 
@@ -187,7 +260,6 @@ class TestGroupedScoring:
         named = [(n, t) for n, t in params.trainable()
                  if n in ("emb.item", "emb.user", "g.w_q", "g.w_3",
                           "f.gru.w_hz", "g.gru.w_xn", "f.w_1")]
-        from gradcheck import assert_gradients_match
         assert_gradients_match(build, named)
 
 
@@ -199,7 +271,6 @@ class TestComposedGradients:
         target = ad.Tensor(np.random.default_rng(1).normal(size=3))
 
         def build():
-            return ad.total_sum(ad.mul(score_candidates(params, ctx, [0, 2, 4]),
-                                       target))
+            return ad.total_sum(ad.mul(_score(params, ctx, [0, 2, 4]), target))
 
         assert_gradients_match(build, params.trainable())

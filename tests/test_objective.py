@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.objective import (ScoredStep, exact_conditional, predict_probability,
-                           scored_step_from, sequence_loss, total_loss)
+from tea.objective import (NonFiniteScoreError, ScoredStep, exact_conditional,
+                           predict_probability, scored_step_from, sequence_loss,
+                           total_loss)
 
 
 def _step(pos, negs, user=0, step=1):
@@ -46,6 +47,11 @@ class TestSequenceLoss:
     def test_wrong_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             sequence_loss([_step(0.0, np.zeros(3))], n_s=5)
+
+    @pytest.mark.parametrize("pos, neg", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_score_has_its_own_type(self, pos, neg):
+        with pytest.raises(NonFiniteScoreError, match=r"step \(2,1\)"):
+            sequence_loss([_step(pos, np.array([0.0, neg]), user=2)], n_s=2)
 
     def test_monotone_in_scores(self):
         # decreasing in the positive score, increasing in each negative

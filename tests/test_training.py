@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from tea import autodiff as ad
+from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
-from tea.model import positive_target, score_candidates, training_context
-from tea.objective import scored_step_from, sequence_loss, total_loss
+from tea.model import positive_target, score_user_steps, user_context
+from tea.objective import (NonFiniteScoreError, scored_step_from, sequence_loss,
+                           total_loss)
 from tea.params import (IncompatibleCheckpointError, init_params,
                         load_checkpoint, save_checkpoint)
 from tea.training import (NumericalError, TrainConfig, early_stop, train,
@@ -96,6 +99,19 @@ class TestTrainLoop:
         assert info.value.param_norm > 0
 
 
+    def test_nan_score_raises_numerical_error(self, toy_dataset, monkeypatch):
+        def nan_scores(*args, **kwargs):
+            return [ad.Tensor(np.full(s.data.shape, np.nan))
+                    for s in real(*args, **kwargs)]
+
+        real = training.score_user_steps
+        monkeypatch.setattr(training, "score_user_steps", nan_scores)
+        with pytest.raises(NumericalError) as info:
+            train(toy_dataset, _toy_config(max_epochs=1))
+        assert info.value.epoch == 1 and info.value.batch == 0
+        assert isinstance(info.value.__cause__, NonFiniteScoreError)
+
+
 class TestRepeatedBatch:
     def test_loss_mostly_non_increasing_over_fifty_steps(self, toy_dataset):
         """One fixed batch, 50 Adam steps: >= 45 of them must not increase."""
@@ -116,8 +132,8 @@ class TestRepeatedBatch:
             with Tape() as tape:
                 scored = []
                 for user, step, pos, negs in fixed:
-                    ctx = training_context(toy_dataset, user, step)
-                    scores = score_candidates(params, ctx, [pos] + negs)
+                    ctx = user_context(toy_dataset, user, "train")
+                    scores = score_user_steps(params, ctx, [step], [[pos] + negs])[0]
                     scored.append(scored_step_from(scores, user, step))
                 loss = total_loss(sequence_loss(scored, config.n_s), named,
                                   config.gamma)

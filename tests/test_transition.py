@@ -5,6 +5,7 @@ import pytest
 
 from tea import autodiff as ad
 from tea import transition as tr
+from tea.model import UserContext, score_user_steps
 from tea.params import init_params
 
 from gradcheck import assert_gradients_match
@@ -227,33 +228,48 @@ class TestTransitionScore:
         assert a == b
 
 
+def _g_only(seed, l_s=4):
+    """Full parameters with the unary head zeroed, so the one route scores g alone."""
+    params = init_params(n_users=3, n_items=5, d=4, l_s=l_s, variant="tea-s",
+                         seed=seed)
+    params.unary.w_f2.data[...] = 0.0
+    params.unary.b_f2.data[...] = 0.0
+    return params
+
+
 class TestBatchedRoute:
     def test_batched_equals_single(self):
-        p = _params(seed=44)
-        walk = tr.walk_aggregate(p, 2, 0, [0, 1])
+        params = _g_only(seed=44)
+        p = params.transition
+        ctx = UserContext(2, [1, 0, 3], [[], [], []], [[], [], [0, 1]], [])
+        walk = tr.walk_aggregate(p, 2, 3, [0, 1])
         cands = [0, 1, 2, 3, 4]
-        batched = tr.transition_scores(p, 2, [1, 0, 3], cands, walk).data
+        batched = score_user_steps(params, ctx, [3], [cands])[0].data
         singles = [tr.transition_score(p, 2, [1, 0, 3], c, walk).item()
                    for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
     def test_batched_empty_history(self):
-        p = _params(seed=45)
+        # l_s = 1 leaves no position before the candidate: the window is empty
+        params = _g_only(seed=45, l_s=1)
+        p = params.transition
+        ctx = UserContext(1, [2], [[]], [[]], [])
         walk = tr.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
         cands = [0, 4]
-        batched = tr.transition_scores(p, 1, [], cands, walk).data
+        batched = score_user_steps(params, ctx, [1], [cands])[0].data
         singles = [tr.transition_score(p, 1, [], c, walk).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
 
 class TestTransitionGradients:
     def test_every_leaf_matches_finite_differences(self):
-        p = _params(seed=71)
+        params = _g_only(seed=71)
+        p = params.transition
+        ctx = UserContext(1, [0, 3, 2], [[], [], []], [[], [], [0, 2]], [])
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            walk = tr.walk_aggregate(p, 1, 2, [0, 2])
-            scores = tr.transition_scores(p, 1, [0, 3], [1, 2, 4], walk)
+            scores = score_user_steps(params, ctx, [3], [[1, 2, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())

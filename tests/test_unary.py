@@ -5,6 +5,7 @@ import pytest
 
 from tea import autodiff as ad
 from tea import unary as un
+from tea.model import UserContext, score_user_steps
 from tea.params import init_params
 
 from gradcheck import assert_gradients_match
@@ -13,6 +14,19 @@ from gradcheck import assert_gradients_match
 def _params(seed=11, variant="tea-s"):
     return init_params(n_users=3, n_items=5, d=4, l_s=4, variant=variant,
                        seed=seed).unary
+
+
+def _f_only(seed, variant="tea-s"):
+    """Full parameters with a zeroed transition head: the one route scores f alone."""
+    params = init_params(n_users=3, n_items=5, d=4, l_s=4, variant=variant,
+                         seed=seed)
+    params.transition.w_g3.data[...] = 0.0
+    return params
+
+
+def _ctx(neighbors):
+    return UserContext(0, [0, 2, 3], [[0, 1], [], [2, 4, 1]], [[], [], []],
+                       neighbors)
 
 
 def _np_sage(p, bucket):
@@ -204,12 +218,13 @@ class TestUnaryScore:
         assert a == b
 
     def test_batched_equals_single(self):
-        p = _params(seed=50)
-        rng = np.random.default_rng(3)
-        h_t = ad.Tensor(rng.normal(size=4))
-        h_s = ad.Tensor(rng.normal(size=4))
+        params = _f_only(seed=50)
+        p = params.unary
+        ctx = _ctx(neighbors=[1, 2])
+        h_t = un.aggregate_steps(p, ctx.buckets, ctx.items, 4)
+        h_s = un.social_aggregate(p, ctx.neighbors)
         cands = [0, 1, 2, 3, 4]
-        batched = un.unary_scores(p, h_t, h_s, cands).data
+        batched = score_user_steps(params, ctx, [3], [cands])[0].data
         singles = [un.unary_score(p, h_t, h_s, c).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -217,13 +232,13 @@ class TestUnaryScore:
 class TestUnaryGradients:
     @pytest.mark.parametrize("variant", ["tea-s", "tea-a"])
     def test_every_leaf_matches_finite_differences(self, variant):
-        p = _params(seed=77, variant=variant)
+        params = _f_only(seed=77, variant=variant)
+        p = params.unary
+        ctx = _ctx(neighbors=[0, 2])
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            h_t = un.aggregate_steps(p, [[0, 1], [], [2, 4, 1]], [0, None, 3], 4)
-            h_s = un.social_aggregate(p, [0, 2])
-            scores = un.unary_scores(p, h_t, h_s, [1, 3, 4])
+            scores = score_user_steps(params, ctx, [3], [[1, 3, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())
