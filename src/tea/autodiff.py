@@ -78,10 +78,6 @@ def zeros(*shape: int) -> Tensor:
     return _wrap(np.zeros(shape, dtype=np.float64))
 
 
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
@@ -104,7 +100,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.records: list[_Record] = []
-        self.produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -131,7 +126,6 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...],
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
         tape.records.append(_Record(out, inputs, backward))
-        tape.produced.add(id(out))
     return out
 
 
@@ -174,8 +168,8 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
             acc = grads.get(id(inp))
             # Never mutate stored arrays: backward closures may alias g_out.
             grads[id(inp)] = g_in if acc is None else acc + g_in
-    leaves = {k: v for k, v in grads.items() if k not in tape.produced}
-    return Gradients(leaves)
+    # Each record pops its output's gradient, so only the leaves are left.
+    return Gradients(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +191,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        out = _wrap(a.data + b.data)
     except ValueError:
         raise ShapeError("add", a.data.shape, b.data.shape) from None
-    out = _wrap(a.data + b.data)
 
     def back(g: Array):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -210,10 +203,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        out = _wrap(a.data - b.data)
     except ValueError:
         raise ShapeError("sub", a.data.shape, b.data.shape) from None
-    out = _wrap(a.data - b.data)
 
     def back(g: Array):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
@@ -224,10 +216,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        out = _wrap(a.data * b.data)
     except ValueError:
         raise ShapeError("elementwise-mul", a.data.shape, b.data.shape) from None
-    out = _wrap(a.data * b.data)
 
     def back(g: Array):
         return (_unbroadcast(g * b.data, a.data.shape),
@@ -251,7 +242,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     inner_b = bd.shape[0]
     if inner_a != inner_b:
         raise ShapeError("matmul", ad.shape, bd.shape)
-    out = _wrap(ad @ bd)
+    out = _wrap(np.asarray(ad @ bd))  # 1-D @ 1-D gives a 0-d array
 
     def back(g: Array):
         if ad.ndim == 2 and bd.ndim == 2:
@@ -261,17 +252,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if ad.ndim == 1 and bd.ndim == 2:
             return bd @ g, np.outer(ad, g)
         return g * bd, g * ad  # 1-D @ 1-D
-
-    return _emit(out, (a, b), back)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError("dot", a.data.shape, b.data.shape)
-    out = _wrap(np.asarray(a.data @ b.data))
-
-    def back(g: Array):
-        return g * b.data, g * a.data
 
     return _emit(out, (a, b), back)
 
@@ -463,31 +443,6 @@ def dropout(x: Tensor, p_drop: float, rng: np.random.Generator) -> Tensor:
     return mul(x, mask)
 
 
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-mul": mul,
-    "concat": lambda *parts: concat(list(parts)),
-    "relu": relu,
-    "leaky-relu": leaky_relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "mean-pool": mean_pool,
-    "gather-rows": gather_rows,
-    "scale": scale,
-    "dot": dot,
-}
-
-
-def apply_primitive(kind: str, *operands) -> Tensor:
-    """Dispatch one primitive by name (the generic forward entry point)."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind: {kind!r}") from None
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # GRU cell
 # ---------------------------------------------------------------------------
@@ -557,20 +512,15 @@ class AdamState:
             self.v[name] = np.zeros_like(tensor.data)
 
 
-def adam_step(params: Iterable[tuple[str, Tensor]], grads, state: AdamState) -> None:
-    """Bias-corrected Adam update, in place.
-
-    `grads` is either a Gradients object or a {name: array} mapping.
-    """
+def adam_step(params: Iterable[tuple[str, Tensor]], grads: dict[str, Array],
+              state: AdamState) -> None:
+    """Bias-corrected Adam update, in place; `grads` maps each name to its array."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, tensor in params:
-        if isinstance(grads, Gradients):
-            g = grads.of(tensor)
-        else:
-            g = grads[name]
+        g = grads[name]
         if g.shape != tensor.data.shape:
             raise ShapeError("adam-step", tensor.data.shape, g.shape)
         m = state.m[name]

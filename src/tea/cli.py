@@ -49,7 +49,7 @@ def _read_config_file(path) -> dict[str, str]:
 
 _TRAIN_FIELDS = {
     "d": int, "batch_size": int, "p_drop": float, "gamma": float, "n_s": int,
-    "l_s": int, "l_n": int, "lr": float, "max_epochs": int, "patience": int,
+    "l_s": int, "lr": float, "max_epochs": int, "patience": int,
     "seed": int, "variant": str, "all_steps": lambda s: s.lower() in ("1", "true", "yes"),
     "clip_norm": float,
 }

@@ -376,34 +376,46 @@ class PreparedDataset:
     def load(cls, out_dir) -> "PreparedDataset":
         path = os.path.join(out_dir, "dataset.json")
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "tea-dataset-1":
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a JSON snapshot ({exc})") from None
+        if not isinstance(payload, dict) or payload.get("format") != "tea-dataset-1":
             raise ValueError(f"unrecognized dataset snapshot in {out_dir}")
-        users = [
-            UserRecord(
-                seq_items=u["seq_items"], seq_ts=u["seq_ts"],
-                val_item=u["val"][0], val_ts=u["val"][1],
-                test_item=u["test"][0], test_ts=u["test"][1],
-                buckets=u["buckets"], bucket_val=u["bucket_val"],
-                bucket_gap=u["bucket_gap"], walks=u["walks"],
-                walks_val=u["walks_val"],
-            )
-            for u in payload["users"]
-        ]
-        social = SocialGraph({int(k): v for k, v in payload["social"].items()})
-        _check_snapshot(path, payload["n_users"], payload["n_items"],
-                        payload["config"].get("l_s"), users, social)
+        try:
+            users = [
+                UserRecord(
+                    seq_items=u["seq_items"], seq_ts=u["seq_ts"],
+                    val_item=u["val"][0], val_ts=u["val"][1],
+                    test_item=u["test"][0], test_ts=u["test"][1],
+                    buckets=u["buckets"], bucket_val=u["bucket_val"],
+                    bucket_gap=u["bucket_gap"], walks=u["walks"],
+                    walks_val=u["walks_val"],
+                )
+                for u in payload["users"]
+            ]
+            social = SocialGraph({int(k): v for k, v in payload["social"].items()})
+            n_users, n_items = payload["n_users"], payload["n_items"]
+            config, n_interactions = payload["config"], payload["n_interactions"]
+            l_s = config.get("l_s")
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed snapshot "
+                             f"({type(exc).__name__}: {exc})") from None
+        _check_snapshot(path, n_users, n_items, l_s, users, social)
         ids = {}
         for fname in ("user_ids.tsv", "item_ids.tsv"):
+            side_path = os.path.join(out_dir, fname)
             rows = []
-            with open(os.path.join(out_dir, fname), "r", encoding="utf-8") as fh:
-                for line in fh:
-                    raw, dense = line.rstrip("\n").split("\t")
-                    rows.append((int(dense), raw))
+            with open(side_path, "r", encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    fields = line.rstrip("\n").split("\t")
+                    if len(fields) != 2 or not fields[1].isdigit():
+                        raise ParseError(side_path, line_no,
+                                         "expected 'raw_id<TAB>dense_id'")
+                    rows.append((int(fields[1]), fields[0]))
             ids[fname] = [raw for _, raw in sorted(rows)]
-        return cls(payload["n_users"], payload["n_items"], users, social,
-                   payload["config"], ids["user_ids.tsv"], ids["item_ids.tsv"],
-                   payload["n_interactions"])
+        return cls(n_users, n_items, users, social, config, ids["user_ids.tsv"],
+                   ids["item_ids.tsv"], n_interactions)
 
 
 def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
@@ -420,6 +432,9 @@ def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
                 raise ValueError(f"{path}: {who} has {kind} id {x!r} outside "
                                  f"[0, {bound})")
 
+    for key, value in (("n_users", n_users), ("n_items", n_items)):
+        if type(value) is not int:
+            raise ValueError(f"{path}: {key} is {value!r}, expected an integer")
     if len(users) != n_users:
         raise ValueError(f"{path}: {len(users)} user records, n_users={n_users}")
     for u, rec in enumerate(users):

@@ -1,5 +1,4 @@
-"""Training objective: sampled-contrast sequence loss, L2 penalty, and the
-exact per-step conditional used as a test oracle.
+"""Training objective: sampled-contrast sequence loss and L2 penalty.
 
 The per-step loss contrasts the target's combined score against uniformly
 sampled negatives through log-sigmoid terms; it is negated so a single
@@ -77,23 +76,3 @@ def total_loss(crf_loss: Tensor, params: Iterable[tuple[str, Tensor]],
     for t in terms[1:]:
         reg = ad.add(reg, t)
     return ad.add(crf_loss, ad.scale(reg, gamma))
-
-
-def exact_conditional(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the full item set's combined scores (max-subtracted).
-
-    Enumeration oracle for small item sets; never used in training.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    shifted = s - s.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def predict_probability(f_score: float, g_score: float) -> float:
-    """sigmoid(f + g): the inference-time probability of choosing the item."""
-    x = float(f_score) + float(g_score)
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)

@@ -238,29 +238,62 @@ def _read_exactly(fh, n: int, path, what: str) -> bytes:
     return raw
 
 
+def _check_header(path, header) -> None:
+    """Reject a header whose fields init_params or the blob reader cannot use."""
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+        raise IncompatibleCheckpointError(f"{path}: checkpoint header format mismatch")
+    fields = (("n_users", 1), ("n_items", 1), ("d", 1), ("l_s", 1), ("epoch", 0))
+    for key, least in fields:
+        value = header.get(key)
+        if type(value) is not int or value < least:
+            raise IncompatibleCheckpointError(f"{path}: header field {key!r} is "
+                                              f"{value!r}, expected an integer >= {least}")
+    if header.get("variant") not in VARIANTS:
+        raise IncompatibleCheckpointError(
+            f"{path}: unknown variant {header.get('variant')!r}; "
+            f"expected one of {sorted(VARIANTS)}")
+    if not isinstance(header.get("config"), dict):
+        raise IncompatibleCheckpointError(
+            f"{path}: header field 'config' is not an object")
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
+        raise IncompatibleCheckpointError(
+            f"{path}: header field 'tensors' is not a list of objects")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC.encode("ascii"):
             raise IncompatibleCheckpointError(
-                f"bad checkpoint header {magic!r}; expected \"{CHECKPOINT_MAGIC}\"")
+                f"{path}: bad checkpoint header {magic!r}; "
+                f"expected \"{CHECKPOINT_MAGIC}\"")
         (hlen,) = struct.unpack("<Q", _read_exactly(fh, 8, path, "header length"))
-        header = json.loads(_read_exactly(fh, hlen, path, "header").decode("utf-8"))
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise IncompatibleCheckpointError("checkpoint header format mismatch")
+        raw_header = _read_exactly(fh, hlen, path, "header")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as exc:
+            raise IncompatibleCheckpointError(
+                f"{path}: undecodable checkpoint header ({exc})") from None
+        _check_header(path, header)
         params = init_params(header["n_users"], header["n_items"], header["d"],
                              header["l_s"], header["variant"], seed=0)
-        by_name = dict(params.trainable())
-        for spec in header["tensors"]:
-            name, shape = spec["name"], tuple(spec["shape"])
-            if name not in by_name:
-                raise IncompatibleCheckpointError(f"unexpected tensor {name!r}")
-            t = by_name[name]
-            if t.data.shape != shape:
+        expected = params.trainable()
+        names = [spec.get("name") for spec in header["tensors"]]
+        expected_names = [name for name, _ in expected]
+        if names != expected_names:
+            missing = [n for n in expected_names if n not in names]
+            unexpected = [n for n in names if n not in expected_names]
+            raise IncompatibleCheckpointError(
+                f"{path}: header tensors do not match variant {header['variant']!r} "
+                f"(missing {missing}, unexpected {unexpected})")
+        for spec, (name, t) in zip(header["tensors"], expected):
+            if spec.get("shape") != list(t.data.shape):
                 raise IncompatibleCheckpointError(
-                    f"tensor {name!r} shape {shape} != expected {t.data.shape}")
-            raw = _read_exactly(fh, 8 * int(np.prod(shape)), path, f"tensor {name!r}")
-            t.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+                    f"{path}: tensor {name!r} shape {spec.get('shape')} != expected "
+                    f"{list(t.data.shape)}")
+            raw = _read_exactly(fh, t.data.nbytes, path, f"tensor {name!r}")
+            t.data[...] = np.frombuffer(raw, dtype="<f8").reshape(t.data.shape)
         if fh.read(1):
             raise IncompatibleCheckpointError(
                 f"{path}: trailing bytes after the last tensor")

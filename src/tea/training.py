@@ -41,7 +41,6 @@ class TrainConfig:
     gamma: float = 5e-4
     n_s: int = 50
     l_s: int = 50
-    l_n: int = 20
     lr: float = 0.01
     max_epochs: int = 100
     patience: int = 10
@@ -51,7 +50,7 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> None:
-        for name in ("d", "batch_size", "n_s", "l_s", "l_n"):
+        for name in ("d", "batch_size", "n_s", "l_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
         if not 0.0 <= self.p_drop < 1.0:

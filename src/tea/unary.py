@@ -1,10 +1,11 @@
-"""Graph-context unary score.
+"""Graph-context unary score f.
 
-Scores a candidate item against the user's temporally evolving graph
+Scores candidate items against the user's temporally evolving graph
 neighborhood: per-step aggregation of the items the user's social
 neighbors touched (mean-pooled or attention-weighted), a temporal GRU over
 those per-step summaries, a static social aggregate, and a dot-product
-head against the candidate embedding.
+head against the candidate embeddings. `unary_scores` is the only
+implementation; the single-candidate reference lives with the tests.
 """
 
 from __future__ import annotations
@@ -25,38 +26,26 @@ def bipartite_aggregate_sage(params: UnaryParams, bucket: list[int]) -> Tensor:
     return ad.relu(ad.matmul(params.w_agg, pooled))
 
 
-def bipartite_aggregate_attention(params: UnaryParams, anchor: int | None,
+def bipartite_aggregate_attention(params: UnaryParams, anchor: int,
                                   bucket: list[int]) -> Tensor:
     """Attention-weighted sum of bucket item embeddings, anchored on the
     user's own item at that step.
 
     Weights are a softmax over leaky-relu scores of the attention vector
-    against [w_agg q_anchor (+) w_agg q_j]. With no anchor available the
-    mean-pooled path is used instead; an empty bucket yields zeros.
+    against [w_agg q_anchor (+) w_agg q_j]; an empty bucket yields zeros.
     """
     d = params.shared.item.data.shape[1]
     if not bucket:
         return ad.zeros(d)
-    if anchor is None or params.attn_vec is None:
-        return bipartite_aggregate_sage(params, bucket)
     q_bucket = ad.gather_rows(params.shared.item, bucket)
     projected = ad.matmul(q_bucket, ad.transpose(params.w_agg))
     a_anchor = ad.slice_rows(params.attn_vec, 0, d)
     a_item = ad.slice_rows(params.attn_vec, d, 2 * d)
-    anchor_term = ad.dot(a_anchor,
-                         ad.matmul(params.w_agg, embedding_row(params.shared.item, anchor)))
+    q_anchor = embedding_row(params.shared.item, anchor)
+    anchor_term = ad.matmul(a_anchor, ad.matmul(params.w_agg, q_anchor))
     logits = ad.leaky_relu(ad.add(ad.matmul(projected, a_item), anchor_term))
     weights = ad.masked_softmax(logits, np.ones(len(bucket), dtype=bool))
     return ad.relu(ad.matmul(weights, q_bucket))
-
-
-def temporal_recurrence(params: UnaryParams, step_summaries: list[Tensor]) -> Tensor:
-    """Fold the per-step aggregates through the temporal GRU from a zero state."""
-    d = params.shared.item.data.shape[1]
-    h = ad.zeros(d)
-    for summary in step_summaries:
-        h = ad.gru_cell(summary, h, params.temporal_gru)
-    return h
 
 
 def social_aggregate(params: UnaryParams, neighbors: list[int]) -> Tensor:
@@ -80,28 +69,31 @@ def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
     return h_user
 
 
-def unary_score(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
-                candidate: int, training: bool = False,
-                rng: np.random.Generator | None = None,
-                p_drop: float = 0.5) -> Tensor:
-    """Scalar unary score: fused user context dotted with the candidate."""
-    h_user = fuse_context(params, h_temporal, h_social, training, rng, p_drop)
-    return ad.dot(h_user, embedding_row(params.shared.item, candidate))
+def unary_scores(params: UnaryParams, ctx, steps: list[int], lo_gru: int,
+                 cand_embs: list[Tensor], training: bool, rngs: list,
+                 p_drop: float) -> list[Tensor]:
+    """f for each step's candidates, shape (len(candidates),) each.
 
-
-def aggregate_steps(params: UnaryParams, buckets: list[list[int]],
-                    anchors: list[int | None], l_s: int) -> Tensor:
-    """Per-step bipartite aggregation followed by the temporal GRU.
-
-    Consumes at most the last l_s steps. Aggregator choice follows the
-    params' variant.
+    The temporal GRU runs from a zero state over `ctx.buckets[lo_gru:s]`,
+    each bucket aggregated against the user's own item at that step; the
+    state after step s - 1 is fused with the social aggregate of
+    `ctx.neighbors` and dotted with the rows of `cand_embs[i]`, step i's
+    candidate embeddings. The GRU runs once up to the largest step, so every
+    step in one call must share lo_gru.
     """
-    buckets = buckets[-l_s:]
-    anchors = anchors[-l_s:]
-    summaries = []
-    for bucket, anchor in zip(buckets, anchors):
+    d = params.shared.item.data.shape[1]
+    h_social = social_aggregate(params, ctx.neighbors)
+    h_states = [ad.zeros(d)]
+    for t in range(lo_gru, max(steps)):
         if params.aggregator == "attention":
-            summaries.append(bipartite_aggregate_attention(params, anchor, bucket))
+            summary = bipartite_aggregate_attention(params, ctx.items[t], ctx.buckets[t])
         else:
-            summaries.append(bipartite_aggregate_sage(params, bucket))
-    return temporal_recurrence(params, summaries)
+            summary = bipartite_aggregate_sage(params, ctx.buckets[t])
+        h_states.append(ad.gru_cell(summary, h_states[-1], params.temporal_gru))
+
+    out = []
+    for s, q_cands, rng in zip(steps, cand_embs, rngs):
+        h_user = fuse_context(params, h_states[s - lo_gru], h_social, training,
+                              rng, p_drop)
+        out.append(ad.matmul(q_cands, h_user))
+    return out

@@ -16,16 +16,15 @@ from tea import autodiff as ad
 from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
 from tea.evaluation import (EvalConfig, evaluate_all, hr_at_k, ndcg_at_k, rank)
-from tea.model import (positive_target, score_candidates_single_route,
-                       score_user_steps, user_context)
-from tea.objective import (ScoredStep, exact_conditional, scored_step_from,
-                           sequence_loss, total_loss)
+from tea.model import positive_target, score_user_steps, user_context
+from tea.objective import ScoredStep, scored_step_from, sequence_loss, total_loss
 from tea.params import init_params
 from tea.training import TrainConfig, train
 
 from corpus import (cycle_corpus, follower_corpus, synthetic_dataset,
                     write_corpus)
 from gradcheck import max_mismatch, numeric_gradient
+from oracles import exact_conditional, score_candidates_single_route
 from test_autodiff import _primitive_cases
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,39 @@ class TestTrain:
         assert "non-finite" in capsys.readouterr().err
 
 
+def _split_checkpoint(raw: bytes):
+    """(magic, header, per-tensor blobs) of a checkpoint file's bytes."""
+    magic, rest = raw.split(b"\n", 1)
+    (hlen,) = struct.unpack("<Q", rest[:8])
+    header = json.loads(rest[8:8 + hlen])
+    blobs, offset = [], 8 + hlen
+    for spec in header["tensors"]:
+        size = 8 * int(np.prod(spec["shape"]))
+        blobs.append(rest[offset:offset + size])
+        offset += size
+    return magic, header, blobs
+
+
+def _drop_tensor(header, blobs):
+    i = [spec["name"] for spec in header["tensors"]].index("f.w_2")
+    del header["tensors"][i], blobs[i]
+
+
+# Header edits that each leave a checkpoint unusable; "undecodable" prefixes
+# the header with a byte that is not UTF-8.
+_HEADER_EDITS = {
+    "missing_tensor": _drop_tensor,
+    "missing_n_users": lambda header, blobs: header.pop("n_users"),
+    "d_not_int": lambda header, blobs: header.update(d="four"),
+    "unknown_variant": lambda header, blobs: header.update(variant="tea-x"),
+    "format": lambda header, blobs: header.update(format="TEA-CKPT-0"),
+    "shape": lambda header, blobs: header["tensors"][0]["shape"].append(1),
+    "unexpected_tensor": lambda header, blobs: header["tensors"][1].update(
+        name="emb.bogus"),
+    "undecodable": None,
+}
+
+
 @pytest.fixture(scope="module")
 def trained_dir(data_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_train"))
@@ -175,6 +209,24 @@ class TestEval:
         bad = tmp_path / "edited.tea"
         bad.write_bytes(edited)
         code = main(["eval", "--data", data_dir, "--checkpoint", str(bad)])
+        assert code == 5
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_HEADER_EDITS))
+    def test_bad_checkpoint_header_exit_5(self, data_dir, trained_dir, tmp_path,
+                                          capsys, case):
+        raw = open(os.path.join(trained_dir, "checkpoint.tea"), "rb").read()
+        magic, header, blobs = _split_checkpoint(raw)
+        if case == "undecodable":
+            header_bytes = b"\xff" + json.dumps(header).encode()
+        else:
+            _HEADER_EDITS[case](header, blobs)
+            header_bytes = json.dumps(header).encode()
+        bad = tmp_path / "edited.tea"
+        bad.write_bytes(magic + b"\n" + struct.pack("<Q", len(header_bytes))
+                        + header_bytes + b"".join(blobs))
+        code = main(["eval", "--data", data_dir, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "ev")])
         assert code == 5
         assert str(bad) in capsys.readouterr().err
 

@@ -402,6 +402,36 @@ class TestPreparedDataset:
         with pytest.raises(ValueError, match=r"dataset\.json.*5 walk sets"):
             PreparedDataset.load(snap)
 
+    @pytest.mark.parametrize("field", ["n_items", "walks"])
+    def test_load_rejects_missing_field(self, prepared, tmp_path, field):
+        def edit(payload):
+            del (payload if field == "n_items" else payload["users"][4])[field]
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"dataset\.json.*'{field}'"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_non_integer_count(self, prepared, tmp_path):
+        def edit(payload):
+            payload["n_items"] = "10"
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json.*n_items is '10'"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_invalid_json(self, prepared, tmp_path):
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        path = snap / "dataset.json"
+        path.write_text(path.read_text()[:-10])
+        with pytest.raises(ValueError, match=r"dataset\.json"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_sidecar_line_without_tab(self, prepared, tmp_path):
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        (snap / "item_ids.tsv").write_text("0\t0\n1 1\n")
+        with pytest.raises(ValueError, match=r"item_ids\.tsv:2"):
+            PreparedDataset.load(snap)
+
     def test_stats_fields(self, prepared):
         stats = prepared.stats()
         assert stats["users"] == 12 and stats["items"] == 10

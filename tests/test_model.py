@@ -5,11 +5,11 @@ import pytest
 
 from tea import autodiff as ad
 from tea.data import prepare_dataset
-from tea.model import (UserContext, score_candidates_single_route,
-                       score_user_steps, user_context)
+from tea.model import UserContext, score_user_steps, user_context
 from tea.params import init_params
 
 from corpus import cycle_corpus, synthetic_dataset, write_corpus
+from oracles import score_candidates_single_route
 from gradcheck import assert_gradients_match
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]

@@ -18,8 +18,8 @@ from tea.training import (NumericalError, TrainConfig, early_stop, train,
 
 def _toy_config(**overrides):
     base = dict(d=8, batch_size=64, p_drop=0.0, gamma=1e-5, n_s=10, l_s=10,
-                l_n=5, lr=0.01, max_epochs=5, patience=50, seed=0,
-                variant="tea-s", all_steps=True)
+                lr=0.01, max_epochs=5, patience=50, seed=0, variant="tea-s",
+                all_steps=True)
     base.update(overrides)
     return TrainConfig(**base)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea import transition as tr
 from tea.model import UserContext, score_user_steps
 from tea.params import init_params
 
+import oracles
 from gradcheck import assert_gradients_match
 
 
@@ -71,14 +71,14 @@ def _np_transition(params, user, history, cand, walk_users, walk_anchor):
 
 class TestAttentionWeights:
     def test_single_history_item(self):
-        w = tr.causal_attention_weights(_params(), [2], candidate=4)
+        w = oracles.causal_attention_weights(_params(), [2], candidate=4)
         np.testing.assert_allclose(w.data, [1.0])
 
     def test_zero_projections_give_uniform(self):
         p = _params()
         p.w_q.data[...] = 0.0
         p.w_k.data[...] = 0.0
-        w = tr.causal_attention_weights(p, [0, 1, 3], candidate=4)
+        w = oracles.causal_attention_weights(p, [0, 1, 3], candidate=4)
         np.testing.assert_allclose(w.data, [1 / 3] * 3, atol=1e-12)
 
     def test_matches_formula_oracle(self):
@@ -87,20 +87,20 @@ class TestAttentionWeights:
         for t in (p.shared.item, p.shared.position, p.w_q, p.w_k):
             t.data *= 3.0
         history = [0, 2, 1]
-        got = tr.causal_attention_weights(p, history, candidate=3).data
+        got = oracles.causal_attention_weights(p, history, candidate=3).data
         want, _ = _np_attention(p, history, 3)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_history_raises(self):
-        with pytest.raises(tr.EmptyHistoryError):
-            tr.causal_attention_weights(_params(), [], candidate=0)
+        with pytest.raises(oracles.EmptyHistoryError):
+            oracles.causal_attention_weights(_params(), [], candidate=0)
 
     def test_probability_vector(self):
         p = _params(seed=8)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             history = rng.integers(0, 5, size=rng.integers(1, 4)).tolist()
-            w = tr.causal_attention_weights(p, history, int(rng.integers(0, 5))).data
+            w = oracles.causal_attention_weights(p, history, int(rng.integers(0, 5))).data
             assert np.all(w >= 0)
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-9)
 
@@ -109,13 +109,14 @@ class TestAttentionWeights:
         # contain it: the candidate attends to positions < its own only.
         p = _params(seed=3)
         history = [0, 1, 2]
-        before = tr.causal_attention_weights(p, history[:2], candidate=4).data.copy()
-        z_before = tr.aggregate_history(
-            p, tr.causal_attention_weights(p, history[:2], 4), history[:2]).data.copy()
+        before = oracles.causal_attention_weights(p, history[:2], candidate=4).data.copy()
+        z_before = oracles.aggregate_history(
+            p, oracles.causal_attention_weights(p, history[:2], 4),
+            history[:2]).data.copy()
         p.shared.item.data[2] += 10.0  # item only at position >= j
-        after = tr.causal_attention_weights(p, history[:2], candidate=4).data
-        z_after = tr.aggregate_history(
-            p, tr.causal_attention_weights(p, history[:2], 4), history[:2]).data
+        after = oracles.causal_attention_weights(p, history[:2], candidate=4).data
+        z_after = oracles.aggregate_history(
+            p, oracles.causal_attention_weights(p, history[:2], 4), history[:2]).data
         np.testing.assert_array_equal(before, after)
         np.testing.assert_array_equal(z_before, z_after)
 
@@ -125,14 +126,14 @@ class TestAggregateHistory:
         p = _params()
         p.w_v.data[...] = np.eye(4)
         p.shared.position.data[...] = 0.0
-        z = tr.aggregate_history(p, ad.Tensor([1.0]), [3])
+        z = oracles.aggregate_history(p, ad.Tensor([1.0]), [3])
         np.testing.assert_allclose(z.data, p.shared.item.data[3], atol=1e-15)
 
     def test_uniform_weights_mean(self):
         p = _params()
         p.w_v.data[...] = np.eye(4)
         p.shared.position.data[...] = 0.0
-        z = tr.aggregate_history(p, ad.Tensor([0.5, 0.5]), [1, 4])
+        z = oracles.aggregate_history(p, ad.Tensor([0.5, 0.5]), [1, 4])
         want = p.shared.item.data[[1, 4]].mean(axis=0)
         np.testing.assert_allclose(z.data, want, atol=1e-15)
 
@@ -142,19 +143,19 @@ class TestAggregateHistory:
         history = [4, 0, 2]
         w = rng.random(3)
         w /= w.sum()
-        z = tr.aggregate_history(p, ad.Tensor(w), history).data
+        z = oracles.aggregate_history(p, ad.Tensor(w), history).data
         e_hist = p.shared.item.data[history] + p.shared.position.data[:3]
         want = sum(w[i] * (p.w_v.data @ e_hist[i]) for i in range(3))
         np.testing.assert_allclose(z, want, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            tr.aggregate_history(_params(), ad.Tensor([1.0]), [0, 1])
+            oracles.aggregate_history(_params(), ad.Tensor([1.0]), [0, 1])
 
 
 class TestWalkAggregate:
     def test_empty_walkset(self):
-        out = tr.walk_aggregate(_params(), 0, None, [])
+        out = oracles.walk_aggregate(_params(), 0, None, [])
         np.testing.assert_array_equal(out.h_user.data, np.zeros(4))
         np.testing.assert_array_equal(out.h_item.data, np.zeros(4))
         assert out.h_others == []
@@ -163,7 +164,7 @@ class TestWalkAggregate:
         p = _params()
         for _, t in p.walk_gru.named("g"):
             t.data[...] = 0.0
-        out = tr.walk_aggregate(p, 0, 2, [1, 2])
+        out = oracles.walk_aggregate(p, 0, 2, [1, 2])
         # zero init + zero weights: z = 0.5 everywhere, candidate tanh(0) = 0,
         # so every step output stays at zero
         np.testing.assert_allclose(out.h_user.data, np.zeros(4), atol=1e-15)
@@ -171,7 +172,7 @@ class TestWalkAggregate:
 
     def test_two_walks_mean_of_single_walk_oracles(self):
         p = _params(seed=33)
-        out = tr.walk_aggregate(p, 1, 3, [0, 2])
+        out = oracles.walk_aggregate(p, 1, 3, [0, 2])
         want_u, want_i = _np_walk(p, 1, 3, [0, 2])
         np.testing.assert_allclose(out.h_user.data, want_u, atol=1e-12)
         np.testing.assert_allclose(out.h_item.data, want_i, atol=1e-12)
@@ -179,8 +180,8 @@ class TestWalkAggregate:
 
     def test_walk_order_irrelevant(self):
         p = _params(seed=13)
-        a = tr.walk_aggregate(p, 0, 1, [1, 2, 0])
-        b = tr.walk_aggregate(p, 0, 1, [0, 1, 2])
+        a = oracles.walk_aggregate(p, 0, 1, [1, 2, 0])
+        b = oracles.walk_aggregate(p, 0, 1, [0, 1, 2])
         np.testing.assert_allclose(a.h_user.data, b.h_user.data, atol=1e-15)
         np.testing.assert_allclose(a.h_item.data, b.h_item.data, atol=1e-15)
 
@@ -193,38 +194,38 @@ class TestTransitionScore:
         p.shared.item.data[...] = 0.0
         p.shared.user.data[...] = 0.0
         p.shared.position.data[...] = 0.0
-        walk = tr.walk_aggregate(p, 0, 1, [2])
-        s = tr.transition_score(p, 0, [1, 2], 3, walk)
+        walk = oracles.walk_aggregate(p, 0, 1, [2])
+        s = oracles.transition_score(p, 0, [1, 2], 3, walk)
         assert s.item() == 0.0
 
     def test_zero_head_scores_zero(self):
         p = _params(seed=2)
         p.w_g3.data[...] = 0.0
-        walk = tr.walk_aggregate(p, 0, 1, [2])
-        s = tr.transition_score(p, 0, [1, 2], 3, walk)
+        walk = oracles.walk_aggregate(p, 0, 1, [2])
+        s = oracles.transition_score(p, 0, [1, 2], 3, walk)
         assert s.item() == 0.0
 
     def test_matches_composition_oracle(self):
         for seed in range(5):
             p = _params(seed=60 + seed)
             walk_users = [0, 2]
-            walk = tr.walk_aggregate(p, 1, 2, walk_users)
-            got = tr.transition_score(p, 1, [0, 4, 2], 3, walk).item()
+            walk = oracles.walk_aggregate(p, 1, 2, walk_users)
+            got = oracles.transition_score(p, 1, [0, 4, 2], 3, walk).item()
             want = _np_transition(p, 1, [0, 4, 2], 3, walk_users, 2)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_history_cold_start(self):
         p = _params(seed=4)
-        walk = tr.walk_aggregate(p, 0, None, [])
-        got = tr.transition_score(p, 0, [], 2, walk).item()
+        walk = oracles.walk_aggregate(p, 0, None, [])
+        got = oracles.transition_score(p, 0, [], 2, walk).item()
         want = _np_transition(p, 0, [], 2, [], None)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_deterministic_without_dropout(self):
         p = _params(seed=6)
-        walk = tr.walk_aggregate(p, 0, 1, [1])
-        a = tr.transition_score(p, 0, [1], 2, walk).item()
-        b = tr.transition_score(p, 0, [1], 2, walk).item()
+        walk = oracles.walk_aggregate(p, 0, 1, [1])
+        a = oracles.transition_score(p, 0, [1], 2, walk).item()
+        b = oracles.transition_score(p, 0, [1], 2, walk).item()
         assert a == b
 
 
@@ -242,10 +243,10 @@ class TestBatchedRoute:
         params = _g_only(seed=44)
         p = params.transition
         ctx = UserContext(2, [1, 0, 3], [[], [], []], [[], [], [0, 1]], [])
-        walk = tr.walk_aggregate(p, 2, 3, [0, 1])
+        walk = oracles.walk_aggregate(p, 2, 3, [0, 1])
         cands = [0, 1, 2, 3, 4]
         batched = score_user_steps(params, ctx, [3], [cands])[0].data
-        singles = [tr.transition_score(p, 2, [1, 0, 3], c, walk).item()
+        singles = [oracles.transition_score(p, 2, [1, 0, 3], c, walk).item()
                    for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -254,10 +255,10 @@ class TestBatchedRoute:
         params = _g_only(seed=45, l_s=1)
         p = params.transition
         ctx = UserContext(1, [2], [[]], [[]], [])
-        walk = tr.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
+        walk = oracles.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
         cands = [0, 4]
         batched = score_user_steps(params, ctx, [1], [cands])[0].data
-        singles = [tr.transition_score(p, 1, [], c, walk).item() for c in cands]
+        singles = [oracles.transition_score(p, 1, [], c, walk).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
 
