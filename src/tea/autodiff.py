@@ -2,9 +2,11 @@
 
 The engine is deliberately small: row-major float64 arrays, a flat set of
 primitives, an explicit gradient tape, and a bias-corrected Adam update.
-Attention, GRU cells and the score heads are all composed from these
-primitives, so a single backward sweep over the tape differentiates the
-whole model.
+Attention, bucket aggregation and the score heads are composed from these
+primitives over whole minibatches; a GRU step is one fused primitive. A
+single backward sweep over the tape differentiates the whole model, and
+the interpreter's cost scales with the number of records, not with the
+size of the arrays they hold.
 
 Tape recording is process-global and meant for one training step at a
 time; scoring without an active tape is a plain (and faster) forward pass.
@@ -201,18 +203,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = _wrap(a.data - b.data)
-    except ValueError:
-        raise ShapeError("sub", a.data.shape, b.data.shape) from None
-
-    def back(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _emit(out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     try:
@@ -234,17 +224,22 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, following numpy matmul rules."""
+    """Matrix product following numpy matmul rules.
+
+    Operands are 1-D or 2-D, or two stacks of matrices of equal length,
+    (B, n, k) @ (B, k, m).
+    """
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
+    paired = ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] == bd.shape[0]
+    if ad.ndim == 0 or bd.ndim == 0 or (max(ad.ndim, bd.ndim) > 2 and not paired):
         raise ShapeError("matmul", ad.shape, bd.shape)
-    inner_a = ad.shape[-1]
-    inner_b = bd.shape[0]
-    if inner_a != inner_b:
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim >= 2 else 0]:
         raise ShapeError("matmul", ad.shape, bd.shape)
     out = _wrap(np.asarray(ad @ bd))  # 1-D @ 1-D gives a 0-d array
 
     def back(g: Array):
+        if paired:
+            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
         if ad.ndim == 2 and bd.ndim == 1:
@@ -256,11 +251,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """A dense layer over the last axis: x @ w.T (+ b).
+
+    x is (..., k) and w (m, k); b broadcasts to the (..., m) output without
+    changing its shape, so one bias can serve every row or a (N, 1, m)
+    bias each group of rows.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError("linear", xd.shape, wd.shape)
+    m, k = wd.shape
+    y = (xd.reshape(-1, k) @ wd.T).reshape(xd.shape[:-1] + (m,))
+    if b is not None:
+        if np.broadcast_shapes(y.shape, b.data.shape) != y.shape:
+            raise ShapeError("linear-bias", y.shape, b.data.shape)
+        y += b.data
+    out = _wrap(y)
+
+    def back(g: Array):
+        g2 = g.reshape(-1, m)
+        grads = ((g2 @ wd).reshape(xd.shape), g2.T @ xd.reshape(-1, k))
+        return grads if b is None else grads + (_unbroadcast(g, b.data.shape),)
+
+    return _emit(out, (x, w) if b is None else (x, w, b), back)
+
+
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes (the matrix transpose for 2-D input)."""
+    if a.data.ndim < 2:
         raise ShapeError("transpose", a.data.shape)
-    out = _wrap(a.data.T.copy())
-    return _emit(out, (a,), lambda g: (g.T,))
+    out = _wrap(np.swapaxes(a.data, -1, -2).copy())
+    return _emit(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -311,37 +333,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out = _wrap(np.where(mask, a.data, 0.0))
-    return _emit(out, (a,), lambda g: (g * mask,))
+    x = a.data
+    out = _wrap(np.maximum(x, 0.0))
+    return _emit(out, (a,), lambda g: (g * (x > 0.0),))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    mask = a.data > 0.0
-    out = _wrap(np.where(mask, a.data, alpha * a.data))
-    return _emit(out, (a,), lambda g: (g * np.where(mask, 1.0, alpha),))
+    """max(x, alpha x) for a slope 0 <= alpha <= 1."""
+    x = a.data
+    out = _wrap(np.maximum(x, alpha * x))
+    return _emit(out, (a,), lambda g: (g * np.where(x > 0.0, 1.0, alpha),))
 
 
 def _sigmoid(x: Array) -> Array:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    out = _wrap(s)
-    return _emit(out, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    out = _wrap(t)
-    return _emit(out, (a,), lambda g: (g * (1.0 - t * t),))
+    # The tanh form never overflows.
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -351,26 +357,14 @@ def softplus(a: Tensor) -> Tensor:
     return _emit(out, (a,), lambda g: (g * _sigmoid(x),))
 
 
-def mean_pool(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a 2-D tensor. Empty input is the caller's problem."""
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ShapeError("mean-pool", a.data.shape)
-    n = a.data.shape[0]
-    out = _wrap(a.data.mean(axis=0))
-
-    def back(g: Array):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return _emit(out, (a,), back)
-
-
 def row_sum(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Sum over the last axis: (..., n) -> (...)."""
+    if a.data.ndim < 2:
         raise ShapeError("row-sum", a.data.shape)
-    out = _wrap(a.data.sum(axis=1))
+    out = _wrap(a.data.sum(axis=-1))
 
     def back(g: Array):
-        return (np.broadcast_to(g[:, None], a.data.shape).copy(),)
+        return (np.broadcast_to(g[..., None], a.data.shape).copy(),)
 
     return _emit(out, (a,), back)
 
@@ -384,63 +378,164 @@ def total_sum(a: Tensor) -> Tensor:
     return _emit(out, (a,), back)
 
 
+def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of squared entries over several tensors, as one scalar.
+
+    The per-tensor sums are added in the order given.
+    """
+    if not tensors:
+        raise ValueError("sum_of_squares: empty input")
+    total = None
+    for t in tensors:
+        sq = (t.data * t.data).sum()
+        total = sq if total is None else total + sq
+    out = _wrap(np.asarray(total))
+
+    def back(g: Array):
+        return tuple(2.0 * g * t.data for t in tensors)
+
+    return _emit(out, tuple(tensors), back)
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D table; gradients scatter-add back."""
-    if table.data.ndim != 2:
+    """table[indices] along axis 0; gradients scatter-add back.
+
+    The table has at least one axis; `indices` may be an int array of any
+    shape, which prefixes the shape of the rows.
+    """
+    if table.data.ndim < 1:
         raise ShapeError("gather-rows", table.data.shape)
     idx = np.asarray(indices, dtype=np.intp)
     out = _wrap(table.data[idx])
 
     def back(g: Array):
+        # Scatter-add: sort the indices, sum each run of equal ones at once.
+        flat = idx.reshape(-1)
+        rows = g.reshape((flat.size,) + table.data.shape[1:])
         full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            full[ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
         return (full,)
 
     return _emit(out, (table,), back)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Exp-normalize unmasked entries per row; masked entries are exactly 0.
+    """Exp-normalize unmasked entries along the last axis; masked entries are 0.
 
-    `mask` is a boolean array of the same shape (True = keep). Stabilized
-    with per-row max subtraction. 1-D input is treated as a single row.
+    `mask` is a boolean array (True = keep) that broadcasts to the logits'
+    shape without changing it, so a mask shared by many rows can stay
+    small. Stabilized with a per-row max subtraction; every row must keep
+    one entry.
     """
     m = np.asarray(mask, dtype=bool)
-    if m.shape != logits.data.shape:
-        raise ShapeError("masked-softmax", logits.data.shape, m.shape)
     x = logits.data
-    squeeze = x.ndim == 1
-    x2 = x[None, :] if squeeze else x
-    m2 = m[None, :] if squeeze else m
-    if x2.ndim != 2:
-        raise ShapeError("masked-softmax", logits.data.shape, m.shape)
-    dead = ~m2.any(axis=1)
+    if x.ndim < 1 or m.ndim > x.ndim or np.broadcast_shapes(m.shape, x.shape) != x.shape:
+        raise ShapeError("masked-softmax", x.shape, m.shape)
+    dead = ~m.any(axis=-1)
     if dead.any():
-        raise AllMaskedError(
-            f"masked_softmax: row {int(np.flatnonzero(dead)[0])} has no unmasked entries")
-    shifted = np.where(m2, x2, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.where(m2, np.exp(shifted), 0.0)
-    y2 = e / e.sum(axis=1, keepdims=True)
-    y = y2[0] if squeeze else y2
+        first = tuple(int(i) for i in np.argwhere(np.atleast_1d(dead))[0])
+        where = first[0] if len(first) == 1 else first
+        raise AllMaskedError(f"masked_softmax: row {where} has no unmasked entries")
+    y = x + np.where(m, 0.0, -np.inf)   # exp(-inf) is exactly 0
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = _wrap(y)
 
     def back(g: Array):
-        g2 = g[None, :] if squeeze else g
-        inner = (g2 * y2).sum(axis=1, keepdims=True)
-        gx = y2 * (g2 - inner)
-        return (gx[0] if squeeze else gx,)
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - inner),)
 
     return _emit(out, (logits,), back)
 
 
-def dropout(x: Tensor, p_drop: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability p_drop, rescale survivors."""
+def dropout(x: Tensor, p_drop: float, rngs: Sequence[np.random.Generator]) -> Tensor:
+    """Inverted dropout, one stream per row: row i's keep mask comes from rngs[i].
+
+    Each row draws a mask of shape x.shape[1:]; entries are zeroed with
+    probability p_drop and survivors rescaled.
+    """
     if p_drop <= 0.0:
         return x
-    keep = rng.random(x.data.shape) >= p_drop
+    if len(rngs) != x.data.shape[0]:
+        raise ShapeError("dropout", x.data.shape, (len(rngs),))
+    row_shape = x.data.shape[1:]
+    keep = np.stack([rng.random(row_shape) >= p_drop for rng in rngs])
     mask = _wrap(keep / (1.0 - p_drop))
     return mul(x, mask)
+
+
+# ---------------------------------------------------------------------------
+# Segment reductions
+# ---------------------------------------------------------------------------
+
+
+class Segments:
+    """A partition of the rows of a flat array into consecutive segments.
+
+    Segment k holds the next `lengths[k]` rows; lengths may be zero. Built
+    once per batch and shared by the segment primitives.
+    """
+
+    def __init__(self, lengths: Sequence[int]) -> None:
+        counts = np.asarray(lengths, dtype=np.intp).reshape(-1)
+        self.n = int(counts.size)
+        self.counts = counts
+        self.ids = np.repeat(np.arange(self.n), counts)   # segment of each row
+        self.nonempty = counts > 0
+        self.starts = (np.cumsum(counts) - counts)[self.nonempty]
+
+    @property
+    def size(self) -> int:
+        return int(self.ids.size)
+
+    def reduce(self, ufunc: np.ufunc, x: Array, empty: float) -> Array:
+        """ufunc-reduce each segment's rows; empty segments read `empty`."""
+        out = np.full((self.n,) + x.shape[1:], empty, dtype=np.float64)
+        if self.starts.size:
+            out[self.nonempty] = ufunc.reduceat(x, self.starts, axis=0)
+        return out
+
+
+def _check_segments(kind: str, x: Tensor, seg: Segments) -> None:
+    if x.data.ndim < 1 or x.data.shape[0] != seg.size:
+        raise ShapeError(kind, x.data.shape, (seg.size,))
+
+
+def segment_sum(x: Tensor, seg: Segments) -> Tensor:
+    """Per-segment sum over axis 0: (M, ...) -> (seg.n, ...); empty -> 0."""
+    _check_segments("segment-sum", x, seg)
+    out = _wrap(seg.reduce(np.add, x.data, 0.0))
+    return _emit(out, (x,), lambda g: (g[seg.ids],))
+
+
+def segment_mean(x: Tensor, seg: Segments) -> Tensor:
+    """Per-segment mean over axis 0: (M, ...) -> (seg.n, ...); empty -> 0."""
+    _check_segments("segment-mean", x, seg)
+    counts = np.maximum(seg.counts, 1).reshape((-1,) + (1,) * (x.data.ndim - 1))
+    out = _wrap(seg.reduce(np.add, x.data, 0.0) / counts)
+    return _emit(out, (x,), lambda g: ((g / counts)[seg.ids],))
+
+
+def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:
+    """Exp-normalize a flat (M,) vector within each segment (max-stabilized)."""
+    _check_segments("segment-softmax", logits, seg)
+    if logits.data.ndim != 1:
+        raise ShapeError("segment-softmax", logits.data.shape)
+    x = logits.data
+    e = np.exp(x - seg.reduce(np.maximum, x, 0.0)[seg.ids])
+    y = e / seg.reduce(np.add, e, 1.0)[seg.ids]
+    out = _wrap(y)
+
+    def back(g: Array):
+        inner = seg.reduce(np.add, g * y, 0.0)
+        return (y * (g - inner[seg.ids]),)
+
+    return _emit(out, (logits,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +569,36 @@ def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
         r = sigmoid(Wxr x + Whr h + br)
         n = tanh(Wxn x + r * (Whn h) + bn)
         h' = (1 - z) * n + z * h
+
+    x and h are both (d,) or both (B, d), one row per sequence. The step is
+    one primitive with a hand-written backward, so it adds one tape record.
     """
     d = p.w_xz.data.shape[0]
-    if x.data.shape != (d,) or h.data.shape != (d,):
+    if x.data.shape != h.data.shape or x.data.ndim not in (1, 2) or x.data.shape[-1] != d:
         raise ShapeError("gru-cell", x.data.shape, h.data.shape)
-    z = sigmoid(add(add(matmul(p.w_xz, x), matmul(p.w_hz, h)), p.b_z))
-    r = sigmoid(add(add(matmul(p.w_xr, x), matmul(p.w_hr, h)), p.b_r))
-    n = tanh(add(add(matmul(p.w_xn, x), mul(r, matmul(p.w_hn, h))), p.b_n))
+    xd, hd = x.data.reshape(-1, d), h.data.reshape(-1, d)   # (B, d), B = 1 for (d,)
+    z = _sigmoid(xd @ p.w_xz.data.T + hd @ p.w_hz.data.T + p.b_z.data)
+    r = _sigmoid(xd @ p.w_xr.data.T + hd @ p.w_hr.data.T + p.b_r.data)
+    hn = hd @ p.w_hn.data.T
+    n = np.tanh(xd @ p.w_xn.data.T + r * hn + p.b_n.data)
     # (1 - z) * n + z * h  ==  n + z * (h - n)
-    return add(n, mul(z, sub(h, n)))
+    out = _wrap((n + z * (hd - n)).reshape(x.data.shape))
+
+    def back(g: Array):
+        g = g.reshape(-1, d)
+        da_n = g * (1.0 - z) * (1.0 - n * n)
+        da_z = g * (hd - n) * z * (1.0 - z)
+        d_hn = da_n * r
+        da_r = da_n * hn * r * (1.0 - r)
+        dx = da_z @ p.w_xz.data + da_r @ p.w_xr.data + da_n @ p.w_xn.data
+        dh = g * z + da_z @ p.w_hz.data + da_r @ p.w_hr.data + d_hn @ p.w_hn.data
+        return (dx.reshape(x.data.shape), dh.reshape(h.data.shape),
+                da_z.T @ xd, da_z.T @ hd, da_z.sum(axis=0),
+                da_r.T @ xd, da_r.T @ hd, da_r.sum(axis=0),
+                da_n.T @ xd, d_hn.T @ hd, da_n.sum(axis=0))
+
+    return _emit(out, (x, h, p.w_xz, p.w_hz, p.b_z, p.w_xr, p.w_hr, p.b_r,
+                       p.w_xn, p.w_hn, p.b_n), back)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Setting precedence, lowest to highest: built-in defaults < config file
 (`key = value` lines) < TEA_SEED environment variable (seed only) < command
 line flags. Exit codes: 0 success, 2 missing/invalid input, 3 empty
-pipeline output, 4 numerical failure, 5 incompatible artifact.
+pipeline output, 4 numerical failure during training or evaluation, 5
+incompatible artifact.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .data import EmptyDatasetError, ParseError, PreparedDataset, prepare_dataset
 from .evaluation import EvalConfig, evaluate_all, write_report
+from .objective import NonFiniteScoreError
 from .params import (IncompatibleCheckpointError, VARIANTS, load_checkpoint,
                      save_checkpoint)
 from .training import NumericalError, TrainConfig, train, write_curve_csv
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
     except EmptyDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_OUTPUT
-    except NumericalError as exc:
+    except (NumericalError, NonFiniteScoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except IncompatibleCheckpointError as exc:

@@ -403,17 +403,26 @@ class PreparedDataset:
                              f"({type(exc).__name__}: {exc})") from None
         _check_snapshot(path, n_users, n_items, l_s, users, social)
         ids = {}
-        for fname in ("user_ids.tsv", "item_ids.tsv"):
+        for fname, n in (("user_ids.tsv", n_users), ("item_ids.tsv", n_items)):
             side_path = os.path.join(out_dir, fname)
-            rows = []
+            raw_of: list[str | None] = [None] * n
             with open(side_path, "r", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     fields = line.rstrip("\n").split("\t")
                     if len(fields) != 2 or not fields[1].isdigit():
                         raise ParseError(side_path, line_no,
                                          "expected 'raw_id<TAB>dense_id'")
-                    rows.append((int(fields[1]), fields[0]))
-            ids[fname] = [raw for _, raw in sorted(rows)]
+                    dense = int(fields[1])
+                    if dense >= n:
+                        raise ParseError(side_path, line_no, f"dense id {dense} out of "
+                                         f"range for {n} ids in {path}")
+                    if raw_of[dense] is not None:
+                        raise ParseError(side_path, line_no, f"dense id {dense} repeated")
+                    raw_of[dense] = fields[0]
+            if None in raw_of:
+                raise ValueError(f"{side_path}: dense id {raw_of.index(None)} missing "
+                                 f"({n} ids expected)")
+            ids[fname] = raw_of
         return cls(n_users, n_items, users, social, config, ids["user_ids.tsv"],
                    ids["item_ids.tsv"], n_interactions)
 

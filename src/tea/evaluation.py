@@ -17,7 +17,11 @@ import numpy as np
 
 from .data import PreparedDataset
 from .model import score_user_steps, user_context
+from .objective import NonFiniteScoreError
 from .params import ModelParams
+
+# Users scored per call: bounds the padded (users, candidates, d) arrays.
+EVAL_CHUNK = 64
 
 
 @dataclass
@@ -114,26 +118,37 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
                  cfg: EvalConfig, scorer=None) -> EvalReport:
     """Rank every user's held-out item and average HR/NDCG over users.
 
+    The default scores the held-out step `len(ctx.items)` with the trained
+    model in evaluation mode, EVAL_CHUNK users per call. A
     `scorer(params, ctx, candidates) -> array` can be injected for tests;
-    the default scores the held-out step `len(ctx.items)` with the trained
-    model in evaluation mode.
+    it is called once per user. A NaN or infinite score raises
+    NonFiniteScoreError naming the split and the user.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
     t0 = time.monotonic()
-    if scorer is None:
-        def scorer(p, ctx, cands):
-            return score_user_steps(p, ctx, [len(ctx.items)], [cands])[0].data
     ranks: dict[int, int] = {}
     sizes: dict[int, int] = {}
-    for user in range(ds.n_users):
-        rec = ds.users[user]
-        truth = rec.val_item if split == "val" else rec.test_item
-        rng = _eval_rng(cfg.seed, split, user)
-        candidates = build_candidates(truth, ds.n_items, cfg.n_neg, rng)
-        scores = scorer(params, user_context(ds, user, split), candidates)
-        ranks[user] = rank(scores, truth_index=0)
-        sizes[user] = len(candidates)
+    for first in range(0, ds.n_users, EVAL_CHUNK):
+        users = range(first, min(first + EVAL_CHUNK, ds.n_users))
+        ctxs = [user_context(ds, user, split) for user in users]
+        candidates = []
+        for user in users:
+            rec = ds.users[user]
+            truth = rec.val_item if split == "val" else rec.test_item
+            rng = _eval_rng(cfg.seed, split, user)
+            candidates.append(build_candidates(truth, ds.n_items, cfg.n_neg, rng))
+        if scorer is None:
+            chunk = score_user_steps(params, ctxs, [[len(c.items)] for c in ctxs],
+                                     candidates).data
+        else:
+            chunk = [scorer(params, ctx, cands) for ctx, cands in zip(ctxs, candidates)]
+        for user, cands, scores in zip(users, candidates, chunk):
+            if not np.isfinite(scores).all():
+                raise NonFiniteScoreError(
+                    f"non-finite score in the {split} ranking of user {user}")
+            ranks[user] = rank(scores, truth_index=0)
+            sizes[user] = len(cands)
     hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks.values()])) for k in cfg.ks}
     ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks.values()]))
             for k in cfg.ks}

@@ -8,8 +8,7 @@ avoid saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,45 +20,31 @@ class NonFiniteScoreError(ValueError):
     """A candidate score reached the loss as NaN or infinity."""
 
 
-@dataclass
-class ScoredStep:
-    """One prediction step's scores: the target and its sampled negatives."""
-
-    user: int
-    step: int
-    positive: Tensor     # shape (1,)
-    negatives: Tensor    # shape (n_s,)
-
-
-def scored_step_from(scores: Tensor, user: int, step: int) -> ScoredStep:
-    """Split a (1 + n_s,) candidate score vector (target first) into a step."""
-    n = scores.data.shape[0]
-    return ScoredStep(user, step,
-                      positive=ad.slice_rows(scores, 0, 1),
-                      negatives=ad.slice_rows(scores, 1, n))
-
-
-def sequence_loss(batch: list[ScoredStep], n_s: int) -> Tensor:
+def sequence_loss(scores: Tensor, keys: Sequence[tuple[int, int]], n_s: int) -> Tensor:
     """Mean over steps of -[log sig(pos) + sum_k log sig(-neg_k)].
 
-    Reduction order is the batch order, which callers keep deterministic.
+    `scores` is the (N, 1 + n_s) matrix of candidate scores, the target in
+    column 0; `keys[i]` is row i's (user, step), used to name a bad row.
     """
-    if not batch:
+    n = len(keys)
+    if n == 0:
         raise ValueError("sequence_loss: empty batch")
-    for s in batch:
-        if s.negatives.data.shape != (n_s,):
-            raise ValueError(
-                f"step ({s.user},{s.step}) has {s.negatives.data.shape[0]} "
-                f"negative scores, expected {n_s}")
-        if not (np.isfinite(s.positive.data).all()
-                and np.isfinite(s.negatives.data).all()):
-            raise NonFiniteScoreError(f"non-finite score at step ({s.user},{s.step})")
-    positives = ad.concat([s.positive for s in batch])
-    negatives = ad.concat([s.negatives for s in batch])
-    # -log sig(x) = softplus(-x);  -log sig(-x) = softplus(x)
-    pos_term = ad.total_sum(ad.softplus(ad.scale(positives, -1.0)))
-    neg_term = ad.total_sum(ad.softplus(negatives))
-    return ad.scale(ad.add(pos_term, neg_term), 1.0 / len(batch))
+    if scores.data.ndim != 2 or scores.data.shape[0] != n:
+        raise ValueError(f"scores of shape {scores.data.shape} for {n} steps")
+    if scores.data.shape[1] != 1 + n_s:
+        user, step = keys[0]
+        raise ValueError(
+            f"step ({user},{step}) has {scores.data.shape[1] - 1} "
+            f"negative scores, expected {n_s}")
+    finite = np.isfinite(scores.data).all(axis=1)
+    if not finite.all():
+        user, step = keys[int(np.flatnonzero(~finite)[0])]
+        raise NonFiniteScoreError(f"non-finite score at step ({user},{step})")
+    # -log sig(x) = softplus(-x) for the target; -log sig(-x) = softplus(x) else.
+    signs = np.ones((1, 1 + n_s))
+    signs[0, 0] = -1.0
+    terms = ad.softplus(ad.mul(scores, ad.Tensor(signs)))
+    return ad.scale(ad.total_sum(terms), 1.0 / n)
 
 
 def total_loss(crf_loss: Tensor, params: Iterable[tuple[str, Tensor]],
@@ -71,8 +56,5 @@ def total_loss(crf_loss: Tensor, params: Iterable[tuple[str, Tensor]],
     """
     if gamma == 0.0:
         return crf_loss
-    terms = [ad.total_sum(ad.mul(t, t)) for _, t in params]
-    reg = terms[0]
-    for t in terms[1:]:
-        reg = ad.add(reg, t)
+    reg = ad.sum_of_squares([t for _, t in params])
     return ad.add(crf_loss, ad.scale(reg, gamma))

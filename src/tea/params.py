@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GruParams, Tensor, gather_rows, reshape
+# gather_rows is not used here; it stays importable under this name because
+# the benchmark's tracer (perfbench/tracer.py) wraps tea.params.gather_rows.
+from .autodiff import GruParams, Tensor, gather_rows  # noqa: F401
 
 CHECKPOINT_MAGIC = "TEA-CKPT-1"
 
@@ -195,12 +197,6 @@ def init_params(n_users: int, n_items: int, d: int, l_s: int,
     return ModelParams(shared=shared, transition=transition, unary=unary,
                        d=d, n_users=n_users, n_items=n_items, l_s=l_s,
                        variant=variant)
-
-
-def embedding_row(table: Tensor, index: int) -> Tensor:
-    """One row of an embedding table as a flat d-vector (differentiable)."""
-    d = table.data.shape[1]
-    return reshape(gather_rows(table, [index]), (d,))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from .autodiff import AdamState, Tape, adam_step, backward
 from .data import PreparedDataset, sample_negatives
 from .evaluation import EvalConfig, evaluate_all
 from .model import positive_target, score_user_steps, user_context
-from .objective import (NonFiniteScoreError, scored_step_from, sequence_loss,
-                        total_loss)
+from .objective import NonFiniteScoreError, sequence_loss, total_loss
 from .params import ModelParams, init_params
 
 
@@ -119,8 +118,7 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     named = params.trainable()
     state = AdamState(named, lr=config.lr)
 
-    # One entry per user; all of a user's steps score in one pass so the
-    # step-independent aggregates are shared.
+    # One entry per user; a batch scores all steps of its users in one call.
     user_steps: list[tuple[int, list[int]]] = []
     for user in range(ds.n_users):
         t_len = len(ds.users[user].seq_items)
@@ -155,24 +153,23 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         loss_sum = 0.0
         n_steps = 0
         for batch_idx, batch in enumerate(batches):
+            ctxs, step_lists, cand_rows, rngs, keys = [], [], [], [], []
+            for i in batch:
+                user, steps = user_steps[i]
+                ctxs.append(user_context(ds, user, "train"))
+                step_lists.append(steps)
+                for step in steps:
+                    rng = _example_rng(config.seed, epoch, user, step)
+                    pos = positive_target(ds, user, step)
+                    cand_rows.append([pos] + sample_negatives(pos, ds.n_items,
+                                                              config.n_s, rng))
+                    rngs.append(rng)
+                    keys.append((user, step))
             with Tape() as tape:
-                scored = []
-                for i in batch:
-                    user, steps = user_steps[i]
-                    rngs, cand_lists = [], []
-                    for step in steps:
-                        rng = _example_rng(config.seed, epoch, user, step)
-                        pos = positive_target(ds, user, step)
-                        negs = sample_negatives(pos, ds.n_items, config.n_s, rng)
-                        cand_lists.append([pos] + negs)
-                        rngs.append(rng)
-                    score_list = score_user_steps(
-                        params, user_context(ds, user, "train"), steps, cand_lists,
-                        training=True, rngs=rngs, p_drop=config.p_drop)
-                    for step, scores in zip(steps, score_list):
-                        scored.append(scored_step_from(scores, user, step))
+                scores = score_user_steps(params, ctxs, step_lists, cand_rows,
+                                          training=True, rngs=rngs, p_drop=config.p_drop)
                 try:
-                    crf_loss = sequence_loss(scored, config.n_s)
+                    crf_loss = sequence_loss(scores, keys, config.n_s)
                 except NonFiniteScoreError as exc:
                     raise NumericalError(epoch, batch_idx,
                                          _param_norm(named)) from exc
@@ -184,8 +181,10 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
             flat = {name: grads.of(t) for name, t in named}
             _clip(flat, config.clip_norm)
             adam_step(named, flat, state)
-            loss_sum += loss_value * len(scored)
-            n_steps += len(scored)
+            loss_sum += loss_value * len(keys)
+            n_steps += len(keys)
+            # Free the batch's arrays before the next batch or the validation pass.
+            del tape, grads, flat
 
         train_loss = loss_sum / max(n_steps, 1)
         val = evaluate_all(params, ds, "val", val_cfg)

@@ -5,95 +5,129 @@ neighborhood: per-step aggregation of the items the user's social
 neighbors touched (mean-pooled or attention-weighted), a temporal GRU over
 those per-step summaries, a static social aggregate, and a dot-product
 head against the candidate embeddings. `unary_scores` is the only
-implementation; the single-candidate reference lives with the tests.
+implementation and scores a whole minibatch at once; the single-candidate
+reference lives with the tests.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .params import UnaryParams, embedding_row
+from .params import UnaryParams
 
 
-def bipartite_aggregate_sage(params: UnaryParams, bucket: list[int]) -> Tensor:
-    """relu(w_agg @ mean of bucket item embeddings); empty bucket -> zeros."""
-    d = params.shared.item.data.shape[1]
-    if not bucket:
-        return ad.zeros(d)
-    pooled = ad.mean_pool(ad.gather_rows(params.shared.item, bucket))
-    return ad.relu(ad.matmul(params.w_agg, pooled))
+def _segments(lists: list[list[int]]) -> tuple[np.ndarray, ad.Segments]:
+    """The concatenated ids of `lists` and the segment each came from."""
+    flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+    return flat, ad.Segments([len(ids) for ids in lists])
 
 
-def bipartite_aggregate_attention(params: UnaryParams, anchor: int,
-                                  bucket: list[int]) -> Tensor:
-    """Attention-weighted sum of bucket item embeddings, anchored on the
-    user's own item at that step.
+def bipartite_aggregate_sage(params: UnaryParams, buckets: list[list[int]]) -> Tensor:
+    """relu(w_agg @ mean of bucket item embeddings) per bucket, shape (K, d).
 
-    Weights are a softmax over leaky-relu scores of the attention vector
-    against [w_agg q_anchor (+) w_agg q_j]; an empty bucket yields zeros.
+    An empty bucket yields zeros.
+    """
+    flat, seg = _segments(buckets)
+    pooled = ad.segment_mean(ad.gather_rows(params.shared.item, flat), seg)
+    return ad.relu(ad.linear(pooled, params.w_agg))
+
+
+def bipartite_aggregate_attention(params: UnaryParams, anchors: list[int],
+                                  buckets: list[list[int]]) -> Tensor:
+    """Attention-weighted sum of bucket item embeddings per bucket, shape (K, d).
+
+    Bucket k is anchored on `anchors[k]`, the user's own item at that step.
+    Weights are a softmax within the bucket over leaky-relu scores of the
+    attention vector against [w_agg q_anchor (+) w_agg q_j]; an empty bucket
+    yields zeros.
     """
     d = params.shared.item.data.shape[1]
-    if not bucket:
-        return ad.zeros(d)
-    q_bucket = ad.gather_rows(params.shared.item, bucket)
-    projected = ad.matmul(q_bucket, ad.transpose(params.w_agg))
+    flat, seg = _segments(buckets)
+    q_bucket = ad.gather_rows(params.shared.item, flat)                # (M, d)
     a_anchor = ad.slice_rows(params.attn_vec, 0, d)
     a_item = ad.slice_rows(params.attn_vec, d, 2 * d)
-    q_anchor = embedding_row(params.shared.item, anchor)
-    anchor_term = ad.matmul(a_anchor, ad.matmul(params.w_agg, q_anchor))
-    logits = ad.leaky_relu(ad.add(ad.matmul(projected, a_item), anchor_term))
-    weights = ad.masked_softmax(logits, np.ones(len(bucket), dtype=bool))
-    return ad.relu(ad.matmul(weights, q_bucket))
+    q_anchor = ad.gather_rows(params.shared.item, anchors)             # (K, d)
+    anchor_term = ad.matmul(ad.linear(q_anchor, params.w_agg), a_anchor)   # (K,)
+    logits = ad.leaky_relu(ad.add(ad.matmul(ad.linear(q_bucket, params.w_agg), a_item),
+                                  ad.gather_rows(anchor_term, seg.ids)))
+    weights = ad.reshape(ad.segment_softmax(logits, seg), (seg.size, 1))
+    return ad.relu(ad.segment_sum(ad.mul(weights, q_bucket), seg))
 
 
-def social_aggregate(params: UnaryParams, neighbors: list[int]) -> Tensor:
-    """relu(w_soc @ mean of neighbor user embeddings); no neighbors -> zeros."""
-    d = params.shared.user.data.shape[1]
-    if not neighbors:
-        return ad.zeros(d)
-    pooled = ad.mean_pool(ad.gather_rows(params.shared.user, neighbors))
-    return ad.relu(ad.matmul(params.w_soc, pooled))
+def social_aggregate(params: UnaryParams, neighbor_lists: list[list[int]]) -> Tensor:
+    """relu(w_soc @ mean of neighbor user embeddings) per user, shape (B, d).
+
+    A user without neighbors gets zeros.
+    """
+    flat, seg = _segments(neighbor_lists)
+    pooled = ad.segment_mean(ad.gather_rows(params.shared.user, flat), seg)
+    return ad.relu(ad.linear(pooled, params.w_soc))
 
 
 def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
-                 training: bool = False, rng: np.random.Generator | None = None,
-                 p_drop: float = 0.5) -> Tensor:
-    """Two-layer head over [h_temporal (+) h_social]; dropout in training mode."""
-    joint = ad.concat([h_temporal, h_social])
-    hidden = ad.relu(ad.add(ad.matmul(params.w_f1, joint), params.b_f1))
-    h_user = ad.add(ad.matmul(params.w_f2, hidden), params.b_f2)
+                 training: bool = False, rngs=None, p_drop: float = 0.5) -> Tensor:
+    """Two-layer head over [h_temporal (+) h_social], one (N, d) row each.
+
+    Dropout in training mode, row i's mask drawn from rngs[i].
+    """
+    joint = ad.concat([h_temporal, h_social], axis=1)
+    hidden = ad.relu(ad.linear(joint, params.w_f1, params.b_f1))
+    h_user = ad.linear(hidden, params.w_f2, params.b_f2)
     if training:
-        h_user = ad.dropout(h_user, p_drop, rng)
+        h_user = ad.dropout(h_user, p_drop, rngs)
     return h_user
 
 
-def unary_scores(params: UnaryParams, ctx, steps: list[int], lo_gru: int,
-                 cand_embs: list[Tensor], training: bool, rngs: list,
-                 p_drop: float) -> list[Tensor]:
-    """f for each step's candidates, shape (len(candidates),) each.
+def unary_scores(params: UnaryParams, ctxs, steps: list[list[int]],
+                 lo_gru: list[int], cand_embs: Tensor, training: bool, rngs,
+                 p_drop: float) -> Tensor:
+    """f for every (user, step) row of a minibatch, shape (N, C).
 
-    The temporal GRU runs from a zero state over `ctx.buckets[lo_gru:s]`,
-    each bucket aggregated against the user's own item at that step; the
-    state after step s - 1 is fused with the social aggregate of
-    `ctx.neighbors` and dotted with the rows of `cand_embs[i]`, step i's
-    candidate embeddings. The GRU runs once up to the largest step, so every
-    step in one call must share lo_gru.
+    Row order is user by user, each user's steps in the order given. User
+    b's temporal GRU runs from a zero state over `ctxs[b].buckets[lo_gru[b]:s]`
+    for its largest step s, each bucket aggregated against the user's own
+    item at that step. All users step in lockstep over (B, d) states; a user
+    with fewer buckets is padded with empty ones at the end, which only move
+    states no step reads. Step s reads the state after bucket s - 1, fuses
+    it with the social aggregate of the user's neighbors and dots it with
+    the rows of `cand_embs` (N, C, d).
     """
     d = params.shared.item.data.shape[1]
-    h_social = social_aggregate(params, ctx.neighbors)
-    h_states = [ad.zeros(d)]
-    for t in range(lo_gru, max(steps)):
-        if params.aggregator == "attention":
-            summary = bipartite_aggregate_attention(params, ctx.items[t], ctx.buckets[t])
-        else:
-            summary = bipartite_aggregate_sage(params, ctx.buckets[t])
-        h_states.append(ad.gru_cell(summary, h_states[-1], params.temporal_gru))
+    n_users = len(ctxs)
+    counts = [len(st) for st in steps]
+    row_user = np.repeat(np.arange(n_users), counts)
+    row_cell = (np.concatenate([np.asarray(st, dtype=np.intp) for st in steps])
+                - np.repeat(np.asarray(lo_gru, dtype=np.intp), counts))
+    depths = [max(st) - lo for st, lo in zip(steps, lo_gru)]
 
-    out = []
-    for s, q_cands, rng in zip(steps, cand_embs, rngs):
-        h_user = fuse_context(params, h_states[s - lo_gru], h_social, training,
-                              rng, p_drop)
-        out.append(ad.matmul(q_cands, h_user))
-    return out
+    # Step-major layout: bucket k = t * B + b is user b's t-th bucket.
+    buckets, anchors = [], []
+    for t in range(max(depths)):
+        for ctx, lo, depth in zip(ctxs, lo_gru, depths):
+            if t < depth:
+                buckets.append(ctx.buckets[lo + t])
+                anchors.append(ctx.items[lo + t])
+            else:
+                buckets.append([])
+                anchors.append(0)
+    if params.aggregator == "attention":
+        summaries = bipartite_aggregate_attention(params, anchors, buckets)
+    else:
+        summaries = bipartite_aggregate_sage(params, buckets)
+    h = ad.zeros(n_users, d)
+    states = []
+    for t in range(max(depths)):
+        x = ad.slice_rows(summaries, t * n_users, (t + 1) * n_users)
+        h = ad.gru_cell(x, h, params.temporal_gru)
+        states.append(h)
+    h_temporal = ad.gather_rows(ad.concat(states), (row_cell - 1) * n_users + row_user)
+    h_social = ad.gather_rows(social_aggregate(params, [ctx.neighbors for ctx in ctxs]),
+                              row_user)
+    h_user = fuse_context(params, h_temporal, h_social, training, rngs, p_drop)
+    n_rows, n_cands = cand_embs.data.shape[:2]
+    scores = ad.matmul(cand_embs, ad.reshape(h_user, (n_rows, d, 1)))   # (N, C, 1)
+    return ad.reshape(scores, (n_rows, n_cands))

@@ -2,10 +2,12 @@
 
 Each function scores one candidate at a time and mirrors the score formula
 term by term: the transition score g (causal attention, walk GRU, bilinear
-head), the unary score f (per-step bipartite aggregation, temporal GRU,
-fused head) and their sum through `score_candidates_single_route`. The
+head), the unary score f (per-bucket aggregation, temporal GRU, fused
+head) and their sum through `score_candidates_single_route`. The
 production route, `tea.model.score_user_steps`, computes the same scores
-for whole candidate sets, and the tests assert the two agree.
+for whole minibatches of users, steps and candidate sets, and the tests
+assert the two agree. The oracles share only the engine's primitives and
+GRU cell with it, not its batched aggregators.
 `exact_conditional` enumerates the per-step softmax over a small item set,
 and `predict_probability` is sigmoid(f + g).
 """
@@ -19,9 +21,67 @@ import numpy as np
 from tea import autodiff as ad
 from tea.autodiff import Tensor
 from tea.model import UserContext
-from tea.params import ModelParams, TransitionParams, UnaryParams, embedding_row
-from tea.unary import (bipartite_aggregate_attention, bipartite_aggregate_sage,
-                       fuse_context, social_aggregate)
+from tea.params import ModelParams, TransitionParams, UnaryParams
+
+
+def embedding_row(table: Tensor, index: int) -> Tensor:
+    """One row of an embedding table as a flat d-vector (differentiable)."""
+    d = table.data.shape[1]
+    return ad.reshape(ad.gather_rows(table, [index]), (d,))
+
+
+def _mean_rows(rows: Tensor) -> Tensor:
+    n = rows.data.shape[0]
+    return ad.scale(ad.matmul(ad.Tensor(np.ones(n)), rows), 1.0 / n)
+
+
+def bipartite_aggregate_sage(params: UnaryParams, bucket: list[int]) -> Tensor:
+    """relu(w_agg @ mean of bucket item embeddings); empty bucket -> zeros."""
+    d = params.shared.item.data.shape[1]
+    if not bucket:
+        return ad.zeros(d)
+    pooled = _mean_rows(ad.gather_rows(params.shared.item, bucket))
+    return ad.relu(ad.matmul(params.w_agg, pooled))
+
+
+def bipartite_aggregate_attention(params: UnaryParams, anchor: int,
+                                  bucket: list[int]) -> Tensor:
+    """Softmax over leaky-relu(attn . [w_agg q_anchor (+) w_agg q_j]) weights
+    of the bucket item embeddings, then relu; empty bucket -> zeros."""
+    d = params.shared.item.data.shape[1]
+    if not bucket:
+        return ad.zeros(d)
+    q_bucket = ad.gather_rows(params.shared.item, bucket)
+    projected = ad.matmul(q_bucket, ad.transpose(params.w_agg))
+    a_anchor = ad.slice_rows(params.attn_vec, 0, d)
+    a_item = ad.slice_rows(params.attn_vec, d, 2 * d)
+    q_anchor = embedding_row(params.shared.item, anchor)
+    anchor_term = ad.matmul(a_anchor, ad.matmul(params.w_agg, q_anchor))
+    logits = ad.leaky_relu(ad.add(ad.matmul(projected, a_item), anchor_term))
+    weights = ad.masked_softmax(logits, np.ones(len(bucket), dtype=bool))
+    return ad.relu(ad.matmul(weights, q_bucket))
+
+
+def social_aggregate(params: UnaryParams, neighbors: list[int]) -> Tensor:
+    """relu(w_soc @ mean of neighbor user embeddings); no neighbors -> zeros."""
+    d = params.shared.user.data.shape[1]
+    if not neighbors:
+        return ad.zeros(d)
+    pooled = _mean_rows(ad.gather_rows(params.shared.user, neighbors))
+    return ad.relu(ad.matmul(params.w_soc, pooled))
+
+
+def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
+                 training: bool = False, rng: np.random.Generator | None = None,
+                 p_drop: float = 0.5) -> Tensor:
+    """Two-layer head over [h_temporal (+) h_social]; dropout in training mode."""
+    joint = ad.concat([h_temporal, h_social])
+    hidden = ad.relu(ad.add(ad.matmul(params.w_f1, joint), params.b_f1))
+    h_user = ad.add(ad.matmul(params.w_f2, hidden), params.b_f2)
+    if training and p_drop > 0.0:
+        keep = rng.random(h_user.data.shape) >= p_drop
+        h_user = ad.mul(h_user, ad.Tensor(keep / (1.0 - p_drop)))
+    return h_user
 
 
 class EmptyHistoryError(ValueError):
@@ -139,8 +199,9 @@ def transition_score(params: TransitionParams, user: int, history: list[int],
         z = ad.zeros(d)
     hidden = ad.relu(ad.add(ad.matmul(params.w_g1, z), params.b_g1))
     h = ad.add(ad.add(p_user, ad.matmul(params.w_g2, hidden)), params.b_g2)
-    if training:
-        h = ad.dropout(h, p_drop, rng)
+    if training and p_drop > 0.0:
+        keep = rng.random(h.data.shape) >= p_drop
+        h = ad.mul(h, ad.Tensor(keep / (1.0 - p_drop)))
     joint = ad.concat([h, walk.h_user, walk.h_item, p_user])
     projected = ad.matmul(params.w_g3, joint)
     return ad.matmul(projected, embedding_row(params.shared.item, candidate))

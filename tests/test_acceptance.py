@@ -17,7 +17,7 @@ from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
 from tea.evaluation import (EvalConfig, evaluate_all, hr_at_k, ndcg_at_k, rank)
 from tea.model import positive_target, score_user_steps, user_context
-from tea.objective import ScoredStep, scored_step_from, sequence_loss, total_loss
+from tea.objective import sequence_loss, total_loss
 from tea.params import init_params
 from tea.training import TrainConfig, train
 
@@ -50,9 +50,9 @@ def _tiny_loss_setup(seed):
     negs = sample_negatives(pos, 5, 2, rng)
 
     def build_loss():
-        scores = score_user_steps(params, user_context(ds, user, "train"),
-                                  [step], [[pos] + negs])[0]
-        crf = sequence_loss([scored_step_from(scores, user, step)], n_s=2)
+        scores = score_user_steps(params, [user_context(ds, user, "train")],
+                                  [[step]], [[pos] + negs])
+        crf = sequence_loss(scores, [(user, step)], n_s=2)
         return total_loss(crf, params.trainable(), gamma=5e-4)
 
     return params, build_loss
@@ -99,7 +99,7 @@ class TestCriterion2ExactConditional:
                 ctx = user_context(ds, user, "train")
                 step = int(rng.integers(1, 4))
                 all_items = list(range(50))
-                fast = score_user_steps(params, ctx, [step], [all_items])[0].data
+                fast = score_user_steps(params, [ctx], [[step]], [all_items]).data[0]
                 probs = exact_conditional(fast)
                 assert abs(probs.sum() - 1.0) <= 1e-8
                 slow = score_candidates_single_route(params, ctx, step, all_items)
@@ -110,19 +110,18 @@ class TestCriterion2ExactConditional:
 class TestCriterion3LossSanity:
     def test_loss_values(self):
         with criterion("3 loss-sanity"):
-            zero = ScoredStep(0, 1, ad.Tensor([0.0]), ad.Tensor(np.zeros(50)))
-            got = sequence_loss([zero], n_s=50).item()
+            zero = ad.Tensor(np.zeros((1, 51)))
+            got = sequence_loss(zero, [(0, 1)], n_s=50).item()
             assert abs(got - 51 * np.log(2.0)) <= 1e-9
             rng = np.random.default_rng(33)
             sig = lambda x: 1.0 / (1.0 + np.exp(-x))
             for _ in range(50):
                 raw = [(rng.normal(scale=4.0), rng.normal(scale=4.0, size=50))
                        for _ in range(5)]
-                batch = [ScoredStep(i, 1, ad.Tensor([p]), ad.Tensor(n))
-                         for i, (p, n) in enumerate(raw)]
+                batch = ad.Tensor(np.array([[p] + list(n) for p, n in raw]))
                 want = -np.mean([np.log(sig(p)) + np.log(sig(-n)).sum()
                                  for p, n in raw])
-                got = sequence_loss(batch, n_s=50).item()
+                got = sequence_loss(batch, [(i, 1) for i in range(5)], n_s=50).item()
                 assert abs(got - want) <= 1e-10
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea import training
+from tea import evaluation, training
 from tea.cli import main
 from tea.params import load_checkpoint
 
@@ -119,8 +119,7 @@ class TestTrain:
 
     def test_nan_score_exit_4(self, data_dir, tmp_path, capsys, monkeypatch):
         def nan_scores(*args, **kwargs):
-            return [ad.Tensor(np.full(s.data.shape, np.nan))
-                    for s in real(*args, **kwargs)]
+            return ad.Tensor(np.full(real(*args, **kwargs).data.shape, np.nan))
 
         real = training.score_user_steps
         monkeypatch.setattr(training, "score_user_steps", nan_scores)
@@ -230,24 +229,43 @@ class TestEval:
         assert code == 5
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["seq_items", "buckets"])
+    @pytest.mark.parametrize("field", ["seq_items", "buckets", "item_ids"])
     def test_corrupted_dataset_exit_2(self, data_dir, trained_dir, tmp_path,
                                       capsys, field):
         snap = tmp_path / "snap"
         shutil.copytree(data_dir, snap)
-        path = snap / "dataset.json"
-        payload = json.loads(path.read_text())
-        user = payload["users"][0]
-        if field == "seq_items":
-            user["seq_items"][0] = 10**6
+        if field == "item_ids":
+            path = snap / "item_ids.tsv"
+            rows = path.read_text().splitlines(keepends=True)
+            path.write_text(rows[0] + "".join(rows))  # dense id 0 twice
         else:
-            user["buckets"] = user["buckets"][:2]
-        path.write_text(json.dumps(payload))
+            path = snap / "dataset.json"
+            payload = json.loads(path.read_text())
+            user = payload["users"][0]
+            if field == "seq_items":
+                user["seq_items"][0] = 10**6
+            else:
+                user["buckets"] = user["buckets"][:2]
+            path.write_text(json.dumps(payload))
         code = main(["eval", "--data", str(snap), "--checkpoint",
                      os.path.join(trained_dir, "checkpoint.tea"),
                      "--out", str(tmp_path / "ev")])
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_nan_score_exit_4(self, data_dir, trained_dir, tmp_path, capsys,
+                              monkeypatch):
+        def nan_scores(*args, **kwargs):
+            return ad.Tensor(np.full(real(*args, **kwargs).data.shape, np.nan))
+
+        real = evaluation.score_user_steps
+        monkeypatch.setattr(evaluation, "score_user_steps", nan_scores)
+        code = main(["eval", "--data", data_dir,
+                     "--checkpoint", os.path.join(trained_dir, "checkpoint.tea"),
+                     "--split", "val", "--out", str(tmp_path / "ev")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "val ranking of user 0" in err
 
     def test_json_identical_modulo_wall_clock(self, data_dir, trained_dir, tmp_path):
         reports = []

@@ -432,6 +432,21 @@ class TestPreparedDataset:
         with pytest.raises(ValueError, match=r"item_ids\.tsv:2"):
             PreparedDataset.load(snap)
 
+    @pytest.mark.parametrize("sidecar, edit", [
+        ("item_ids.tsv", lambda rows: rows[:1] + rows[:1] + rows[2:]),   # duplicate id
+        ("item_ids.tsv", lambda rows: rows[:3] + rows[4:]),              # missing id
+        ("user_ids.tsv", lambda rows: rows + ["extra\t3\n"]),           # extra row
+        ("user_ids.tsv", lambda rows: rows + ["extra\t12\n"]),          # id past n_users
+    ], ids=["duplicate", "missing", "extra-row", "out-of-range"])
+    def test_load_rejects_sidecar_not_a_bijection(self, prepared, tmp_path, sidecar, edit):
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        path = snap / sidecar
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(rows)))
+        with pytest.raises(ValueError, match=sidecar.replace(".", r"\.")):
+            PreparedDataset.load(snap)
+
     def test_stats_fields(self, prepared):
         stats = prepared.stats()
         assert stats["users"] == 12 and stats["items"] == 10

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from tea import evaluation
 from tea.evaluation import (EvalConfig, build_candidates, evaluate_all,
                             hr_at_k, ndcg_at_k, rank)
+from tea.model import score_user_steps
+from tea.objective import NonFiniteScoreError
+from tea.params import init_params
 
 
 class TestBuildCandidates:
@@ -141,3 +145,33 @@ class TestEvaluateAll:
                          EvalConfig(ks=(5,), seed=7), scorer=spy)
         half = len(seen) // 2
         assert seen[:half] == seen[half:]
+
+    @pytest.mark.parametrize("bad", [0, 3], ids=["truth", "negative"])
+    def test_nan_score_raises(self, toy_dataset, tiny_params, bad):
+        # a NaN truth would rank first and a NaN negative would never count
+        # against the truth: both must fail instead of inflating HR/NDCG
+        def nan_for_user_two(params, ctx, cands):
+            scores = np.zeros(len(cands))
+            scores[0] = 1.0
+            if ctx.user == 2:
+                scores[bad] = np.nan
+            return scores
+
+        with pytest.raises(NonFiniteScoreError, match="test ranking of user 2"):
+            evaluate_all(tiny_params, toy_dataset, "test", EvalConfig(ks=(10,)),
+                         scorer=nan_for_user_two)
+
+    def test_chunked_default_equals_scoring_each_user_alone(self, toy_dataset,
+                                                            monkeypatch):
+        params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
+                             l_s=toy_dataset.config["l_s"], variant="tea-a", seed=12)
+
+        def alone(p, ctx, cands):
+            return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
+
+        cfg = EvalConfig(ks=(5, 10), n_neg=15, seed=4)
+        want = evaluate_all(params, toy_dataset, "val", cfg, scorer=alone)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK", 3)  # 10 users: 4 chunks
+        got = evaluate_all(params, toy_dataset, "val", cfg)
+        assert got.ranks == want.ranks
+        assert (got.hr, got.ndcg) == (want.hr, want.ndcg)

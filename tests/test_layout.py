@@ -90,6 +90,15 @@ def test_every_top_level_definition_is_reachable():
 
 def test_score_user_steps_reaches_the_potentials_through_their_scorers():
     model = load_package(PACKAGE)["model"]
-    reached = {ref for ref in model.references("score_user_steps")
-               if ref[0] in ("transition", "unary")}
-    assert reached == {("transition", "transition_scores"), ("unary", "unary_scores")}
+    reached = sorted(ref for ref in model.references("score_user_steps")
+                     if ref[0] in ("transition", "unary"))
+    assert reached == [("transition", "transition_scores"), ("unary", "unary_scores")]
+
+
+def test_training_and_evaluation_score_through_one_call():
+    """train and evaluate_all each call score_user_steps from exactly one place."""
+    modules = load_package(PACKAGE)
+    for module, function in (("training", "train"), ("evaluation", "evaluate_all")):
+        calls = [ref for ref in modules[module].references(function)
+                 if ref == ("model", "score_user_steps")]
+        assert len(calls) == 1, f"{module}.{function} names score_user_steps {len(calls)} times"

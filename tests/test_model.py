@@ -6,11 +6,13 @@ import pytest
 from tea import autodiff as ad
 from tea.data import prepare_dataset
 from tea.model import UserContext, score_user_steps, user_context
+from tea.objective import sequence_loss, total_loss
 from tea.params import init_params
 
 from corpus import cycle_corpus, synthetic_dataset, write_corpus
 from oracles import score_candidates_single_route
 from gradcheck import assert_gradients_match
+from scoring import score_steps
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
 
@@ -32,9 +34,9 @@ class TestContexts:
                              seed=90)
         ctx = user_context(toy_dataset, 0, "train")
         with pytest.raises(IndexError):
-            score_user_steps(params, ctx, [0], [[1]])
+            score_user_steps(params, [ctx], [[0]], [[1]])
         with pytest.raises(IndexError):
-            score_user_steps(params, ctx, [len(toy_dataset.users[0].seq_items)],
+            score_user_steps(params, [ctx], [[len(toy_dataset.users[0].seq_items)]],
                              [[1]])
 
     def test_val_context(self, toy_dataset):
@@ -80,7 +82,7 @@ def _ctx(user=1, items=(0, 2, 3), walks=(2, 0)):
 
 def _score(params, ctx, cands, **kwargs):
     """Scores of the held-out step len(ctx.items)."""
-    return score_user_steps(params, ctx, [len(ctx.items)], [cands], **kwargs)[0]
+    return score_steps(params, ctx, [len(ctx.items)], [cands], **kwargs)[0]
 
 
 class TestScoring:
@@ -167,7 +169,7 @@ class TestWindows:
             steps = list(range(1, len(ctx.items)))
             cand_lists = [rng.integers(0, ds.n_items, size=6).tolist()
                           for _ in steps]
-            got = score_user_steps(params, ctx, steps, cand_lists)
+            got = score_steps(params, ctx, steps, cand_lists)
             for step, cands, scores in zip(steps, cand_lists, got):
                 want = score_candidates_single_route(params, ctx, step, cands)
                 np.testing.assert_allclose(scores.data, want, atol=1e-12)
@@ -204,8 +206,8 @@ class TestWindows:
                 cut = max(0, s - l_s)
                 short = UserContext(ctx.user, ctx.items[cut:], ctx.buckets[cut:],
                                     ctx.walks[cut:], ctx.neighbors)
-                got = score_user_steps(params, ctx, [s], [cands])[0].data
-                want = score_user_steps(params, short, [s - cut], [cands])[0].data
+                got = score_steps(params, ctx, [s], [cands])[0].data
+                want = score_steps(params, short, [s - cut], [cands])[0].data
                 np.testing.assert_allclose(got, want, atol=1e-12)
                 np.testing.assert_allclose(
                     got, score_candidates_single_route(params, ctx, s, cands),
@@ -219,9 +221,9 @@ class TestWindows:
         ctx = user_context(ds, 0, "train")
         for steps in ([l_s - 1, l_s], [l_s, l_s + 1], [1, 6]):
             with pytest.raises(ValueError, match="window"):
-                score_user_steps(params, ctx, steps, [[0, 1]] * len(steps))
+                score_user_steps(params, [ctx], [steps], [[0, 1]] * len(steps))
         # every step below l_s shares the window that starts at 0
-        score_user_steps(params, ctx, [1, l_s - 1], [[0, 1], [2, 3]])
+        score_user_steps(params, [ctx], [[1, l_s - 1]], [[0, 1], [2, 3]])
 
 
 class TestGroupedScoring:
@@ -238,9 +240,9 @@ class TestGroupedScoring:
         rng = np.random.default_rng(0)
         cand_lists = [rng.integers(0, toy_dataset.n_items, size=6).tolist()
                       for _ in steps]
-        grouped = score_user_steps(params, ctx, steps, cand_lists)
+        grouped = score_steps(params, ctx, steps, cand_lists)
         for step, cands, got in zip(steps, cand_lists, grouped):
-            want = score_user_steps(params, ctx, [step], [cands])[0]
+            want = score_steps(params, ctx, [step], [cands])[0]
             np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
     def test_grouped_gradients(self, toy_dataset):
@@ -251,7 +253,7 @@ class TestGroupedScoring:
         target = ad.Tensor(np.random.default_rng(2).normal(size=3))
 
         def build():
-            outs = score_user_steps(params, ctx, [1, 3], [[0, 2, 4], [1, 3, 5]])
+            outs = score_steps(params, ctx, [1, 3], [[0, 2, 4], [1, 3, 5]])
             both = ad.add(ad.mul(outs[0], target), ad.mul(outs[1], target))
             return ad.total_sum(both)
 
@@ -261,6 +263,114 @@ class TestGroupedScoring:
                  if n in ("emb.item", "emb.user", "g.w_q", "g.w_3",
                           "f.gru.w_hz", "g.gru.w_xn", "f.w_1")]
         assert_gradients_match(build, named)
+
+
+def _batch_contexts(l_s, seed=0, n_items=9):
+    """Users of different lengths with empty buckets, walk sets and neighbors.
+
+    Returns (contexts, step lists): user 0 holds exactly l_s events and
+    scores its training steps; users 1 and 2 score held-out steps l_s and
+    l_s + 1; user 3 is short, with empty buckets, no walks and no
+    neighbors; user 4 scores two training steps.
+    """
+    rng = np.random.default_rng(seed)
+
+    def ctx(user, n, neighbors=(0, 2), empty=False):
+        items = rng.integers(0, n_items, size=n).tolist()
+        buckets = [[] if empty or rng.random() < 0.3
+                   else rng.integers(0, n_items, size=rng.integers(1, 4)).tolist()
+                   for _ in range(n)]
+        walks = [[] if empty or rng.random() < 0.4 else [int(rng.integers(0, 5))]
+                 for _ in range(n)]
+        return UserContext(user, items, buckets, walks, list(neighbors))
+
+    ctxs = [ctx(0, l_s), ctx(1, l_s), ctx(2, l_s + 1),
+            ctx(3, 3, neighbors=(), empty=True), ctx(4, 5, neighbors=(1,))]
+    steps = [list(range(1, l_s)), [l_s], [l_s + 1], [1, 2], [1, 2]]
+    return ctxs, steps
+
+
+def _candidate_rows(steps, seed, n_items=9, n_cands=6):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n_items, size=(sum(map(len, steps)), n_cands))
+
+
+class TestBatchedProgram:
+    """One score_user_steps call over several users against the oracles."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_single_candidate_oracle(self, variant):
+        l_s = 4
+        ctxs, steps = _batch_contexts(l_s, seed=1)
+        params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=101)
+        cands = _candidate_rows(steps, seed=2)
+        got = score_user_steps(params, ctxs, steps, cands).data
+        assert got.shape == cands.shape
+        rows = [(ctx, s) for ctx, st in zip(ctxs, steps) for s in st]
+        for (ctx, s), row, want_cands in zip(rows, got, cands):
+            want = score_candidates_single_route(params, ctx, s, want_cands.tolist())
+            np.testing.assert_allclose(row, want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_oracle_at_l_s_one(self, variant):
+        # l_s = 1: every window is empty and each user scores one step
+        ctxs, _ = _batch_contexts(4, seed=3)
+        steps = [[4], [2], [5], [1], [3]]
+        params = init_params(5, 9, d=4, l_s=1, variant=variant, seed=102)
+        cands = _candidate_rows(steps, seed=4)
+        got = score_user_steps(params, ctxs, steps, cands).data
+        for ctx, st, row, want_cands in zip(ctxs, steps, got, cands):
+            want = score_candidates_single_route(params, ctx, st[0], want_cands.tolist())
+            np.testing.assert_allclose(row, want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_do_not_depend_on_batch_mates(self, variant):
+        l_s = 4
+        ctxs, steps = _batch_contexts(l_s, seed=5)
+        params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=103)
+        cands = _candidate_rows(steps, seed=6)
+        keys = [(ctx.user, s) for ctx, st in zip(ctxs, steps) for s in st]
+
+        def rngs(subset):
+            return [np.random.default_rng([7, *key]) for key in subset]
+
+        together = score_user_steps(params, ctxs, steps, cands, training=True,
+                                    rngs=rngs(keys)).data
+        first = 0
+        for ctx, st in zip(ctxs, steps):
+            rows = slice(first, first + len(st))
+            alone = score_user_steps(params, [ctx], [st], cands[rows], training=True,
+                                     rngs=rngs(keys[rows])).data
+            np.testing.assert_allclose(together[rows], alone, atol=1e-12)
+            first += len(st)
+        # the pairing is not trivial: dropout is on and draws differ per row
+        eval_mode = score_user_steps(params, ctxs, steps, cands).data
+        assert not np.allclose(together, eval_mode)
+
+    def test_rejects_mismatched_candidates(self):
+        ctxs, steps = _batch_contexts(4, seed=8)
+        params = init_params(5, 9, d=4, l_s=4, variant="tea-s", seed=104)
+        with pytest.raises(ValueError, match="candidates"):
+            score_user_steps(params, ctxs, steps, _candidate_rows(steps[:-1], seed=9))
+
+    @pytest.mark.parametrize("variant", ["tea-s", "tea-a"])
+    def test_batched_loss_gradients(self, variant):
+        """The training loss over a multi-user batch, every leaf by finite differences."""
+        l_s = 3
+        ctxs, _ = _batch_contexts(l_s, seed=10)
+        steps = [[1, 2], [3], [4], [1, 2], [2]]
+        params = init_params(5, 9, d=3, l_s=l_s, variant=variant, seed=105)
+        cands = _candidate_rows(steps, seed=11, n_cands=3)
+        keys = [(ctx.user, s) for ctx, st in zip(ctxs, steps) for s in st]
+
+        def build():
+            rngs = [np.random.default_rng([12, *key]) for key in keys]
+            scores = score_user_steps(params, ctxs, steps, cands, training=True,
+                                      rngs=rngs)
+            return total_loss(sequence_loss(scores, keys, n_s=2),
+                              params.trainable(), gamma=5e-3)
+
+        assert_gradients_match(build, params.trainable())
 
 
 class TestComposedGradients:

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.objective import (NonFiniteScoreError, ScoredStep, scored_step_from,
-                           sequence_loss, total_loss)
+from tea.objective import NonFiniteScoreError, sequence_loss, total_loss
 
+from gradcheck import assert_gradients_match
 from oracles import exact_conditional, predict_probability
 
 
-def _step(pos, negs, user=0, step=1):
-    return ScoredStep(user, step, positive=ad.Tensor([pos]),
-                      negatives=ad.Tensor(negs))
+def _batch(rows, users=None, step=1):
+    """(score matrix, keys) for rows of (positive, negatives), target first."""
+    scores = ad.Tensor(np.array([[pos] + list(negs) for pos, negs in rows]))
+    users = range(len(rows)) if users is None else users
+    return scores, [(u, step) for u in users]
 
 
 def _np_loss(steps):
@@ -26,46 +28,63 @@ def _np_loss(steps):
 
 class TestSequenceLoss:
     def test_all_zero_scores(self):
-        loss = sequence_loss([_step(0.0, np.zeros(50))], n_s=50)
+        loss = sequence_loss(*_batch([(0.0, np.zeros(50))]), n_s=50)
         np.testing.assert_allclose(loss.item(), 51 * np.log(2.0), atol=1e-9)
 
     def test_saturated_scores_vanish(self):
-        loss = sequence_loss([_step(100.0, -100.0 * np.ones(50))], n_s=50)
+        loss = sequence_loss(*_batch([(100.0, -100.0 * np.ones(50))]), n_s=50)
         assert loss.item() < 1e-6
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(0)
         steps = [(rng.normal(scale=3.0), rng.normal(scale=3.0, size=4))
                  for _ in range(7)]
-        batch = [_step(p, n, user=i) for i, (p, n) in enumerate(steps)]
-        got = sequence_loss(batch, n_s=4).item()
+        got = sequence_loss(*_batch(steps), n_s=4).item()
         np.testing.assert_allclose(got, _np_loss(steps), atol=1e-10)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            sequence_loss([], n_s=5)
+            sequence_loss(ad.Tensor(np.zeros((0, 6))), [], n_s=5)
 
     def test_wrong_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            sequence_loss([_step(0.0, np.zeros(3))], n_s=5)
+            sequence_loss(*_batch([(0.0, np.zeros(3))]), n_s=5)
 
     @pytest.mark.parametrize("pos, neg", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_score_has_its_own_type(self, pos, neg):
+        rows = [(0.0, np.zeros(2)), (pos, np.array([0.0, neg]))]
         with pytest.raises(NonFiniteScoreError, match=r"step \(2,1\)"):
-            sequence_loss([_step(pos, np.array([0.0, neg]), user=2)], n_s=2)
+            sequence_loss(*_batch(rows, users=[1, 2]), n_s=2)
 
     def test_monotone_in_scores(self):
         # decreasing in the positive score, increasing in each negative
-        base = sequence_loss([_step(0.3, np.array([0.1, -0.2]))], 2).item()
-        up_pos = sequence_loss([_step(0.8, np.array([0.1, -0.2]))], 2).item()
-        up_neg = sequence_loss([_step(0.3, np.array([0.6, -0.2]))], 2).item()
+        base = sequence_loss(*_batch([(0.3, [0.1, -0.2])]), 2).item()
+        up_pos = sequence_loss(*_batch([(0.8, [0.1, -0.2])]), 2).item()
+        up_neg = sequence_loss(*_batch([(0.3, [0.6, -0.2])]), 2).item()
         assert up_pos < base < up_neg
 
     def test_from_score_vector(self):
-        scores = ad.Tensor([1.0, -1.0, 2.0])
-        step = scored_step_from(scores, user=3, step=2)
-        np.testing.assert_array_equal(step.positive.data, [1.0])
-        np.testing.assert_array_equal(step.negatives.data, [-1.0, 2.0])
+        # column 0 of a candidate score row is the target, the rest negatives
+        scores = ad.Tensor([[1.0, -1.0, 2.0]])
+        got = sequence_loss(scores, [(3, 2)], n_s=2).item()
+        np.testing.assert_allclose(got, _np_loss([(1.0, [-1.0, 2.0])]), atol=1e-12)
+        swapped = sequence_loss(ad.Tensor([[2.0, -1.0, 1.0]]), [(3, 2)], n_s=2).item()
+        assert swapped < got
+
+    def test_uses_a_fixed_number_of_records(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 40):
+            scores = ad.Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+            with ad.Tape() as tape:
+                sequence_loss(scores, [(u, 1) for u in range(n)], n_s=5)
+            assert len(tape) == 4
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(6)
+        scores = ad.Tensor(rng.normal(scale=2.0, size=(5, 4)), requires_grad=True)
+        keys = [(u, 1) for u in range(5)]
+        assert_gradients_match(lambda: sequence_loss(scores, keys, n_s=3),
+                               [("scores", scores)])
 
 
 class TestTotalLoss:
@@ -84,6 +103,28 @@ class TestTotalLoss:
         w = ad.Tensor([3.0, 4.0], requires_grad=True)
         out = total_loss(crf, [("w", w)], gamma=1.0)
         np.testing.assert_allclose(out.item(), 25.0)
+
+    def test_penalty_is_one_record(self):
+        rng = np.random.default_rng(8)
+        named = [(f"w{i}", ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True))
+                 for i in range(30)]
+        crf = ad.Tensor(np.asarray(0.5), requires_grad=True)
+        with ad.Tape() as tape:
+            out = total_loss(crf, named, gamma=0.01)
+        # sum_of_squares, scale and the add onto the crf loss
+        assert len(tape) == 3
+        want = 0.5 + 0.01 * sum(float((t.data ** 2).sum()) for _, t in named)
+        np.testing.assert_allclose(out.item(), want, atol=1e-12)
+        grads = ad.backward(out, tape)
+        for _, t in named:
+            np.testing.assert_allclose(grads.of(t), 0.02 * t.data, atol=1e-15)
+
+    def test_penalty_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        named = [("a", ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)),
+                 ("b", ad.Tensor(rng.normal(size=4), requires_grad=True))]
+        crf = ad.Tensor(np.asarray(0.0))
+        assert_gradients_match(lambda: total_loss(crf, named, gamma=0.3), named)
 
 
 class TestExactConditional:

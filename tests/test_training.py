@@ -8,8 +8,7 @@ from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
 from tea.model import positive_target, score_user_steps, user_context
-from tea.objective import (NonFiniteScoreError, scored_step_from, sequence_loss,
-                           total_loss)
+from tea.objective import NonFiniteScoreError, sequence_loss, total_loss
 from tea.params import (IncompatibleCheckpointError, init_params,
                         load_checkpoint, save_checkpoint)
 from tea.training import (NumericalError, TrainConfig, early_stop, train,
@@ -101,8 +100,7 @@ class TestTrainLoop:
 
     def test_nan_score_raises_numerical_error(self, toy_dataset, monkeypatch):
         def nan_scores(*args, **kwargs):
-            return [ad.Tensor(np.full(s.data.shape, np.nan))
-                    for s in real(*args, **kwargs)]
+            return ad.Tensor(np.full(real(*args, **kwargs).data.shape, np.nan))
 
         real = training.score_user_steps
         monkeypatch.setattr(training, "score_user_steps", nan_scores)
@@ -130,12 +128,12 @@ class TestRepeatedBatch:
         losses = []
         for _ in range(51):
             with Tape() as tape:
-                scored = []
-                for user, step, pos, negs in fixed:
-                    ctx = user_context(toy_dataset, user, "train")
-                    scores = score_user_steps(params, ctx, [step], [[pos] + negs])[0]
-                    scored.append(scored_step_from(scores, user, step))
-                loss = total_loss(sequence_loss(scored, config.n_s), named,
+                scores = score_user_steps(
+                    params, [user_context(toy_dataset, user, "train") for user, *_ in fixed],
+                    [[step] for _, step, _, _ in fixed],
+                    [[pos] + negs for _, _, pos, negs in fixed])
+                keys = [(user, step) for user, step, _, _ in fixed]
+                loss = total_loss(sequence_loss(scores, keys, config.n_s), named,
                                   config.gamma)
             losses.append(loss.item())
             grads = backward(loss, tape)

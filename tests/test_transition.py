@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.model import UserContext, score_user_steps
+from tea.model import UserContext
 from tea.params import init_params
 
 import oracles
 from gradcheck import assert_gradients_match
+from scoring import score_steps
 
 
 def _params(seed=11, variant="tea-s"):
@@ -245,7 +246,7 @@ class TestBatchedRoute:
         ctx = UserContext(2, [1, 0, 3], [[], [], []], [[], [], [0, 1]], [])
         walk = oracles.walk_aggregate(p, 2, 3, [0, 1])
         cands = [0, 1, 2, 3, 4]
-        batched = score_user_steps(params, ctx, [3], [cands])[0].data
+        batched = score_steps(params, ctx, [3], [cands])[0].data
         singles = [oracles.transition_score(p, 2, [1, 0, 3], c, walk).item()
                    for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
@@ -257,7 +258,7 @@ class TestBatchedRoute:
         ctx = UserContext(1, [2], [[]], [[]], [])
         walk = oracles.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
         cands = [0, 4]
-        batched = score_user_steps(params, ctx, [1], [cands])[0].data
+        batched = score_steps(params, ctx, [1], [cands])[0].data
         singles = [oracles.transition_score(p, 1, [], c, walk).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -270,7 +271,7 @@ class TestTransitionGradients:
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            scores = score_user_steps(params, ctx, [3], [[1, 2, 4]])[0]
+            scores = score_steps(params, ctx, [3], [[1, 2, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())

@@ -5,11 +5,12 @@ import pytest
 
 from tea import autodiff as ad
 from tea import unary as un
-from tea.model import UserContext, score_user_steps
+from tea.model import UserContext
 from tea.params import init_params
 
 import oracles
 from gradcheck import assert_gradients_match
+from scoring import score_steps
 
 
 def _params(seed=11, variant="tea-s"):
@@ -65,57 +66,66 @@ class TestSageAggregation:
     def test_identity_projection(self):
         p = _params()
         p.w_agg.data[...] = np.eye(4)
-        out = un.bipartite_aggregate_sage(p, [1, 3])
+        out = un.bipartite_aggregate_sage(p, [[1, 3]]).data[0]
         want = np.maximum(p.shared.item.data[[1, 3]].mean(axis=0), 0.0)
-        np.testing.assert_allclose(out.data, want, atol=1e-15)
+        np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_empty_bucket(self):
         np.testing.assert_array_equal(
-            un.bipartite_aggregate_sage(_params(), []).data, np.zeros(4))
+            un.bipartite_aggregate_sage(_params(), [[]]).data[0], np.zeros(4))
 
     def test_matches_mean_project_oracle(self):
         p = _params(seed=9)
-        out = un.bipartite_aggregate_sage(p, [0, 2, 2, 4]).data
+        out = un.bipartite_aggregate_sage(p, [[0, 2, 2, 4]]).data[0]
         np.testing.assert_allclose(out, _np_sage(p, [0, 2, 2, 4]), atol=1e-12)
 
     def test_permutation_invariant(self):
         p = _params(seed=3)
-        a = un.bipartite_aggregate_sage(p, [0, 1, 4]).data
-        b = un.bipartite_aggregate_sage(p, [4, 0, 1]).data
+        a = un.bipartite_aggregate_sage(p, [[0, 1, 4]]).data[0]
+        b = un.bipartite_aggregate_sage(p, [[4, 0, 1]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_uniform_duplication_invariant(self):
         p = _params(seed=5)
-        a = un.bipartite_aggregate_sage(p, [1, 2]).data
-        b = un.bipartite_aggregate_sage(p, [1, 2, 1, 2]).data
+        a = un.bipartite_aggregate_sage(p, [[1, 2]]).data[0]
+        b = un.bipartite_aggregate_sage(p, [[1, 2, 1, 2]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-14)
+
+    def test_batch_of_buckets_matches_each_alone(self):
+        p = _params(seed=6)
+        buckets = [[0, 2], [], [4], [1, 1, 3], []]
+        got = un.bipartite_aggregate_sage(p, buckets).data
+        assert got.shape == (5, 4)
+        for row, bucket in zip(got, buckets):
+            np.testing.assert_allclose(row, oracles.bipartite_aggregate_sage(p, bucket).data,
+                                       atol=1e-12)
 
 
 class TestAttentionAggregation:
     def test_single_item(self):
         p = _params(variant="tea-a")
-        out = un.bipartite_aggregate_attention(p, anchor=0, bucket=[3])
+        out = un.bipartite_aggregate_attention(p, anchors=[0], buckets=[[3]]).data[0]
         want = np.maximum(p.shared.item.data[3], 0.0)
-        np.testing.assert_allclose(out.data, want, atol=1e-15)
+        np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_zero_attention_vector_means_uniform(self):
         p = _params(variant="tea-a")
         p.attn_vec.data[...] = 0.0
-        out = un.bipartite_aggregate_attention(p, anchor=0, bucket=[1, 4])
+        out = un.bipartite_aggregate_attention(p, anchors=[0], buckets=[[1, 4]]).data[0]
         want = np.maximum(p.shared.item.data[[1, 4]].mean(axis=0), 0.0)
-        np.testing.assert_allclose(out.data, want, atol=1e-14)
+        np.testing.assert_allclose(out, want, atol=1e-14)
 
     def test_matches_softmax_weighted_oracle(self):
         p = _params(seed=17, variant="tea-a")
         p.attn_vec.data *= 40.0  # sharpen so weights are far from uniform
-        got = un.bipartite_aggregate_attention(p, anchor=2, bucket=[0, 1, 4]).data
+        got = un.bipartite_aggregate_attention(p, [2], [[0, 1, 4]]).data[0]
         want = _np_attention_agg(p, 2, [0, 1, 4])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_bucket(self):
         p = _params(variant="tea-a")
         np.testing.assert_array_equal(
-            un.bipartite_aggregate_attention(p, 0, []).data, np.zeros(4))
+            un.bipartite_aggregate_attention(p, [0], [[]]).data[0], np.zeros(4))
 
     def test_weights_are_probability_vector(self):
         p = _params(seed=20, variant="tea-a")
@@ -134,9 +144,19 @@ class TestAttentionAggregation:
 
     def test_permutation_invariant(self):
         p = _params(seed=21, variant="tea-a")
-        a = un.bipartite_aggregate_attention(p, 1, [0, 3, 4]).data
-        b = un.bipartite_aggregate_attention(p, 1, [4, 0, 3]).data
+        a = un.bipartite_aggregate_attention(p, [1], [[0, 3, 4]]).data[0]
+        b = un.bipartite_aggregate_attention(p, [1], [[4, 0, 3]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-14)
+
+    def test_batch_of_buckets_matches_each_alone(self):
+        p = _params(seed=22, variant="tea-a")
+        p.attn_vec.data *= 10.0
+        anchors, buckets = [2, 0, 4, 1], [[0, 1, 4], [], [3], [2, 2, 0]]
+        got = un.bipartite_aggregate_attention(p, anchors, buckets).data
+        assert got.shape == (4, 4)
+        for row, anchor, bucket in zip(got, anchors, buckets):
+            want = oracles.bipartite_aggregate_attention(p, anchor, bucket).data
+            np.testing.assert_allclose(row, want, atol=1e-12)
 
 
 class TestTemporalRecurrence:
@@ -166,20 +186,28 @@ class TestSocialAggregate:
     def test_identity_projection(self):
         p = _params()
         p.w_soc.data[...] = np.eye(4)
-        out = un.social_aggregate(p, [0, 2])
+        out = un.social_aggregate(p, [[0, 2]]).data[0]
         want = np.maximum(p.shared.user.data[[0, 2]].mean(axis=0), 0.0)
-        np.testing.assert_allclose(out.data, want, atol=1e-15)
+        np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_no_neighbors(self):
-        np.testing.assert_array_equal(un.social_aggregate(_params(), []).data,
+        np.testing.assert_array_equal(un.social_aggregate(_params(), [[]]).data[0],
                                       np.zeros(4))
 
     def test_matches_oracle(self):
         p = _params(seed=31)
-        got = un.social_aggregate(p, [1, 2]).data
+        got = un.social_aggregate(p, [[1, 2]]).data[0]
         pooled = p.shared.user.data[[1, 2]].mean(axis=0)
         np.testing.assert_allclose(got, np.maximum(p.w_soc.data @ pooled, 0.0),
                                    atol=1e-12)
+
+    def test_batch_of_users_matches_each_alone(self):
+        p = _params(seed=32)
+        neighbor_lists = [[1, 2], [], [0], [0, 1, 2]]
+        got = un.social_aggregate(p, neighbor_lists).data
+        for row, neighbors in zip(got, neighbor_lists):
+            np.testing.assert_allclose(row, oracles.social_aggregate(p, neighbors).data,
+                                       atol=1e-12)
 
 
 class TestUnaryScore:
@@ -218,9 +246,9 @@ class TestUnaryScore:
         p = params.unary
         ctx = _ctx(neighbors=[1, 2])
         h_t = oracles.aggregate_steps(p, ctx.buckets, ctx.items, 4)
-        h_s = un.social_aggregate(p, ctx.neighbors)
+        h_s = oracles.social_aggregate(p, ctx.neighbors)
         cands = [0, 1, 2, 3, 4]
-        batched = score_user_steps(params, ctx, [3], [cands])[0].data
+        batched = score_steps(params, ctx, [3], [cands])[0].data
         singles = [oracles.unary_score(p, h_t, h_s, c).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -234,7 +262,7 @@ class TestUnaryGradients:
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            scores = score_user_steps(params, ctx, [3], [[1, 3, 4]])[0]
+            scores = score_steps(params, ctx, [3], [[1, 3, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())
