@@ -131,20 +131,44 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...],
     return out
 
 
+class RowGrad:
+    """A table gradient that is zero outside a few rows.
+
+    Row `ids[i]` (sorted, distinct) holds `values[i]`; `shape` is the
+    table's. `gather_rows` hands these to `backward`, which merges them into
+    one dense buffer per table instead of adding table-sized zeros.
+    """
+
+    __slots__ = ("ids", "values", "shape")
+
+    def __init__(self, ids: Array, values: Array, shape: tuple[int, ...]) -> None:
+        self.ids = ids
+        self.values = values
+        self.shape = shape
+
+    def dense(self) -> Array:
+        full = np.zeros(self.shape, dtype=np.float64)
+        full[self.ids] = self.values
+        return full
+
+
 class Gradients:
     """Gradient map over the leaves reached by a backward sweep.
 
-    Leaves never touched by the loss read as zeros, so optimizer code does
-    not have to special-case unused parameters.
+    Every gradient reads as a dense array of its tensor's shape; leaves
+    never touched by the loss read as zeros, so optimizer code does not
+    have to special-case unused parameters.
     """
 
-    def __init__(self, entries: dict[int, Array]) -> None:
+    def __init__(self, entries: dict[int, Array | RowGrad]) -> None:
         self._entries = entries
 
     def of(self, t: Tensor) -> Array:
         g = self._entries.get(id(t))
         if g is None:
             return np.zeros_like(t.data)
+        if isinstance(g, RowGrad):
+            g = self._entries[id(t)] = g.dense()
         return g
 
     def __contains__(self, t: Tensor) -> bool:
@@ -155,21 +179,46 @@ class Gradients:
 
 
 def backward(loss: Tensor, tape: Tape) -> Gradients:
-    """Reverse sweep: gradients of a scalar loss w.r.t. every reachable leaf."""
+    """Reverse sweep: gradients of a scalar loss w.r.t. every reachable leaf.
+
+    Row gradients stay rows until a record consumes them or a second
+    gradient for the same tensor arrives; from then on the tensor owns one
+    dense buffer that later row gradients are scattered into. Each element
+    receives its contributions in arrival order, as repeated dense sums
+    would add them.
+    """
     if loss.data.size != 1:
         raise NonScalarLossError(
             f"loss must be scalar, got shape {loss.data.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, Array | RowGrad] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()   # buffers this sweep allocated and may add into
     for rec in reversed(tape.records):
         g_out = grads.pop(id(rec.out), None)
         if g_out is None:
             continue
+        if isinstance(g_out, RowGrad):
+            g_out = g_out.dense()
         for inp, g_in in zip(rec.inputs, rec.backward(g_out)):
             if g_in is None or not inp.requires_grad:
                 continue
-            acc = grads.get(id(inp))
-            # Never mutate stored arrays: backward closures may alias g_out.
-            grads[id(inp)] = g_in if acc is None else acc + g_in
+            key = id(inp)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = g_in
+                continue
+            if not isinstance(acc, RowGrad) and not isinstance(g_in, RowGrad):
+                grads[key] = acc + g_in
+                owned.add(key)
+                continue
+            if key not in owned:
+                # Never mutate arrays a closure handed over: they may alias g_out.
+                acc = acc.dense() if isinstance(acc, RowGrad) else acc.copy()
+                grads[key] = acc
+                owned.add(key)
+            if isinstance(g_in, RowGrad):
+                acc[g_in.ids] += g_in.values
+            else:
+                acc += g_in
     # Each record pops its output's gradient, so only the leaves are left.
     return Gradients(grads)
 
@@ -398,7 +447,7 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """table[indices] along axis 0; gradients scatter-add back.
+    """table[indices] along axis 0; the gradient is a RowGrad of the touched rows.
 
     The table has at least one axis; `indices` may be an int array of any
     shape, which prefixes the shape of the rows.
@@ -409,16 +458,16 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out = _wrap(table.data[idx])
 
     def back(g: Array):
-        # Scatter-add: sort the indices, sum each run of equal ones at once.
+        # Sort the indices and sum each run of equal ones at once.
         flat = idx.reshape(-1)
         rows = g.reshape((flat.size,) + table.data.shape[1:])
-        full = np.zeros_like(table.data)
-        if flat.size:
-            order = np.argsort(flat, kind="stable")
-            ids = flat[order]
-            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-            full[ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-        return (full,)
+        if not flat.size:
+            return (RowGrad(flat, rows, table.data.shape),)
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        return (RowGrad(ids[starts], np.add.reduceat(rows[order], starts, axis=0),
+                        table.data.shape),)
 
     return _emit(out, (table,), back)
 
@@ -606,6 +655,11 @@ def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Elements per block of an Adam update: a block's operands stay in cache
+# across the update's dozen elementwise passes.
+ADAM_BLOCK = 1 << 14
+
+
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
@@ -630,7 +684,15 @@ class AdamState:
 
 def adam_step(params: Iterable[tuple[str, Tensor]], grads: dict[str, Array],
               state: AdamState) -> None:
-    """Bias-corrected Adam update, in place; `grads` maps each name to its array."""
+    """Bias-corrected Adam update, in place; `grads` maps each name to its array.
+
+    Evaluates m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2 and
+    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps) operation by operation,
+    block by block through two scratch rows of ADAM_BLOCK elements, so a
+    step allocates nothing table-sized. Every element sees the operations
+    whole-array expressions would apply, in the same order.
+    """
+    scratch = np.empty((2, ADAM_BLOCK))
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
@@ -639,10 +701,17 @@ def adam_step(params: Iterable[tuple[str, Tensor]], grads: dict[str, Array],
         g = grads[name]
         if g.shape != tensor.data.shape:
             raise ShapeError("adam-step", tensor.data.shape, g.shape)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        tensor.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        blocks = np.nditer([tensor.data, state.m[name], state.v[name], g],
+                           flags=["external_loop", "buffered", "zerosize_ok"],
+                           op_flags=[["readwrite"]] * 3 + [["readonly"]],
+                           buffersize=ADAM_BLOCK)
+        with blocks:
+            for x, m, v, gb in blocks:
+                a, b = scratch[:, :x.size]
+                m *= b1
+                m += np.multiply(1.0 - b1, gb, out=a)
+                v *= b2
+                v += np.multiply(1.0 - b2, np.multiply(gb, gb, out=a), out=a)
+                num = np.multiply(state.lr, np.divide(m, bc1, out=a), out=a)
+                den = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+                x -= np.divide(num, den, out=a)

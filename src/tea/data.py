@@ -298,7 +298,7 @@ def sample_negatives(positive: int, n_items: int, n_s: int,
     if n_items < 2:
         raise ValueError(f"need at least 2 items to sample negatives, have {n_items}")
     draws = rng.integers(0, n_items - 1, size=n_s)
-    return [int(x) + (1 if x >= positive else 0) for x in draws]
+    return (draws + (draws >= positive)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +346,28 @@ class PreparedDataset:
 
     def save(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        payload = {
+        head = {
             "format": "tea-dataset-1",
             "n_users": self.n_users,
             "n_items": self.n_items,
             "n_interactions": self.n_interactions,
             "config": self.config,
             "social": {str(u): vs for u, vs in sorted(self.social.neighbors.items())},
-            "users": [
-                {
+        }
+        # The bytes of json.dumps({**head, "users": [...]}, sort_keys=True):
+        # "users" sorts after every head key. Each user is encoded on its own,
+        # so the C encoder never holds the whole document's pieces at once.
+        with open(os.path.join(out_dir, "dataset.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(head, sort_keys=True)[:-1] + ', "users": [')
+            for i, u in enumerate(self.users):
+                fh.write((", " if i else "") + json.dumps({
                     "seq_items": u.seq_items, "seq_ts": u.seq_ts,
                     "val": [u.val_item, u.val_ts], "test": [u.test_item, u.test_ts],
                     "buckets": u.buckets, "bucket_val": u.bucket_val,
                     "bucket_gap": u.bucket_gap, "walks": u.walks,
                     "walks_val": u.walks_val,
-                }
-                for u in self.users
-            ],
-        }
-        with open(os.path.join(out_dir, "dataset.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+                }, sort_keys=True))
+            fh.write("]}")
         for fname, ids in (("user_ids.tsv", self.user_ids),
                            ("item_ids.tsv", self.item_ids)):
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:

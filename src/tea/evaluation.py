@@ -20,8 +20,10 @@ from .model import score_user_steps, user_context
 from .objective import NonFiniteScoreError
 from .params import ModelParams
 
-# Users scored per call: bounds the padded (users, candidates, d) arrays.
+# Users scored per call, at most EVAL_CHUNK and at most EVAL_CELLS
+# candidates in all: bounds the padded (users, candidates, d) arrays.
 EVAL_CHUNK = 64
+EVAL_CELLS = 64 * 101
 
 
 @dataclass
@@ -85,17 +87,21 @@ def build_candidates(truth: int, n_items: int, n_neg: int,
         raise ValueError(f"need at least 2 items to build candidates, have {n_items}")
     pool = min(n_neg, n_items - 1)
     draws = rng.choice(n_items - 1, size=pool, replace=False)
-    negatives = [int(x) + (1 if x >= truth else 0) for x in draws]
-    return [truth] + negatives
+    return [truth] + (draws + (draws >= truth)).tolist()
 
 
-def rank(scores: np.ndarray, truth_index: int = 0) -> int:
-    """1-based rank of the truth; ties count against it."""
+def rank(scores: np.ndarray, truth_index: int = 0) -> int | np.ndarray:
+    """1-based rank of the truth; ties count against it.
+
+    A 1-D score vector gives an int; a (U, C) matrix gives each row's rank
+    as an int array, the truth in column `truth_index` of every row.
+    """
     s = np.asarray(scores, dtype=np.float64)
-    truth = s[truth_index]
-    greater = int((s > truth).sum())
-    tied = int((s == truth).sum()) - 1  # excluding the truth itself
-    return 1 + greater + tied
+    truth = s[..., truth_index, None]
+    greater = (s > truth).sum(axis=-1)
+    tied = (s == truth).sum(axis=-1) - 1  # excluding the truth itself
+    ranks = 1 + greater + tied
+    return int(ranks) if s.ndim == 1 else ranks
 
 
 def hr_at_k(rank_value: int, k: int) -> float:
@@ -119,18 +125,21 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
     """Rank every user's held-out item and average HR/NDCG over users.
 
     The default scores the held-out step `len(ctx.items)` with the trained
-    model in evaluation mode, EVAL_CHUNK users per call. A
-    `scorer(params, ctx, candidates) -> array` can be injected for tests;
-    it is called once per user. A NaN or infinite score raises
-    NonFiniteScoreError naming the split and the user.
+    model in evaluation mode, at most EVAL_CHUNK users and EVAL_CELLS
+    candidate cells per call. A `scorer(params, ctx, candidates) -> array`
+    can be injected for tests; it is called once per user. A NaN or
+    infinite score raises NonFiniteScoreError naming the split and the
+    first such user.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
     t0 = time.monotonic()
     ranks: dict[int, int] = {}
     sizes: dict[int, int] = {}
-    for first in range(0, ds.n_users, EVAL_CHUNK):
-        users = range(first, min(first + EVAL_CHUNK, ds.n_users))
+    n_cands = 1 + max(0, min(cfg.n_neg, ds.n_items - 1))
+    per_call = min(EVAL_CHUNK, max(1, EVAL_CELLS // n_cands))
+    for first in range(0, ds.n_users, per_call):
+        users = range(first, min(first + per_call, ds.n_users))
         ctxs = [user_context(ds, user, split) for user in users]
         candidates = []
         for user in users:
@@ -142,13 +151,14 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
             chunk = score_user_steps(params, ctxs, [[len(c.items)] for c in ctxs],
                                      candidates).data
         else:
-            chunk = [scorer(params, ctx, cands) for ctx, cands in zip(ctxs, candidates)]
-        for user, cands, scores in zip(users, candidates, chunk):
-            if not np.isfinite(scores).all():
-                raise NonFiniteScoreError(
-                    f"non-finite score in the {split} ranking of user {user}")
-            ranks[user] = rank(scores, truth_index=0)
-            sizes[user] = len(cands)
+            chunk = np.array([scorer(params, ctx, cands)
+                              for ctx, cands in zip(ctxs, candidates)], dtype=np.float64)
+        finite = np.isfinite(chunk).all(axis=1)
+        if not finite.all():
+            raise NonFiniteScoreError(f"non-finite score in the {split} ranking of "
+                                      f"user {users[int(np.argmin(finite))]}")
+        ranks.update(zip(users, rank(chunk, truth_index=0).tolist()))
+        sizes.update((user, len(cands)) for user, cands in zip(users, candidates))
     hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks.values()])) for k in cfg.ks}
     ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks.values()]))
             for k in cfg.ks}

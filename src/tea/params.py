@@ -7,6 +7,7 @@ walk GRU in the reduced variants) never shifts the init of the others.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 import zlib
@@ -117,11 +118,8 @@ class ModelParams:
         return self.shared.named() + self.transition.named() + self.unary.named()
 
     def clone(self) -> "ModelParams":
-        fresh = init_params(self.n_users, self.n_items, self.d, self.l_s,
-                            self.variant, seed=0)
-        for (_, src), (_, dst) in zip(self.trainable(), fresh.trainable()):
-            dst.data[...] = src.data
-        return fresh
+        """An independent copy; the shared tables stay shared within it."""
+        return copy.deepcopy(self)
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:

@@ -84,9 +84,11 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:
+    # Each g*g goes into one buffer as long as the largest gradient.
+    squares = np.empty(max((g.size for g in grads.values()), default=0))
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.multiply(g, g, out=squares[:g.size].reshape(g.shape)).sum())
     return float(np.sqrt(total))
 
 

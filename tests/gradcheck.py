@@ -58,3 +58,26 @@ def assert_gradients_match(build_loss, named_tensors, eps: float = 1e-5,
         worst = max_mismatch(analytic, numeric, atol)
         assert worst < rtol, (
             f"gradient mismatch for {name}: max relative error {worst:.3e}")
+
+
+def dense_backward(loss: ad.Tensor, tape: ad.Tape) -> dict[int, np.ndarray]:
+    """Reference sweep that keeps every gradient dense, keyed by id(tensor).
+
+    A row gradient becomes a zero table with its rows filled the moment it
+    arrives, and arrivals are summed as whole arrays in the order they
+    come, `acc + g`, never in place: the engine's row gradients and
+    scatter-adds must give the same bits.
+    """
+    grads = {id(loss): np.ones_like(loss.data)}
+    for rec in reversed(tape.records):
+        g_out = grads.pop(id(rec.out), None)
+        if g_out is None:
+            continue
+        for inp, g_in in zip(rec.inputs, rec.backward(g_out)):
+            if g_in is None or not inp.requires_grad:
+                continue
+            if isinstance(g_in, ad.RowGrad):
+                g_in = g_in.dense()
+            acc = grads.get(id(inp))
+            grads[id(inp)] = g_in if acc is None else acc + g_in
+    return grads

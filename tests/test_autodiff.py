@@ -1,11 +1,14 @@
 """Engine-level tests: primitive forwards, gradient oracles, Adam, GRU."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tea import autodiff as ad
 
-from gradcheck import assert_gradients_match, numeric_gradient, max_mismatch
+from gradcheck import (assert_gradients_match, dense_backward, numeric_gradient,
+                       max_mismatch)
 
 
 def _rand(rng, *shape, grad=True):
@@ -365,7 +368,123 @@ class TestPrimitiveGradients:
         assert_gradients_match(build, [("x", x)])
 
 
+def _three_gathers(table, gamma, rng):
+    """A loss reading overlapping rows of `table` through three gathers."""
+    n = table.data.shape[0]
+    loss = None
+    for size in (7, 12, 5):
+        idx = rng.integers(0, min(n, 9), size=(size,))   # repeats within and across
+        w = ad.Tensor(rng.normal(size=(size,) + table.data.shape[1:]))
+        term = ad.total_sum(ad.mul(ad.gather_rows(table, idx), w))
+        loss = term if loss is None else ad.add(loss, term)
+    if gamma:
+        loss = ad.add(loss, ad.scale(ad.sum_of_squares([table]), gamma))
+    return loss
+
+
+class TestRowGradients:
+    """Row gradients merged by backward equal the dense sums, bit for bit."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-4])
+    def test_leaf_table_gathered_three_times(self, gamma):
+        rng = np.random.default_rng(41)
+        table = _rand(rng, 30, 4)
+        with ad.Tape() as tape:
+            loss = _three_gathers(table, gamma, rng)
+        want = dense_backward(loss, tape)[id(table)]
+        got = ad.backward(loss, tape).of(table)
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(got.any(axis=1)) == (30 if gamma else 9)
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-4])
+    def test_gathered_non_leaf(self, gamma):
+        rng = np.random.default_rng(42)
+        base, w = _rand(rng, 6, 3), _rand(rng, 3, 3)
+        with ad.Tape() as tape:
+            table = ad.linear(base, w)          # consumed by a record: densified
+            loss = _three_gathers(table, 0.0, rng)
+            if gamma:
+                loss = ad.add(loss, ad.scale(ad.sum_of_squares([base, w]), gamma))
+        want = dense_backward(loss, tape)
+        grads = ad.backward(loss, tape)
+        for t in (base, w):
+            assert np.array_equal(grads.of(t), want[id(t)])
+
+    def test_single_gather_reads_dense(self):
+        rng = np.random.default_rng(43)
+        table = _rand(rng, 5, 2)
+        with ad.Tape() as tape:
+            loss = ad.total_sum(ad.gather_rows(table, [3, 1, 3]))
+        grads = ad.backward(loss, tape)
+        np.testing.assert_array_equal(grads.of(table),
+                                      [[0, 0], [1, 1], [0, 0], [2, 2], [0, 0]])
+        assert grads.of(table) is grads.of(table)
+
+    def test_backward_of_three_gathers_stays_below_two_tables(self):
+        """The parent's dense table per gather needed three tables at once."""
+        rng = np.random.default_rng(44)
+        table = ad.Tensor(np.zeros((200_000, 8)), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = None
+            for _ in range(3):
+                idx = rng.integers(0, 200_000, size=500)
+                term = ad.total_sum(ad.gather_rows(table, idx))
+                loss = term if loss is None else ad.add(loss, term)
+        tracemalloc.start()
+        try:
+            grads = ad.backward(loss, tape)
+            grads.of(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.data.nbytes, f"backward peaked at {peak} bytes"
+
+
+def _adam_reference(theta, m, v, g, t, lr, b1, b2, eps):
+    """The bias-corrected update as whole-array expressions."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 class TestAdam:
+    def test_equals_whole_array_expressions_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        # "d" spans two blocks; "a" gets column-major gradients.
+        shapes = {"a": (7, 3), "b": (5,), "c": (2, 4, 3), "d": (3000, 7)}
+        named = [(n, _rand(rng, *s)) for n, s in shapes.items()]
+        ref = {n: [t.data.copy(), np.zeros(s), np.zeros(s)]
+               for (n, t), s in zip(named, shapes.values())}
+        state = ad.AdamState(named, lr=0.03, beta1=0.8, beta2=0.95)
+        for step in range(1, 6):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            grads["a"] = np.asfortranarray(grads["a"])
+            ad.adam_step(named, grads, state)
+            for n, t in named:
+                _adam_reference(*ref[n], grads[n], step, 0.03, 0.8, 0.95, 1e-8)
+                assert np.array_equal(t.data, ref[n][0])
+                assert np.array_equal(state.m[n], ref[n][1])
+                assert np.array_equal(state.v[n], ref[n][2])
+
+    def test_repeated_step_allocates_less_than_a_table(self):
+        rng = np.random.default_rng(46)
+        table = _rand(rng, 200_000, 8)
+        named = [("emb", table)]
+        state = ad.AdamState(named)
+        grads = {"emb": rng.normal(size=table.data.shape)}
+        ad.adam_step(named, grads, state)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                ad.adam_step(named, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes, f"adam_step peaked at {peak} bytes"
+
     def test_zero_gradient_leaves_params_unchanged(self):
         t = ad.Tensor([1.0, -2.0], requires_grad=True)
         before = t.data.copy()

@@ -1,5 +1,6 @@
 """Ingestion, filtering, splitting, buckets, walks, negative sampling."""
 
+import io
 import json
 
 import numpy as np
@@ -264,6 +265,15 @@ class TestNegativeSampling:
         b = sample_negatives(3, 100, 50, np.random.default_rng(9))
         assert a == b
 
+    def test_equals_the_per_draw_shift(self):
+        """The same draws, shifted past the positive one by one, as Python ints."""
+        for seed, (positive, n_items) in enumerate([(0, 1000), (999, 1000), (7, 12)]):
+            draws = np.random.default_rng(seed).integers(0, n_items - 1, size=50)
+            want = [int(x) + (1 if x >= positive else 0) for x in draws]
+            got = sample_negatives(positive, n_items, 50, np.random.default_rng(seed))
+            assert got == want
+            assert all(type(x) is int for x in got)
+
     def test_two_items_forced(self):
         out = sample_negatives(0, 2, 50, np.random.default_rng(0))
         assert out == [1] * 50
@@ -353,6 +363,16 @@ class TestPreparedDataset:
                             assert any(lo <= ts < hi and it == nb_item
                                        for it, ts in zip(rec_nb.seq_items,
                                                          rec_nb.seq_ts))
+
+    def test_snapshot_bytes_are_the_json_of_the_payload(self, prepared, tmp_path):
+        """One json.dumps string, the same bytes json.dump streams."""
+        prepared.save(tmp_path / "snap")
+        raw = (tmp_path / "snap" / "dataset.json").read_text(encoding="utf-8")
+        payload = json.loads(raw)
+        assert raw == json.dumps(payload, sort_keys=True)
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True)
+        assert raw == streamed.getvalue()
 
     def test_roundtrip_save_load(self, prepared, tmp_path):
         prepared.save(tmp_path / "snap")

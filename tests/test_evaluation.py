@@ -10,6 +10,8 @@ from tea.model import score_user_steps
 from tea.objective import NonFiniteScoreError
 from tea.params import init_params
 
+from corpus import synthetic_dataset
+
 
 class TestBuildCandidates:
     def test_large_pool(self):
@@ -31,6 +33,17 @@ class TestBuildCandidates:
     def test_too_few_items(self):
         with pytest.raises(ValueError):
             build_candidates(0, 1, 10, np.random.default_rng(0))
+
+    def test_equals_the_per_draw_shift(self):
+        """The same draws, shifted past the truth one by one, as Python ints."""
+        for seed, (truth, n_items, n_neg) in enumerate([(0, 500, 100), (499, 500, 100),
+                                                        (37, 60, 100), (5, 2, 3)]):
+            draws = np.random.default_rng(seed).choice(n_items - 1, size=min(n_neg, n_items - 1),
+                                                       replace=False)
+            want = [truth] + [int(x) + (1 if x >= truth else 0) for x in draws]
+            got = build_candidates(truth, n_items, n_neg, np.random.default_rng(seed))
+            assert got == want
+            assert all(type(x) is int for x in got)
 
 
 def _rank_sort_oracle(scores, truth_index):
@@ -54,6 +67,17 @@ class TestRank:
             scores = rng.integers(0, 6, size=20).astype(float)  # force ties
             truth = int(rng.integers(0, 20))
             assert rank(scores, truth) == _rank_sort_oracle(scores, truth)
+
+    def test_matrix_ranks_each_row(self):
+        rng = np.random.default_rng(13)
+        scores = rng.integers(0, 4, size=(40, 12)).astype(float)   # ties at the truth
+        scores[:3] = 2.0                                           # every entry tied
+        for truth in (0, 5):
+            got = rank(scores, truth)
+            assert got.shape == (40,)
+            assert got.tolist() == [rank(row, truth) for row in scores]
+        assert got[:3].tolist() == [12, 12, 12]
+        assert type(rank(scores[0], 0)) is int
 
     def test_shift_invariance_exact(self):
         rng = np.random.default_rng(12)
@@ -175,3 +199,25 @@ class TestEvaluateAll:
         got = evaluate_all(params, toy_dataset, "val", cfg)
         assert got.ranks == want.ranks
         assert (got.hr, got.ndcg) == (want.hr, want.ndcg)
+
+    def test_chunks_hold_at_most_eval_cells_candidates(self, monkeypatch):
+        ds = synthetic_dataset(n_users=14, n_items=1200, seq_len=4, seed=21, l_s=4)
+        params = init_params(ds.n_users, ds.n_items, d=4, l_s=4, variant="tea-s", seed=13)
+
+        def alone(p, ctx, cands):
+            return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
+
+        cells = []
+
+        def counting(p, ctxs, steps, cands, *args, **kwargs):
+            cells.append(np.asarray(cands).size)
+            return score_user_steps(p, ctxs, steps, cands, *args, **kwargs)
+
+        cfg = EvalConfig(ks=(10,), n_neg=1000, seed=3)
+        want = evaluate_all(params, ds, "test", cfg, scorer=alone)
+        monkeypatch.setattr(evaluation, "score_user_steps", counting)
+        got = evaluate_all(params, ds, "test", cfg)
+        assert cells == [6 * 1001, 6 * 1001, 2 * 1001]
+        assert max(cells) <= evaluation.EVAL_CELLS == 6464
+        assert got.ranks == want.ranks
+        assert set(got.candidate_sizes.values()) == {1001}

@@ -11,7 +11,7 @@ from tea.params import init_params
 
 from corpus import cycle_corpus, synthetic_dataset, write_corpus
 from oracles import score_candidates_single_route
-from gradcheck import assert_gradients_match
+from gradcheck import assert_gradients_match, dense_backward
 from scoring import score_steps
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
@@ -384,3 +384,24 @@ class TestComposedGradients:
             return ad.total_sum(ad.mul(_score(params, ctx, [0, 2, 4]), target))
 
         assert_gradients_match(build, params.trainable())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("gamma", [0.0, 5e-4])
+    def test_batch_gradients_equal_the_dense_reference(self, variant, gamma):
+        """Every table is gathered several times; merged rows change no bit."""
+        l_s = 4
+        ctxs, steps = _batch_contexts(l_s, seed=6)
+        params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=104)
+        named = params.trainable()
+        cands = _candidate_rows(steps, seed=7)
+        n_rows, n_s = cands.shape[0], cands.shape[1] - 1
+        rngs = [np.random.default_rng(row) for row in range(n_rows)]
+        with ad.Tape() as tape:
+            scores = score_user_steps(params, ctxs, steps, cands, training=True,
+                                      rngs=rngs, p_drop=0.3)
+            keys = [(0, row) for row in range(n_rows)]
+            loss = total_loss(sequence_loss(scores, keys, n_s), named, gamma)
+        want = dense_backward(loss, tape)
+        grads = ad.backward(loss, tape)
+        for name, t in named:
+            assert np.array_equal(grads.of(t), want.get(id(t), np.zeros_like(t.data))), name

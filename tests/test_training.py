@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
+from tea import params as tea_params
 from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
@@ -141,6 +142,30 @@ class TestRepeatedBatch:
             adam_step(named, flat, state)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert decreases >= 45, f"only {decreases}/50 steps non-increasing"
+
+
+class TestClone:
+    def test_copies_without_drawing(self, monkeypatch):
+        """clone copies the arrays: no random stream is drawn for it."""
+        source = init_params(6, 9, 4, 5, "tea-a", seed=8)
+
+        def no_draws(*args):
+            raise AssertionError("clone drew a random stream")
+
+        monkeypatch.setattr(tea_params, "_rng_for", no_draws)
+        copy = source.clone()
+        for (na, a), (nb, b) in zip(source.trainable(), copy.trainable()):
+            assert na == nb and a is not b
+            assert a.data.tobytes() == b.data.tobytes()
+            assert a.requires_grad and b.requires_grad
+        assert copy.transition.shared is copy.unary.shared is copy.shared
+        assert copy.shared is not source.shared
+        assert (copy.variant, copy.d, copy.l_s) == (source.variant, source.d, source.l_s)
+        before = source.shared.item.data.copy()
+        copy.shared.item.data += 1.0
+        copy.unary.w_agg.data[0, 0] = 7.0
+        assert np.array_equal(source.shared.item.data, before)
+        assert source.unary.w_agg.data[0, 0] != 7.0
 
 
 class TestCheckpoints:
