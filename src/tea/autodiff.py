@@ -2,8 +2,9 @@
 
 The engine is deliberately small: row-major float64 arrays, a flat set of
 primitives, an explicit gradient tape, and a bias-corrected Adam update.
-Attention, bucket aggregation and the score heads are composed from these
-primitives over whole minibatches; a GRU step is one fused primitive. A
+Bucket aggregation and f's score head are composed from these primitives
+over whole minibatches; a GRU step and g's candidate head (attention, MLP,
+dropout and bilinear score) are each one fused primitive. A
 single backward sweep over the tape differentiates the whole model, and
 the interpreter's cost scales with the number of records, not with the
 size of the arrays they hold.
@@ -34,10 +35,6 @@ class ShapeError(ValueError):
 
 class NonScalarLossError(ValueError):
     """backward() was handed a loss with more than one element."""
-
-
-class AllMaskedError(ValueError):
-    """masked_softmax received a row with every entry masked out."""
 
 
 class Tensor:
@@ -186,13 +183,19 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
     dense buffer that later row gradients are scattered into. Each element
     receives its contributions in arrival order, as repeated dense sums
     would add them.
+
+    The sweep pops each record off the tape once it has run its backward,
+    so a record's arrays are freed for the rest of the sweep and the tape
+    is empty afterwards.
     """
     if loss.data.size != 1:
         raise NonScalarLossError(
             f"loss must be scalar, got shape {loss.data.shape}")
     grads: dict[int, Array | RowGrad] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()   # buffers this sweep allocated and may add into
-    for rec in reversed(tape.records):
+    records = tape.records
+    while records:
+        rec = records.pop()
         g_out = grads.pop(id(rec.out), None)
         if g_out is None:
             continue
@@ -406,18 +409,6 @@ def softplus(a: Tensor) -> Tensor:
     return _emit(out, (a,), lambda g: (g * _sigmoid(x),))
 
 
-def row_sum(a: Tensor) -> Tensor:
-    """Sum over the last axis: (..., n) -> (...)."""
-    if a.data.ndim < 2:
-        raise ShapeError("row-sum", a.data.shape)
-    out = _wrap(a.data.sum(axis=-1))
-
-    def back(g: Array):
-        return (np.broadcast_to(g[..., None], a.data.shape).copy(),)
-
-    return _emit(out, (a,), back)
-
-
 def total_sum(a: Tensor) -> Tensor:
     out = _wrap(np.asarray(a.data.sum()))
 
@@ -472,36 +463,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _emit(out, (table,), back)
 
 
-def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Exp-normalize unmasked entries along the last axis; masked entries are 0.
-
-    `mask` is a boolean array (True = keep) that broadcasts to the logits'
-    shape without changing it, so a mask shared by many rows can stay
-    small. Stabilized with a per-row max subtraction; every row must keep
-    one entry.
-    """
-    m = np.asarray(mask, dtype=bool)
-    x = logits.data
-    if x.ndim < 1 or m.ndim > x.ndim or np.broadcast_shapes(m.shape, x.shape) != x.shape:
-        raise ShapeError("masked-softmax", x.shape, m.shape)
-    dead = ~m.any(axis=-1)
-    if dead.any():
-        first = tuple(int(i) for i in np.argwhere(np.atleast_1d(dead))[0])
-        where = first[0] if len(first) == 1 else first
-        raise AllMaskedError(f"masked_softmax: row {where} has no unmasked entries")
-    y = x + np.where(m, 0.0, -np.inf)   # exp(-inf) is exactly 0
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = _wrap(y)
-
-    def back(g: Array):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _emit(out, (logits,), back)
-
-
 def dropout(x: Tensor, p_drop: float, rngs: Sequence[np.random.Generator]) -> Tensor:
     """Inverted dropout, one stream per row: row i's keep mask comes from rngs[i].
 
@@ -510,12 +471,185 @@ def dropout(x: Tensor, p_drop: float, rngs: Sequence[np.random.Generator]) -> Te
     """
     if p_drop <= 0.0:
         return x
-    if len(rngs) != x.data.shape[0]:
-        raise ShapeError("dropout", x.data.shape, (len(rngs),))
-    row_shape = x.data.shape[1:]
-    keep = np.stack([rng.random(row_shape) >= p_drop for rng in rngs])
-    mask = _wrap(keep / (1.0 - p_drop))
-    return mul(x, mask)
+    keep = keep_masks(rngs, p_drop, x.data.shape)
+    return mul(x, _wrap(keep / (1.0 - p_drop)))
+
+
+def keep_masks(rngs: Sequence[np.random.Generator], p_drop: float,
+               shape: tuple[int, ...]) -> Array:
+    """A bool keep-mask of `shape` for dropout at p_drop, row i drawn from rngs[i]."""
+    if len(rngs) != shape[0]:
+        raise ShapeError("dropout", shape, (len(rngs),))
+    return np.stack([rng.random(shape[1:]) >= p_drop for rng in rngs])
+
+
+# Candidate cells (rows x candidates x max(T, d)) per block of rows in
+# candidate_head: a block's temporaries stay cache-sized and are reused from
+# the allocator's free lists instead of faulting in fresh pages.
+HEAD_BLOCK = 1 << 15
+
+
+def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
+                   w3: Tensor, shared3: Tensor, *, keys: Tensor | None = None,
+                   pos: Tensor | None = None, rows: Segments | None = None,
+                   widths=None, keep: Array | None = None,
+                   p_drop: float = 0.0) -> Tensor:
+    """Candidate-as-query attention, a relu MLP, dropout and a bilinear score.
+
+    For row i of user b = rows.ids[i] with causal width n = widths[i] and
+    candidate c, with e = cands[i, c]:
+
+        a_t = softmax over t < n of keys[b, t] . (e + pos[i])
+        r = relu(sum_t a_t values[b, t])
+        h = (w2 r + bias2[i]) * keep[i, c] / (1 - p_drop)
+        out[i, c] = (w3 h + shared3[i]) . e
+
+    cands is (N, C, d), pos (N, d), keys and values (B, T, d) with each
+    user's rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Without
+    keys there is no attention: values is the (d,) vector that stands in
+    for the attention output of every row. keep is the (N, C, d) bool
+    keep-mask; without one (eval mode) there is no dropout and w3 folds
+    into w2, saving one (N, C, d) product.
+
+    One tape record. Rows are processed in blocks of about HEAD_BLOCK
+    cells. On a tape the forward keeps the softmax weights (N, T, C), r, h
+    and y = w3 h + shared3 for the backward; keys and values are kept once
+    per user and gathered per row only for the block at hand.
+    """
+    e = cands.data
+    if e.ndim != 3 or values.data.shape[-1] != e.shape[2]:
+        raise ShapeError("candidate-head", e.shape, values.data.shape)
+    n_rows, n_cands, d = e.shape
+    inputs = [cands, values, w2, bias2, w3, shared3]
+    attend = keys is not None
+    width = 0
+    if attend:
+        width = keys.data.shape[1]
+        widths = np.asarray(widths, dtype=np.intp)
+        if (keys.data.shape != values.data.shape or rows.size != n_rows
+                or widths.shape != (n_rows,) or widths.max() > width):
+            raise ShapeError("candidate-head", e.shape, keys.data.shape, widths.shape)
+        if widths.min() < 1:
+            row = int(np.flatnonzero(widths < 1)[0])
+            raise ValueError(f"candidate_head: row {row} sees no history position")
+        inputs += [keys, pos]
+        users = rows.ids
+        positions = np.arange(width)[None, :, None]
+    if keep is not None and keep.shape != e.shape:
+        raise ShapeError("candidate-head-keep", e.shape, keep.shape)
+    w2d, w3d = w2.data, w3.data
+    if keep is None:
+        w32 = w3d @ w2d                              # y = w32 r + b_y
+        b_y = bias2.data @ w3d.T + shared3.data
+    else:
+        scale_keep = 1.0 / (1.0 - p_drop)
+    kept = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    step = max(1, HEAD_BLOCK // (n_cands * max(width, d)))
+
+    def buffer(*shape: int) -> Array:
+        # whole-batch when the backward reads it, else one block reused
+        return np.empty(((n_rows if kept else min(step, n_rows)),) + shape)
+
+    a_all = buffer(width, n_cands) if attend else None
+    r_all, y_all = buffer(n_cands, d), buffer(n_cands, d)
+    h_all = None if keep is None else buffer(n_cands, d)
+    out_data = np.empty((n_rows, n_cands))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        at = slice(lo, hi) if kept else slice(0, hi - lo)
+        e_b = e[lo:hi]
+        r = r_all[at]
+        if attend:
+            # Logits laid out (b, T, C), so the softmax reduces over the middle
+            # axis; k . (e + pos) is split so no query array is built.
+            k_rows = keys.data[users[lo:hi]]
+            a = np.matmul(k_rows, e_b.transpose(0, 2, 1), out=a_all[at])
+            a += np.matmul(k_rows, pos.data[lo:hi, :, None])
+            valid = positions < widths[lo:hi, None, None]
+            a -= np.max(a, axis=1, keepdims=True, where=valid, initial=-np.inf)
+            np.exp(a, out=a, where=valid)    # padded entries are zeroed, never exp'd
+            a *= valid
+            a /= a.sum(axis=1, keepdims=True)
+            np.matmul(a.transpose(0, 2, 1), values.data[users[lo:hi]], out=r)
+            np.maximum(r, 0.0, out=r)
+        else:
+            np.maximum(values.data, 0.0, out=r)
+        y = y_all[at]
+        if keep is None:
+            np.matmul(r.reshape(-1, d), w32.T, out=y.reshape(-1, d))
+            y += b_y[lo:hi]
+        else:
+            h = h_all[at]
+            np.matmul(r.reshape(-1, d), w2d.T, out=h.reshape(-1, d))
+            h += bias2.data[lo:hi]
+            h *= keep[lo:hi]
+            h *= scale_keep
+            np.matmul(h.reshape(-1, d), w3d.T, out=y.reshape(-1, d))
+            y += shared3.data[lo:hi]
+        np.einsum("ncd,ncd->nc", y, e_b, out=out_data[lo:hi])
+    out = _wrap(out_data)
+    if not kept:
+        return out
+
+    def back(g: Array):
+        d_e = np.empty_like(e)
+        d_shared = np.empty((n_rows, 1, d))
+        if keep is None:
+            d_w32 = np.zeros_like(w32)
+        else:
+            d_w2, d_w3 = np.zeros_like(w2d), np.zeros_like(w3d)
+            d_bias2 = np.empty_like(d_shared)
+        d_values = np.zeros_like(values.data)
+        if attend:
+            d_pos = np.empty((n_rows, d))
+            d_keys = np.zeros_like(keys.data)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            g_b, e_b, y = g[lo:hi, :, None], e[lo:hi], y_all[lo:hi]
+            gy = g_b * e_b                           # d out / d y
+            d_shared[lo:hi] = gy.sum(axis=1, keepdims=True)
+            gy = gy.reshape(-1, d)
+            r2 = r_all[lo:hi].reshape(-1, d)
+            if keep is None:
+                d_w32 += gy.T @ r2
+                d_r = gy @ w32
+            else:
+                d_w3 += gy.T @ h_all[lo:hi].reshape(-1, d)
+                d_h = gy @ w3d
+                d_h3 = d_h.reshape(e_b.shape)
+                d_h3 *= keep[lo:hi]
+                d_h3 *= scale_keep
+                d_bias2[lo:hi] = d_h3.sum(axis=1, keepdims=True)
+                d_w2 += d_h.T @ r2
+                d_r = d_h @ w2d
+            d_r = d_r.reshape(e_b.shape)
+            d_r *= r_all[lo:hi] > 0.0                # d out / d (attention output)
+            if not attend:
+                d_values += d_r.sum(axis=(0, 1))
+                np.multiply(g_b, y, out=d_e[lo:hi])
+                continue
+            a, u = a_all[lo:hi], users[lo:hi]
+            # The block's rows of one user are consecutive: sum them, then add.
+            starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+            d_a = np.matmul(values.data[u], d_r.transpose(0, 2, 1))   # (b, T, C)
+            d_values[u[starts]] += np.add.reduceat(np.matmul(a, d_r), starts, axis=0)
+            d_a -= (d_a * a).sum(axis=1, keepdims=True)
+            d_a *= a                                 # d out / d logits
+            d_k = np.matmul(d_a, e_b)
+            d_k += d_a.sum(axis=2)[:, :, None] * pos.data[lo:hi, None, :]
+            d_keys[u[starts]] += np.add.reduceat(d_k, starts, axis=0)
+            d_q = np.matmul(d_a.transpose(0, 2, 1), keys.data[u], out=d_e[lo:hi])
+            d_pos[lo:hi] = d_q.sum(axis=1)
+            d_q += g_b * y
+        if keep is None:
+            # y = (w3 w2) r + (w3 bias2 + shared3)
+            d_w2 = w3d.T @ d_w32
+            d_w3 = d_w32 @ w2d.T + d_shared.reshape(-1, d).T @ bias2.data.reshape(-1, d)
+            d_bias2 = d_shared @ w3d
+        grads = (d_e, d_values, d_w2, d_bias2, d_w3, d_shared)
+        return grads + (d_keys, d_pos) if attend else grads
+
+    return _emit(out, tuple(inputs), back)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86_400
+_INT64_MAX = int(np.iinfo(np.int64).max)   # sorts after every user id in a window bound
 
 
 class ParseError(ValueError):
@@ -268,12 +269,14 @@ def co_interactors(user: int, item: int, ts: int,
     """
     events = item_events.get(item, [])
     lo = bisect.bisect_left(events, (ts - tau_seconds, -1))
-    hi = bisect.bisect_right(events, (ts + tau_seconds, np.iinfo(np.int64).max))
+    hi = bisect.bisect_right(events, (ts + tau_seconds, _INT64_MAX))
     others = sorted({u for _, u in events[lo:hi] if u != user})
     if len(others) > cap:
         rng = np.random.default_rng(
             np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
-        others = sorted(rng.choice(others, size=cap, replace=False).tolist())
+        # The same draws as rng.choice(others, ...), without converting the list.
+        picks = rng.choice(len(others), size=cap, replace=False).tolist()
+        others = sorted([others[i] for i in picks])
     return others
 
 

@@ -31,26 +31,19 @@ def transition_scores(params: TransitionParams, ctxs, steps: list[list[int]],
     convention); the score is
     (w_g3 [h (+) h_walk_user (+) h_walk_item (+) p_user]) . q_candidate.
     Dropout hits h only in training mode, row i's mask drawn from rngs[i].
+    Everything from the attention to the score is one `ad.candidate_head`
+    record.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
     n_rows, n_cands = cand_embs.data.shape[:2]
     counts = [len(st) for st in steps]
-    row_user = np.repeat(np.arange(len(ctxs)), counts)
+    rows = ad.Segments(counts)                     # each user's rows, consecutive
+    row_user = rows.ids
     row_step = np.concatenate([np.asarray(st, dtype=np.intp) for st in steps])
     row_n = row_step - np.repeat(np.asarray(lo, dtype=np.intp), counts)
     p_user = ad.gather_rows(sh.user, [ctx.user for ctx in ctxs])         # (B, d)
-
-    # The (N, C, d) stages reuse one name, so each frees its input.
-    if row_n.max() > 0:
-        h = _attention(params, ctxs, steps, lo, row_user, row_n, cand_embs)
-    else:
-        # empty window (l_s = 1): z = 0, the cold start, leaves b_g1
-        h = ad.add(ad.zeros(n_rows, n_cands, d), params.b_g1)
     bias = ad.add(ad.gather_rows(p_user, row_user[:, None]), params.b_g2)  # (N, 1, d)
-    h = ad.linear(ad.relu(h), params.w_g2, bias)
-    if training:
-        h = ad.dropout(h, p_drop, rngs)
 
     w3 = params.w_g3
     shared_part = ad.gather_rows(ad.linear(p_user, ad.slice_cols(w3, 3 * d, 4 * d)),
@@ -61,20 +54,29 @@ def transition_scores(params: TransitionParams, ctxs, steps: list[list[int]],
         if walk_rows.size:
             walk_part = _walk_terms(params, ctxs, p_user, row_user, row_step, walk_rows)
             shared_part = ad.add(walk_part, shared_part)
-    h = ad.linear(h, ad.slice_cols(w3, 0, d), shared_part)
-    return ad.row_sum(ad.mul(h, cand_embs))
+    keep = None
+    if training:
+        keep = (ad.keep_masks(rngs, p_drop, (n_rows, n_cands, d)) if p_drop > 0.0
+                else np.ones((n_rows, n_cands, d), dtype=bool))
+    head = (params.w_g2, bias, ad.slice_cols(w3, 0, d), shared_part)
+    if row_n.max() == 0:
+        # empty window (l_s = 1): z = 0, the cold start, leaves b_g1
+        return ad.candidate_head(cand_embs, params.b_g1, *head, keep=keep, p_drop=p_drop)
+    keys, values = _history(params, ctxs, steps, lo, int(row_n.max()))
+    return ad.candidate_head(cand_embs, values, *head, keys=keys,
+                             pos=ad.gather_rows(sh.position, row_n), rows=rows,
+                             widths=row_n, keep=keep, p_drop=p_drop)
 
 
-def _attention(params: TransitionParams, ctxs, steps, lo, row_user, row_n,
-               cand_embs: Tensor) -> Tensor:
-    """w_g1 z + b_g1 for every row and candidate, shape (N, C, d).
+def _history(params: TransitionParams, ctxs, steps, lo, width: int
+             ) -> tuple[Tensor, Tensor]:
+    """Attention keys and values of every user's history window, each (B, T, d).
 
-    Each user's history window is padded at the end to the batch's widest
-    window and a per-row causal mask hides every position from row_n on.
+    Each window is padded at the end to `width`, the batch's widest; the
+    head's per-row causal width hides the padding.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
-    width = int(row_n.max())
     history = np.zeros((len(ctxs), width), dtype=np.intp)  # padded with item 0
     for b, (ctx, st) in enumerate(zip(ctxs, steps)):
         window = ctx.items[lo[b]:max(st)]
@@ -84,14 +86,11 @@ def _attention(params: TransitionParams, ctxs, steps, lo, row_user, row_n,
     # (w_q e_cand) . (w_k e_t) / sqrt(d) = e_cand . (w_q^T w_k e_t) / sqrt(d):
     # the query projection and the scale fold into the per-user keys.
     w_qk = ad.scale(ad.matmul(ad.transpose(params.w_q), params.w_k), 1.0 / np.sqrt(d))
-    keys = ad.transpose(ad.linear(e_hist, w_qk))                         # (B, d, T)
+    keys = ad.linear(e_hist, w_qk)
     # Attention weights sum to 1, so w_g1 z + b_g1 with z = sum_t a_t w_v e_t
     # equals sum_t a_t (w_g1 w_v e_t + b_g1): w_g1 and b_g1 fold into the values.
     values = ad.linear(e_hist, ad.matmul(params.w_g1, params.w_v), params.b_g1)
-    causal = np.arange(width)[None, None, :] < row_n[:, None, None]      # (N, 1, T)
-    e_cands = ad.add(cand_embs, ad.gather_rows(sh.position, row_n[:, None]))
-    weights = ad.masked_softmax(ad.matmul(e_cands, ad.gather_rows(keys, row_user)), causal)
-    return ad.matmul(weights, ad.gather_rows(values, row_user))
+    return keys, values
 
 
 def _walk_terms(params: TransitionParams, ctxs, p_user: Tensor, row_user, row_step,

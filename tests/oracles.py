@@ -6,8 +6,9 @@ head), the unary score f (per-bucket aggregation, temporal GRU, fused
 head) and their sum through `score_candidates_single_route`. The
 production route, `tea.model.score_user_steps`, computes the same scores
 for whole minibatches of users, steps and candidate sets, and the tests
-assert the two agree. The oracles share only the engine's primitives and
-GRU cell with it, not its batched aggregators.
+assert the two agree. The oracles share only the engine's elementary
+primitives and GRU cell with it, not its batched aggregators or its
+candidate head; each softmax is a one-segment `segment_softmax`.
 `exact_conditional` enumerates the per-step softmax over a small item set,
 and `predict_probability` is sigmoid(f + g).
 """
@@ -58,7 +59,7 @@ def bipartite_aggregate_attention(params: UnaryParams, anchor: int,
     q_anchor = embedding_row(params.shared.item, anchor)
     anchor_term = ad.matmul(a_anchor, ad.matmul(params.w_agg, q_anchor))
     logits = ad.leaky_relu(ad.add(ad.matmul(projected, a_item), anchor_term))
-    weights = ad.masked_softmax(logits, np.ones(len(bucket), dtype=bool))
+    weights = ad.segment_softmax(logits, ad.Segments([len(bucket)]))
     return ad.relu(ad.matmul(weights, q_bucket))
 
 
@@ -120,7 +121,7 @@ def causal_attention_weights(params: TransitionParams, history: list[int],
     query = ad.matmul(params.w_q, e_cand)
     keys = ad.matmul(e_hist, ad.transpose(params.w_k))
     logits = ad.scale(ad.matmul(keys, query), 1.0 / np.sqrt(d))
-    return ad.masked_softmax(logits, np.ones(len(history), dtype=bool))
+    return ad.segment_softmax(logits, ad.Segments([len(history)]))
 
 
 def aggregate_history(params: TransitionParams, weights: Tensor,

@@ -66,54 +66,6 @@ class TestPrimitiveForward:
                 assert np.isfinite(fn(x).data).all()
 
 
-class TestMaskedSoftmax:
-    def test_single_element(self):
-        out = ad.masked_softmax(ad.Tensor([5.0]), [True])
-        np.testing.assert_allclose(out.data, [1.0])
-
-    def test_uniform_over_unmasked(self):
-        out = ad.masked_softmax(ad.Tensor([0.0, 0.0, 0.0]), [True, True, False])
-        np.testing.assert_allclose(out.data, [0.5, 0.5, 0.0])
-
-    def test_matches_unstabilized_oracle(self):
-        rng = np.random.default_rng(3)
-        logits = rng.normal(size=(1, 6))
-        mask = np.array([[True, False, True, True, False, True]])
-        got = ad.masked_softmax(ad.Tensor(logits), mask).data
-        e = np.where(mask, np.exp(logits), 0.0)
-        want = e / e.sum()
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_all_masked_row_raises(self):
-        with pytest.raises(ad.AllMaskedError, match="row 1"):
-            ad.masked_softmax(ad.Tensor(np.zeros((2, 3))),
-                              [[True, True, True], [False, False, False]])
-
-    def test_last_axis_of_a_stack(self):
-        rng = np.random.default_rng(4)
-        logits = rng.normal(size=(2, 3, 5))
-        mask = rng.random((2, 3, 5)) > 0.5
-        mask[..., 0] = True
-        got = ad.masked_softmax(ad.Tensor(logits), mask).data
-        for i in range(2):
-            want = ad.masked_softmax(ad.Tensor(logits[i]), mask[i]).data
-            np.testing.assert_array_equal(got[i], want)
-        with pytest.raises(ad.AllMaskedError, match=r"row \(1, 2\)"):
-            mask[1, 2] = False
-            ad.masked_softmax(ad.Tensor(logits), mask)
-
-    def test_probability_vector_properties(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            logits = rng.normal(scale=30.0, size=(4, 7))
-            mask = rng.random((4, 7)) > 0.3
-            mask[:, 0] = True  # keep every row alive
-            out = ad.masked_softmax(ad.Tensor(logits), mask).data
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(out[~mask] == 0.0)
-
-
 def _zero_gru(d):
     z = lambda *s: ad.Tensor(np.zeros(s), requires_grad=True)
     return ad.GruParams(z(d, d), z(d, d), z(d), z(d, d), z(d, d), z(d),
@@ -181,6 +133,112 @@ class TestGruCell:
         assert len(tape) == 1
 
 
+def _head_inputs(rng, counts=(3, 1), n_cands=4, d=3, width=4):
+    """Tensors for candidate_head: users with `counts` rows over a history of `width`."""
+    n = sum(counts)
+    return dict(cands=_rand(rng, n, n_cands, d), values=_rand(rng, len(counts), width, d),
+                w2=_rand(rng, d, d), bias2=_rand(rng, n, 1, d), w3=_rand(rng, d, d),
+                shared3=_rand(rng, n, 1, d), keys=_rand(rng, len(counts), width, d),
+                pos=_rand(rng, n, d), rows=ad.Segments(list(counts)))
+
+
+def _head(t, widths, keep=None, p_drop=0.0):
+    return ad.candidate_head(t["cands"], t["values"], t["w2"], t["bias2"], t["w3"],
+                             t["shared3"], keys=t["keys"], pos=t["pos"], rows=t["rows"],
+                             widths=widths, keep=keep, p_drop=p_drop)
+
+
+class TestCandidateHead:
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(61)
+        t = _head_inputs(rng)
+        widths = np.array([1, 3, 4, 2])
+        keep = rng.random((4, 4, 3)) >= 0.3
+        got = _head(t, widths, keep, 0.3).data
+        data = {k: v.data for k, v in t.items() if k != "rows"}
+        for i, b in enumerate(t["rows"].ids):
+            n = widths[i]
+            for c in range(4):
+                e = data["cands"][i, c]
+                logits = data["keys"][b, :n] @ (e + data["pos"][i])
+                a = np.exp(logits - logits.max())
+                r = np.maximum((a / a.sum()) @ data["values"][b, :n], 0.0)
+                h = (data["w2"] @ r + data["bias2"][i, 0]) * keep[i, c] / 0.7
+                want = (data["w3"] @ h + data["shared3"][i, 0]) @ e
+                np.testing.assert_allclose(got[i, c], want, atol=1e-12, rtol=0)
+
+    def test_padded_positions_do_not_matter(self):
+        rng = np.random.default_rng(62)
+        t = _head_inputs(rng)
+        widths = np.array([1, 2, 2, 3])
+        before = _head(t, widths).data
+        t["keys"].data[:, 3] = 1e6          # beyond every width
+        t["values"].data[:, 3] = -1e6
+        np.testing.assert_array_equal(_head(t, widths).data, before)
+
+    def test_folded_equals_unfolded(self):
+        """Without a keep-mask w3 folds into w2; scores and gradients stay within 1e-12."""
+        rng = np.random.default_rng(63)
+        t = _head_inputs(rng)
+        widths = np.array([2, 4, 1, 3])
+        named = [(k, v) for k, v in t.items() if k != "rows"]
+        runs = []
+        for keep in (None, np.ones((4, 4, 3), dtype=bool)):
+            with ad.Tape() as tape:
+                out = _head(t, widths, keep)
+                loss = ad.total_sum(ad.mul(out, ad.Tensor(np.arange(16.0).reshape(4, 4))))
+            grads = ad.backward(loss, tape)
+            runs.append([out.data] + [grads.of(v) for _, v in named])
+        for folded, unfolded in zip(*runs):
+            np.testing.assert_allclose(folded, unfolded, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_row_blocks_change_nothing_but_rounding(self, monkeypatch, train):
+        """Blocks of one and two rows (user 0's three rows split across blocks)
+        give the scores and gradients of a single block."""
+        rng = np.random.default_rng(67)
+        t = _head_inputs(rng)
+        widths = np.array([2, 4, 1, 3])
+        keep = rng.random((4, 4, 3)) >= 0.5 if train else None
+        named = [(k, v) for k, v in t.items() if k != "rows"]
+        weights = ad.Tensor(rng.normal(size=(4, 4)))
+        runs = []
+        for cells in (ad.HEAD_BLOCK, 4 * 4, 2 * 4 * 4):     # all rows, 1 row, 2 rows
+            monkeypatch.setattr(ad, "HEAD_BLOCK", cells)
+            with ad.Tape() as tape:
+                out = _head(t, widths, keep, 0.5)
+                loss = ad.total_sum(ad.mul(out, weights))
+            grads = ad.backward(loss, tape)
+            runs.append([out.data] + [grads.of(v) for _, v in named])
+        for whole, *blocked in zip(*runs):
+            for got in blocked:
+                np.testing.assert_allclose(got, whole, atol=1e-12, rtol=0)
+
+    def test_one_tape_record(self):
+        t = _head_inputs(np.random.default_rng(64))
+        with ad.Tape() as tape:
+            _head(t, np.array([1, 2, 3, 4]))
+        assert len(tape) == 1
+
+    def test_row_without_visible_position_raises(self):
+        t = _head_inputs(np.random.default_rng(65))
+        with pytest.raises(ValueError, match="row 2 sees no history position"):
+            _head(t, np.array([1, 2, 0, 3]))
+
+    def test_width_beyond_history_rejected(self):
+        t = _head_inputs(np.random.default_rng(66))
+        with pytest.raises(ad.ShapeError, match="candidate-head"):
+            _head(t, np.array([1, 2, 5, 3]))
+
+    def test_keep_masks_draw_each_row_from_its_stream(self):
+        masks = ad.keep_masks([np.random.default_rng(k) for k in range(3)], 0.4, (3, 5, 2))
+        for k in range(3):
+            want = np.random.default_rng(k).random((5, 2)) >= 0.4
+            np.testing.assert_array_equal(masks[k], want)
+        with pytest.raises(ad.ShapeError, match="dropout"):
+            ad.keep_masks([np.random.default_rng(0)], 0.4, (2, 5))
+
+
 class TestBackward:
     def test_product_rule(self):
         x = ad.Tensor([2.0], requires_grad=True)
@@ -229,6 +287,14 @@ class TestBackward:
         for t in (w, x):
             np.testing.assert_allclose(g3.of(t), g1.of(t) + g2.of(t), atol=1e-12)
 
+    def test_sweep_empties_the_tape(self):
+        x = ad.Tensor([1.0, -2.0], requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.total_sum(ad.softplus(ad.mul(x, x)))
+        assert len(tape) == 3
+        ad.backward(loss, tape)
+        assert len(tape) == 0
+
     def test_reused_operand_accumulates(self):
         x = ad.Tensor([1.5], requires_grad=True)
         with ad.Tape() as tape:
@@ -253,8 +319,6 @@ def _primitive_cases(rng):
     c = lambda *s: ad.Tensor(rng.normal(size=s))
     w32, w4, w34, w43, w24, w3 = c(3, 2), c(4,), c(3, 4), c(4, 3), c(2, 4), c(3,)
     w12, wg43, w32b = c(12,), c(4, 3), c(3, 2)
-    mask = rng.random((3, 4)) > 0.4
-    mask[:, 0] = True
     s234 = _rand(rng, 2, 3, 4)
     s243 = _rand(rng, 2, 4, 3)
     flat = _rand(rng, 7, 2)
@@ -263,10 +327,26 @@ def _primitive_cases(rng):
         _rand(rng, 2, 3), _rand(rng, 2, 3)
     w233, w23, w7, w52 = c(2, 3, 3), c(2, 3), c(7,), c(5, 2)
     wl34, bl3, bl213 = _rand(rng, 3, 4), _rand(rng, 3), _rand(rng, 2, 1, 3)
-    mask3 = rng.random((2, 3, 4)) > 0.4
-    mask3[..., 0] = True
     seg = ad.Segments([2, 0, 3, 1, 1])
     streams = lambda: [np.random.default_rng(900 + i) for i in range(3)]
+    # g's head: two users with 2 and 1 rows, causal widths 1, 2 and 3 of T = 3.
+    hc, hp, hk, hv = _rand(rng, 3, 2, 2), _rand(rng, 3, 2), _rand(rng, 2, 3, 2), \
+        _rand(rng, 2, 3, 2)
+    hw2, hb2, hw3, hs3, hb1 = _rand(rng, 2, 2), _rand(rng, 3, 1, 2), _rand(rng, 2, 2), \
+        _rand(rng, 3, 1, 2), _rand(rng, 2)
+    h_keep, w_head = rng.random((3, 2, 2)) >= 0.5, c(3, 2)
+    h_mlp = [("w2", hw2), ("bias2", hb2), ("w3", hw3), ("shared3", hs3)]
+    h_attend = [("cands", hc), ("values", hv), ("keys", hk), ("pos", hp)] + h_mlp
+
+    def head(keep, **attend):
+        if not attend:
+            attend = dict(keys=hk, pos=hp, rows=ad.Segments([2, 1]),
+                          widths=np.array([1, 2, 3]))
+        values = hb1 if attend.get("keys") is None else hv
+        out = ad.candidate_head(hc, values, hw2, hb2, hw3, hs3, keep=keep, p_drop=0.5,
+                                **attend)
+        return ad.total_sum(ad.mul(out, w_head))
+
     return [
         ("matmul", lambda: ad.total_sum(ad.mul(ad.matmul(a2, b2), w32)),
          [("a", a2), ("b", b2)]),
@@ -285,8 +365,6 @@ def _primitive_cases(rng):
          [("a", m34)]),
         ("softplus", lambda: ad.total_sum(ad.mul(ad.softplus(m34), w34)),
          [("a", m34)]),
-        ("row-sum", lambda: ad.total_sum(ad.mul(ad.row_sum(m34), w3)),
-         [("a", m34)]),
         ("gather-rows", lambda: ad.total_sum(
             ad.mul(ad.gather_rows(table, [0, 2, 2, 5]), wg43)),
          [("table", table)]),
@@ -298,8 +376,6 @@ def _primitive_cases(rng):
          [("a", m34)]),
         ("reshape", lambda: ad.total_sum(ad.mul(ad.reshape(row, (4,)), w4)),
          [("a", row)]),
-        ("masked-softmax", lambda: ad.total_sum(
-            ad.mul(ad.masked_softmax(m34, mask), w34)), [("a", m34)]),
         ("linear", lambda: ad.total_sum(ad.mul(ad.linear(s234, wl34, bl3), w233)),
          [("x", s234), ("w", wl34), ("b", bl3)]),
         ("linear-row-bias", lambda: ad.total_sum(
@@ -310,15 +386,11 @@ def _primitive_cases(rng):
          [("a", s234), ("b", s243)]),
         ("transpose-stack", lambda: ad.total_sum(ad.mul(ad.transpose(s234), s243)),
          [("a", s234)]),
-        ("row-sum-stack", lambda: ad.total_sum(ad.mul(ad.row_sum(s234), w23)),
-         [("a", s234)]),
         ("gather-rows-nd", lambda: ad.total_sum(
             ad.mul(ad.gather_rows(s234, [[1, 0], [1, 1]]), ad.Tensor(np.ones((2, 2, 3, 4))))),
          [("table", s234)]),
         ("gather-rows-1d", lambda: ad.total_sum(
             ad.mul(ad.gather_rows(logits7, [6, 0, 6]), w3)), [("table", logits7)]),
-        ("masked-softmax-stack", lambda: ad.total_sum(
-            ad.mul(ad.masked_softmax(s234, mask3), s234)), [("a", s234)]),
         ("segment-sum", lambda: ad.total_sum(ad.mul(ad.segment_sum(flat, seg), w52)),
          [("a", flat)]),
         ("segment-mean", lambda: ad.total_sum(ad.mul(ad.segment_mean(flat, seg), w52)),
@@ -329,6 +401,10 @@ def _primitive_cases(rng):
          [("a", m34), ("b", v4)]),
         ("dropout", lambda: ad.total_sum(ad.mul(ad.dropout(m34, 0.5, streams()), w34)),
          [("a", m34)]),
+        ("candidate-head", lambda: head(h_keep), h_attend),
+        ("candidate-head-folded", lambda: head(None), h_attend),
+        ("candidate-head-cold-start", lambda: head(h_keep, keys=None),
+         [("cands", hc), ("values", hb1)] + h_mlp),
         ("gru-cell", lambda: ad.total_sum(ad.mul(ad.gru_cell(x3, h3, gru), w3)),
          [("x", x3), ("h", h3)] + gru.named("gru")),
         ("gru-cell-batch", lambda: ad.total_sum(ad.mul(ad.gru_cell(xb, hb, gru), w23)),

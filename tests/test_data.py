@@ -1,5 +1,6 @@
 """Ingestion, filtering, splitting, buckets, walks, negative sampling."""
 
+import hashlib
 import io
 import json
 
@@ -13,7 +14,7 @@ from tea.data import (DAY_SECONDS, EmptyDatasetError, Interaction, ParseError,
                       load_interactions, load_social_edges, preprocess,
                       prepare_dataset, sample_negatives)
 
-from corpus import cycle_corpus, write_corpus
+from corpus import cycle_corpus, follower_corpus, write_corpus
 
 
 def _write(path, lines):
@@ -251,6 +252,34 @@ class TestWalks:
         c = co_interactors(0, 1, 20, events, 10 ** 9, cap=10, seed=6, tag=2)
         assert a == b and len(a) == 10
         assert a != c  # different seed, different subsample (w.h.p.)
+
+    def test_cap_draws_equal_choice_over_the_list(self):
+        """Positions drawn by rng.choice(len(others)) pick what rng.choice(others) picked."""
+        for seed, user, tag in [(0, 0, 0), (5, 3, 2), (2**33 + 7, 11, 40), (9, 250, 1)]:
+            for n_others in (11, 40, 257):
+                pool = [2 * u + 1 for u in range(n_others)]
+                events = {4: [(t, u) for t, u in enumerate(pool)]}
+                got = co_interactors(user, 4, 0, events, 10 ** 9, cap=10, seed=seed, tag=tag)
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
+                others = sorted(u for u in pool if u != user)
+                assert got == sorted(rng.choice(others, size=10, replace=False).tolist())
+
+    @pytest.mark.parametrize("corpus, cap, digest", [
+        ("cycle", 10, "3a4d9bfdae6db13332dc65c6b6777e4934390bdef8a213c430a55a9768a41eff"),
+        ("cycle", 3, "078df15354231ab89c550b975e081fee38c1b4269dfcd9da2256cefab126976c"),
+        ("follower", 10, "067c7b1229b7c61ff614878938df92accd1e802272d46b14b3241b6c95418fa6"),
+        ("follower", 3, "9ac0687889c8750c134e0b1a93190792fa6d7677f38b04f50aee02ed6aefc448"),
+    ])
+    def test_snapshot_bytes_are_pinned(self, tmp_path, corpus, cap, digest):
+        """dataset.json of the test corpora, every walk set at the cap, stays byte for byte."""
+        rows, pairs = cycle_corpus() if corpus == "cycle" else follower_corpus()
+        inter, social = write_corpus(str(tmp_path), rows, pairs)
+        ds = prepare_dataset(inter, social, walk_cap=cap, seed=4)
+        assert sum(len(w) == cap for u in ds.users for w in u.walks) >= 1200
+        ds.save(str(tmp_path / "snap"))
+        data = (tmp_path / "snap" / "dataset.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestNegativeSampling:

@@ -102,3 +102,13 @@ def test_training_and_evaluation_score_through_one_call():
         calls = [ref for ref in modules[module].references(function)
                  if ref == ("model", "score_user_steps")]
         assert len(calls) == 1, f"{module}.{function} names score_user_steps {len(calls)} times"
+
+
+def test_g_head_is_one_primitive():
+    """transition_scores scores through autodiff.candidate_head; the primitives of
+    the composed head it replaced are gone."""
+    modules = load_package(PACKAGE)
+    assert ("autodiff", "candidate_head") in set(
+        modules["transition"].references("transition_scores"))
+    for name in ("masked_softmax", "row_sum", "AllMaskedError"):
+        assert not any(name in module.defs for module in modules.values()), name

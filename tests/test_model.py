@@ -1,5 +1,7 @@
 """Context assembly and end-to-end scoring across both score functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -405,3 +407,83 @@ class TestComposedGradients:
         grads = ad.backward(loss, tape)
         for name, t in named:
             assert np.array_equal(grads.of(t), want.get(id(t), np.zeros_like(t.data))), name
+
+
+class TestCandidateHeadInTheModel:
+    """g's head is one record: folded in eval mode, masks drawn as before."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_eval_mode_equals_training_without_dropout(self, variant):
+        l_s = 4
+        ctxs, steps = _batch_contexts(l_s, seed=12)
+        params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=106)
+        named = params.trainable()
+        cands = _candidate_rows(steps, seed=13)
+        keys = [(0, row) for row in range(cands.shape[0])]
+        runs = []
+        for training in (False, True):
+            with ad.Tape() as tape:
+                scores = score_user_steps(params, ctxs, steps, cands, training=training,
+                                          rngs=None, p_drop=0.0)
+                loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named)
+            grads = ad.backward(loss, tape)
+            runs.append([scores.data] + [grads.of(t) for _, t in named])
+        for folded, unfolded in zip(*runs):
+            np.testing.assert_allclose(folded, unfolded, atol=1e-12, rtol=0)
+
+    def test_g_mask_is_drawn_per_row_before_f_mask(self, monkeypatch):
+        l_s, d, p_drop = 4, 4, 0.3
+        ctxs, steps = _batch_contexts(l_s, seed=14)
+        params = init_params(5, 9, d=d, l_s=l_s, variant="tea-a", seed=107)
+        cands = _candidate_rows(steps, seed=15)
+        n_rows, n_cands = cands.shape
+        seen = {}
+        head = ad.candidate_head
+
+        def spy(*args, **kwargs):
+            seen["keep"] = kwargs["keep"]
+            return head(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "candidate_head", spy)
+        rngs = [np.random.default_rng([16, row]) for row in range(n_rows)]
+        score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
+                         p_drop=p_drop)
+        for row, rng in enumerate(rngs):
+            replay = np.random.default_rng([16, row])
+            np.testing.assert_array_equal(seen["keep"][row],
+                                          replay.random((n_cands, d)) >= p_drop)
+            replay.random(d)                                   # f's mask comes next
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_training_batch_memory(self):
+        """Forward, loss and backward of a short-seq-sized batch: 3 users x 28 steps,
+        51 candidates, d = 32. The head built from a dozen primitives peaked at
+        18.2 candidate-sized (N, C, d) arrays under tracemalloc; one record that
+        keeps about five of them stays below two thirds of that."""
+        n_users, n_steps, n_cands, d = 3, 28, 51, 32
+        ds = synthetic_dataset(n_users=n_users, n_items=300, seq_len=n_steps + 1,
+                               seed=1, l_s=50)
+        params = init_params(n_users, 300, d=d, l_s=50, variant="tea-s", seed=1)
+        ctxs = [user_context(ds, u, "train") for u in range(n_users)]
+        steps = [list(range(1, n_steps + 1))] * n_users
+        n_rows = n_users * n_steps
+        cands = np.random.default_rng(0).integers(0, 300, size=(n_rows, n_cands))
+        keys = [(0, row) for row in range(n_rows)]
+
+        def batch():
+            rngs = [np.random.default_rng([17, row]) for row in range(n_rows)]
+            with ad.Tape() as tape:
+                scores = score_user_steps(params, ctxs, steps, cands, training=True,
+                                          rngs=rngs, p_drop=0.5)
+                loss = sequence_loss(scores, keys, n_cands - 1)
+            return ad.backward(loss, tape)
+
+        batch()
+        tracemalloc.start()
+        try:
+            batch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cand_bytes = n_rows * n_cands * d * 8
+        assert peak <= 12 * cand_bytes, f"peak {peak / cand_bytes:.2f} candidate arrays"

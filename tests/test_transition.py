@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.model import UserContext
+from tea.model import UserContext, score_user_steps
 from tea.params import init_params
 
 import oracles
@@ -272,6 +272,22 @@ class TestTransitionGradients:
 
         def build():
             scores = score_steps(params, ctx, [3], [[1, 2, 4]])[0]
+            return ad.total_sum(ad.mul(scores, target))
+
+        assert_gradients_match(build, p.named() + p.shared.named())
+
+    def test_cold_start_gradients(self):
+        """l_s = 1: no attention, relu(b_g1) feeds the head of every row; dropout on."""
+        params = _g_only(seed=72, l_s=1)
+        p = params.transition
+        ctxs = [UserContext(1, [0, 3], [[], []], [[2], [0]], []),
+                UserContext(2, [4], [[]], [[]], [])]
+        target = ad.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
+
+        def build():
+            rngs = [np.random.default_rng([3, row]) for row in range(2)]
+            scores = score_user_steps(params, ctxs, [[2], [1]], [[1, 2, 4], [0, 3, 3]],
+                                      training=True, rngs=rngs, p_drop=0.4)
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())
