@@ -508,13 +508,14 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     user's rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Without
     keys there is no attention: values is the (d,) vector that stands in
     for the attention output of every row. keep is the (N, C, d) bool
-    keep-mask; without one (eval mode) there is no dropout and w3 folds
-    into w2, saving one (N, C, d) product.
+    keep-mask; without one (eval mode, or p_drop = 0) there is no dropout
+    and w3 folds into w2, saving one (N, C, d) product and keeping no h.
 
     One tape record. Rows are processed in blocks of about HEAD_BLOCK
-    cells. On a tape the forward keeps the softmax weights (N, T, C), r, h
-    and y = w3 h + shared3 for the backward; keys and values are kept once
-    per user and gathered per row only for the block at hand.
+    cells. On a tape the forward keeps the softmax weights (N, T, C), r,
+    y = w3 h + shared3 and, with a keep-mask, h for the backward; keys and
+    values are kept once per user and gathered per row only for the block
+    at hand.
     """
     e = cands.data
     if e.ndim != 3 or values.data.shape[-1] != e.shape[2]:

@@ -54,10 +54,8 @@ def transition_scores(params: TransitionParams, ctxs, steps: list[list[int]],
         if walk_rows.size:
             walk_part = _walk_terms(params, ctxs, p_user, row_user, row_step, walk_rows)
             shared_part = ad.add(walk_part, shared_part)
-    keep = None
-    if training:
-        keep = (ad.keep_masks(rngs, p_drop, (n_rows, n_cands, d)) if p_drop > 0.0
-                else np.ones((n_rows, n_cands, d), dtype=bool))
+    keep = (ad.keep_masks(rngs, p_drop, (n_rows, n_cands, d))
+            if training and p_drop > 0.0 else None)
     head = (params.w_g2, bias, ad.slice_cols(w3, 0, d), shared_part)
     if row_n.max() == 0:
         # empty window (l_s = 1): z = 0, the cold start, leaves b_g1

@@ -428,8 +428,8 @@ class TestCandidateHeadInTheModel:
                 loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named)
             grads = ad.backward(loss, tape)
             runs.append([scores.data] + [grads.of(t) for _, t in named])
-        for folded, unfolded in zip(*runs):
-            np.testing.assert_allclose(folded, unfolded, atol=1e-12, rtol=0)
+        for evaluated, trained in zip(*runs):
+            np.testing.assert_allclose(evaluated, trained, atol=1e-12, rtol=0)
 
     def test_g_mask_is_drawn_per_row_before_f_mask(self, monkeypatch):
         l_s, d, p_drop = 4, 4, 0.3
