@@ -3,11 +3,11 @@
 The engine is deliberately small: row-major float64 arrays, a flat set of
 primitives, an explicit gradient tape, and a bias-corrected Adam update.
 Bucket aggregation and f's score head are composed from these primitives
-over whole minibatches; a GRU step and g's candidate head (attention, MLP,
-dropout and bilinear score) are each one fused primitive. A
-single backward sweep over the tape differentiates the whole model, and
-the interpreter's cost scales with the number of records, not with the
-size of the arrays they hold.
+over whole minibatches; the GRU (one step, or many lockstep steps) and g's
+candidate head (attention, MLP, dropout and bilinear score) are fused
+primitives with hand-written backwards. A single backward sweep over the
+tape differentiates the whole model, and the interpreter's cost scales
+with the number of records, not with the size of the arrays they hold.
 
 Tape recording is process-global and meant for one training step at a
 time; scoring without an active tape is a plain (and faster) forward pass.
@@ -210,8 +210,11 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
                 grads[key] = g_in
                 continue
             if not isinstance(acc, RowGrad) and not isinstance(g_in, RowGrad):
-                grads[key] = acc + g_in
-                owned.add(key)
+                if key in owned:
+                    acc += g_in
+                else:
+                    grads[key] = acc + g_in
+                    owned.add(key)
                 continue
             if key not in owned:
                 # Never mutate arrays a closure handed over: they may alias g_out.
@@ -723,7 +726,7 @@ def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 # ---------------------------------------------------------------------------
 
 
@@ -760,29 +763,128 @@ def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
     d = p.w_xz.data.shape[0]
     if x.data.shape != h.data.shape or x.data.ndim not in (1, 2) or x.data.shape[-1] != d:
         raise ShapeError("gru-cell", x.data.shape, h.data.shape)
-    xd, hd = x.data.reshape(-1, d), h.data.reshape(-1, d)   # (B, d), B = 1 for (d,)
-    z = _sigmoid(xd @ p.w_xz.data.T + hd @ p.w_hz.data.T + p.b_z.data)
-    r = _sigmoid(xd @ p.w_xr.data.T + hd @ p.w_hr.data.T + p.b_r.data)
-    hn = hd @ p.w_hn.data.T
-    n = np.tanh(xd @ p.w_xn.data.T + r * hn + p.b_n.data)
-    # (1 - z) * n + z * h  ==  n + z * (h - n)
-    out = _wrap((n + z * (hd - n)).reshape(x.data.shape))
+    return _gru(x, h, p, 1)
+
+
+def gru_sequence(x: Tensor, p: GruParams, n_steps: int) -> Tensor:
+    """`gru_cell` over n_steps lockstep steps of B sequences from a zero state.
+
+    x is (T*B, d) step-major: rows t*B .. t*B + B - 1 are step t's inputs.
+    Returns the (T*B, d) states in the same layout, as one tape record.
+    The input projections of all steps, in blocks of about GRU_BLOCK
+    cells, are one GEMM each ahead of the steps; a step multiplies only by
+    the hidden-side weights.
+    """
+    d = p.w_xz.data.shape[0]
+    xd = x.data
+    if n_steps < 1 or xd.ndim != 2 or xd.shape[1] != d or xd.shape[0] % n_steps:
+        raise ShapeError("gru-sequence", xd.shape, (n_steps, d))
+    return _gru(x, None, p, n_steps)
+
+
+# Input-projection cells (rows x 3d) per block of steps in _gru: the input
+# side of a block is one GEMM, and without a tape the forward allocates
+# nothing that grows with the sequence but its output. A block's arrays
+# stay below glibc's default mmap threshold (128 KiB), so they are reused
+# from the heap instead of faulting in fresh pages.
+GRU_BLOCK = 1 << 13
+
+
+def _gru(x: Tensor, h0: Tensor | None, p: GruParams, n_steps: int) -> Tensor:
+    """The GRU's one kernel: n_steps lockstep steps from h0 (None: zeros).
+
+    The input side is stacked (n, z, r) and the hidden side (z, r, n): the
+    backward's per-row [da_n, da_z, da_r, d_hn] then holds the input side's
+    pre-activation gradients in its first three d-blocks and the hidden
+    side's in its last three, so each weight gradient is one GEMM over all
+    rows. Everything in the backward that does not depend on the carried
+    state gradient is computed for all rows before its step loop. On a tape
+    the forward keeps z, r, Whn h and n of every row; without one it reuses
+    one step's buffers.
+    """
+    d = p.w_xz.data.shape[0]
+    xd = x.data.reshape(-1, d)
+    n_seq = xd.shape[0] // n_steps
+    wx = np.concatenate([p.w_xn.data, p.w_xz.data, p.w_xr.data])       # (3d, d)
+    wh = np.concatenate([p.w_hz.data, p.w_hr.data, p.w_hn.data])
+    bias = np.concatenate([p.b_n.data, p.b_z.data, p.b_r.data])
+    block = max(1, GRU_BLOCK // (3 * d * n_seq))                        # steps
+    # sigmoid(s) = 0.5 + 0.5 tanh(0.5 s), and halving is exact in floating
+    # point: the z and r columns of both projections are halved up front.
+    wh_zr = 0.5 * wh[:2 * d].T
+    wh_n = p.w_hn.data.T.copy()
+    inputs = (x,) + (() if h0 is None else (h0,)) + (
+        p.w_xz, p.w_hz, p.b_z, p.w_xr, p.w_hr, p.b_r, p.w_xn, p.w_hn, p.b_n)
+    kept = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    h_init = np.zeros((n_seq, d)) if h0 is None else h0.data.reshape(-1, d)
+    states = np.empty((n_steps, n_seq, d))
+    per = n_steps if kept else 1
+    zr_all = np.empty((per, n_seq, 2 * d))
+    hn_all = np.empty((per, n_seq, d))                       # Whn h
+    n_all = np.empty((per, n_seq, d))
+    z_all, r_all = zr_all[..., :d], zr_all[..., d:]
+    h = h_init
+    for t in range(n_steps):
+        if t % block == 0:
+            # the input side of the next `block` steps as one GEMM
+            ax = xd[t * n_seq:(t + block) * n_seq] @ wx.T
+            ax += bias
+            ax_n = np.ascontiguousarray(ax[:, :d]).reshape(-1, n_seq, d)
+            ax_zr = np.multiply(ax[:, d:], 0.5).reshape(-1, n_seq, 2 * d)
+        i = t if kept else 0
+        zr, hn, n = zr_all[i], hn_all[i], n_all[i]
+        np.dot(h, wh_zr, out=zr)
+        zr += ax_zr[t % block]
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        np.dot(h, wh_n, out=hn)
+        np.multiply(r_all[i], hn, out=n)
+        n += ax_n[t % block]
+        np.tanh(n, out=n)
+        # (1 - z) * n + z * h  ==  n + z * (h - n)
+        h = np.subtract(h, n, out=states[t])
+        h *= z_all[i]
+        h += n
+    out = _wrap(states.reshape(x.data.shape))
+    if not kept:
+        return out
 
     def back(g: Array):
-        g = g.reshape(-1, d)
-        da_n = g * (1.0 - z) * (1.0 - n * n)
-        da_z = g * (hd - n) * z * (1.0 - z)
-        d_hn = da_n * r
-        da_r = da_n * hn * r * (1.0 - r)
-        dx = da_z @ p.w_xz.data + da_r @ p.w_xr.data + da_n @ p.w_xn.data
-        dh = g * z + da_z @ p.w_hz.data + da_r @ p.w_hr.data + d_hn @ p.w_hn.data
-        return (dx.reshape(x.data.shape), dh.reshape(h.data.shape),
-                da_z.T @ xd, da_z.T @ hd, da_z.sum(axis=0),
-                da_r.T @ xd, da_r.T @ hd, da_r.sum(axis=0),
-                da_n.T @ xd, d_hn.T @ hd, da_n.sum(axis=0))
+        g = g.reshape(n_steps, n_seq, d)
+        h_prev = np.concatenate([h_init[None], states[:-1]])
+        # With gt the step's whole state gradient, a row's pre-activation
+        # gradients are [da_n, da_z, da_r, d_hn] = [gt f0, gt f1, da_n f2, da_n f3];
+        # the factors f do not depend on gt.
+        f = np.empty((n_steps, n_seq, 4, d))
+        one_z = 1.0 - z_all
+        np.multiply(one_z, 1.0 - n_all * n_all, out=f[:, :, 0])
+        np.multiply((h_prev - n_all) * z_all, one_z, out=f[:, :, 1])
+        np.multiply(hn_all * r_all, 1.0 - r_all, out=f[:, :, 2])
+        f[:, :, 3] = r_all
+        dpre = np.empty_like(f)
+        carry = None                                   # d loss / d state, via later steps
+        for t in reversed(range(n_steps)):
+            gt = g[t] if carry is None else g[t] + carry
+            ft, dt = f[t], dpre[t]
+            np.multiply(gt[:, None], ft[:, :2], out=dt[:, :2])
+            np.multiply(dt[:, :1], ft[:, 2:], out=dt[:, 2:])
+            if t or h0 is not None:
+                carry = gt * z_all[t]
+                carry += np.dot(dt[:, 1:].reshape(n_seq, 3 * d), wh)
+        dpre = dpre.reshape(-1, 4 * d)
+        da, dah = dpre[:, :3 * d], dpre[:, d:]
+        d_wx = da.T @ xd
+        d_wh = dah.T @ h_prev.reshape(-1, d)
+        d_b = da.sum(axis=0)
+        lead = ((da @ wx).reshape(x.data.shape),)
+        if h0 is not None:
+            lead += (carry.reshape(h0.data.shape),)
+        return lead + (d_wx[d:2 * d], d_wh[:d], d_b[d:2 * d],
+                       d_wx[2 * d:], d_wh[d:2 * d], d_b[2 * d:],
+                       d_wx[:d], d_wh[2 * d:], d_b[:d])
 
-    return _emit(out, (x, h, p.w_xz, p.w_hz, p.b_z, p.w_xr, p.w_hr, p.b_r,
-                       p.w_xn, p.w_hn, p.b_n), back)
+    return _emit(out, inputs, back)
 
 
 # ---------------------------------------------------------------------------

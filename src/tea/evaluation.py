@@ -120,51 +120,64 @@ def _eval_rng(seed: int, split: str, user: int) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFF, tag, user]))
 
 
+def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
+                    users: range) -> np.ndarray:
+    """The `split` candidates of `users`, one int row each, truth first.
+
+    User u's row comes from (cfg.seed, split, u) only, so it is the same
+    for any parameters and every epoch.
+    """
+    rows = []
+    for user in users:
+        rec = ds.users[user]
+        truth = rec.val_item if split == "val" else rec.test_item
+        rows.append(build_candidates(truth, ds.n_items, cfg.n_neg,
+                                     _eval_rng(cfg.seed, split, user)))
+    return np.array(rows, dtype=np.intp)
+
+
 def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
-                 cfg: EvalConfig, scorer=None) -> EvalReport:
+                 cfg: EvalConfig, scorer=None, *,
+                 candidates: np.ndarray | None = None) -> EvalReport:
     """Rank every user's held-out item and average HR/NDCG over users.
 
     The default scores the held-out step `len(ctx.items)` with the trained
     model in evaluation mode, at most EVAL_CHUNK users and EVAL_CELLS
     candidate cells per call. A `scorer(params, ctx, candidates) -> array`
-    can be injected for tests; it is called once per user. A NaN or
-    infinite score raises NonFiniteScoreError naming the split and the
-    first such user.
+    can be injected for tests; it is called once per user. A caller that
+    evaluates the same split repeatedly can pass `candidates`, every user's
+    rows from `eval_candidates`, built once; otherwise each chunk draws its
+    own. A NaN or infinite score raises NonFiniteScoreError naming the
+    split and the first such user.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
     t0 = time.monotonic()
     ranks: dict[int, int] = {}
-    sizes: dict[int, int] = {}
     n_cands = 1 + max(0, min(cfg.n_neg, ds.n_items - 1))
     per_call = min(EVAL_CHUNK, max(1, EVAL_CELLS // n_cands))
     for first in range(0, ds.n_users, per_call):
         users = range(first, min(first + per_call, ds.n_users))
         ctxs = [user_context(ds, user, split) for user in users]
-        candidates = []
-        for user in users:
-            rec = ds.users[user]
-            truth = rec.val_item if split == "val" else rec.test_item
-            rng = _eval_rng(cfg.seed, split, user)
-            candidates.append(build_candidates(truth, ds.n_items, cfg.n_neg, rng))
+        cands = (eval_candidates(ds, split, cfg, users) if candidates is None
+                 else candidates[first:users.stop])
         if scorer is None:
             chunk = score_user_steps(params, ctxs, [[len(c.items)] for c in ctxs],
-                                     candidates).data
+                                     cands).data
         else:
-            chunk = np.array([scorer(params, ctx, cands)
-                              for ctx, cands in zip(ctxs, candidates)], dtype=np.float64)
+            chunk = np.array([scorer(params, ctx, row) for ctx, row in zip(ctxs, cands)],
+                             dtype=np.float64)
         finite = np.isfinite(chunk).all(axis=1)
         if not finite.all():
             raise NonFiniteScoreError(f"non-finite score in the {split} ranking of "
                                       f"user {users[int(np.argmin(finite))]}")
         ranks.update(zip(users, rank(chunk, truth_index=0).tolist()))
-        sizes.update((user, len(cands)) for user, cands in zip(users, candidates))
     hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks.values()])) for k in cfg.ks}
     ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks.values()]))
             for k in cfg.ks}
     return EvalReport(split=split, ks=cfg.ks, hr=hr, ndcg=ndcg, ranks=ranks,
-                      candidate_sizes=sizes, n_neg=cfg.n_neg, seed=cfg.seed,
-                      variant=params.variant,
+                      candidate_sizes=dict.fromkeys(ranks, n_cands), n_neg=cfg.n_neg,
+                      seed=cfg.seed, variant=params.variant,
                       wall_clock_seconds=time.monotonic() - t0,
                       n_users=ds.n_users)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import AdamState, Tape, adam_step, backward
 from .data import PreparedDataset, sample_negatives
-from .evaluation import EvalConfig, evaluate_all
+from .evaluation import EvalConfig, eval_candidates, evaluate_all
 from .model import positive_target, score_user_steps, user_context
 from .objective import NonFiniteScoreError, sequence_loss, total_loss
 from .params import ModelParams, init_params
@@ -136,6 +136,8 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     best_snapshot = params.clone()
     best_epoch = 0
     val_cfg = EvalConfig(ks=(10,), n_neg=100, seed=config.seed)
+    # keyed on (seed, split, user) only: drawn once, not every epoch
+    val_cands = eval_candidates(ds, "val", val_cfg, range(ds.n_users))
 
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng = np.random.default_rng(
@@ -189,7 +191,7 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
             del tape, grads, flat
 
         train_loss = loss_sum / max(n_steps, 1)
-        val = evaluate_all(params, ds, "val", val_cfg)
+        val = evaluate_all(params, ds, "val", val_cfg, candidates=val_cands)
         curve.append({"epoch": epoch, "train_loss": train_loss,
                       "val_hr10": val.hr[10], "val_ndcg10": val.ndcg[10]})
         ndcg_history.append(val.ndcg[10])

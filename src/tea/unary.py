@@ -90,11 +90,11 @@ def unary_scores(params: UnaryParams, ctxs, steps: list[list[int]],
     Row order is user by user, each user's steps in the order given. User
     b's temporal GRU runs from a zero state over `ctxs[b].buckets[lo_gru[b]:s]`
     for its largest step s, each bucket aggregated against the user's own
-    item at that step. All users step in lockstep over (B, d) states; a user
-    with fewer buckets is padded with empty ones at the end, which only move
-    states no step reads. Step s reads the state after bucket s - 1, fuses
-    it with the social aggregate of the user's neighbors and dots it with
-    the rows of `cand_embs` (N, C, d).
+    item at that step. All users step in lockstep over (B, d) states, as one
+    `ad.gru_sequence` record; a user with fewer buckets is padded with empty
+    ones at the end, which only move states no step reads. Step s reads the
+    state after bucket s - 1, fuses it with the social aggregate of the
+    user's neighbors and dots it with the rows of `cand_embs` (N, C, d).
     """
     d = params.shared.item.data.shape[1]
     n_users = len(ctxs)
@@ -118,13 +118,8 @@ def unary_scores(params: UnaryParams, ctxs, steps: list[list[int]],
         summaries = bipartite_aggregate_attention(params, anchors, buckets)
     else:
         summaries = bipartite_aggregate_sage(params, buckets)
-    h = ad.zeros(n_users, d)
-    states = []
-    for t in range(max(depths)):
-        x = ad.slice_rows(summaries, t * n_users, (t + 1) * n_users)
-        h = ad.gru_cell(x, h, params.temporal_gru)
-        states.append(h)
-    h_temporal = ad.gather_rows(ad.concat(states), (row_cell - 1) * n_users + row_user)
+    states = ad.gru_sequence(summaries, params.temporal_gru, max(depths))
+    h_temporal = ad.gather_rows(states, (row_cell - 1) * n_users + row_user)
     h_social = ad.gather_rows(social_aggregate(params, [ctx.neighbors for ctx in ctxs]),
                               row_user)
     h_user = fuse_context(params, h_temporal, h_social, training, rngs, p_drop)

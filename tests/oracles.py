@@ -7,8 +7,10 @@ head) and their sum through `score_candidates_single_route`. The
 production route, `tea.model.score_user_steps`, computes the same scores
 for whole minibatches of users, steps and candidate sets, and the tests
 assert the two agree. The oracles share only the engine's elementary
-primitives and GRU cell with it, not its batched aggregators or its
-candidate head; each softmax is a one-segment `segment_softmax`.
+primitives and the walk GRU's cell with it, not its batched aggregators,
+its candidate head or its GRU over whole sequences: the temporal GRU runs
+`gru_step`, a plain numpy GRU step. Each softmax is a one-segment
+`segment_softmax`.
 `exact_conditional` enumerates the per-step softmax over a small item set,
 and `predict_probability` is sigmoid(f + g).
 """
@@ -208,13 +210,24 @@ def transition_score(params: TransitionParams, user: int, history: list[int],
     return ad.matmul(projected, embedding_row(params.shared.item, candidate))
 
 
+def gru_step(x: np.ndarray, h: np.ndarray, g: ad.GruParams) -> np.ndarray:
+    """One GRU step on raw (d,) arrays, gate by gate, independent of the engine."""
+    sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
+    z = sigmoid(g.w_xz.data @ x + g.w_hz.data @ h + g.b_z.data)
+    r = sigmoid(g.w_xr.data @ x + g.w_hr.data @ h + g.b_r.data)
+    n = np.tanh(g.w_xn.data @ x + r * (g.w_hn.data @ h) + g.b_n.data)
+    return (1.0 - z) * n + z * h
+
+
 def temporal_recurrence(params: UnaryParams, step_summaries: list[Tensor]) -> Tensor:
-    """Fold the per-step aggregates through the temporal GRU from a zero state."""
-    d = params.shared.item.data.shape[1]
-    h = ad.zeros(d)
+    """Fold the per-step aggregates through the temporal GRU from a zero state.
+
+    Values only: the recurrence runs `gru_step`, so no gradient flows back.
+    """
+    h = np.zeros(params.shared.item.data.shape[1])
     for summary in step_summaries:
-        h = ad.gru_cell(summary, h, params.temporal_gru)
-    return h
+        h = gru_step(summary.data, h, params.temporal_gru)
+    return ad.Tensor(h)
 
 
 def unary_score(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,

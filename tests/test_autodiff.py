@@ -9,6 +9,7 @@ from tea import autodiff as ad
 
 from gradcheck import (assert_gradients_match, dense_backward, numeric_gradient,
                        max_mismatch)
+from oracles import gru_step
 
 
 def _rand(rng, *shape, grad=True):
@@ -78,15 +79,6 @@ def _rand_gru(rng, d):
                         r(d, d), r(d, d), r(d))
 
 
-def _gru_oracle(x, h, p):
-    """Gate-by-gate reference recurrence on raw arrays."""
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    z = sig(p.w_xz.data @ x + p.w_hz.data @ h + p.b_z.data)
-    r = sig(p.w_xr.data @ x + p.w_hr.data @ h + p.b_r.data)
-    n = np.tanh(p.w_xn.data @ x + r * (p.w_hn.data @ h) + p.b_n.data)
-    return (1.0 - z) * n + z * h
-
-
 class TestGruCell:
     def test_zero_fixed_point(self):
         d = 3
@@ -109,7 +101,7 @@ class TestGruCell:
             h = ad.gru_cell(ad.Tensor(x), h, p)
         want = np.zeros(d)
         for x in xs:
-            want = _gru_oracle(x, want, p)
+            want = gru_step(x, want, p)
         np.testing.assert_allclose(h.data, want, atol=1e-10, rtol=0)
 
     def test_dimension_mismatch(self):
@@ -123,7 +115,7 @@ class TestGruCell:
         xs, hs = rng.normal(size=(3, d)), rng.normal(size=(3, d))
         got = ad.gru_cell(ad.Tensor(xs), ad.Tensor(hs), p).data
         for x, h, row in zip(xs, hs, got):
-            np.testing.assert_allclose(row, _gru_oracle(x, h, p), atol=1e-12, rtol=0)
+            np.testing.assert_allclose(row, gru_step(x, h, p), atol=1e-12, rtol=0)
 
     def test_one_tape_record(self):
         rng = np.random.default_rng(25)
@@ -131,6 +123,112 @@ class TestGruCell:
         with ad.Tape() as tape:
             ad.gru_cell(ad.Tensor(rng.normal(size=(4, 3))), ad.zeros(4, 3), p)
         assert len(tape) == 1
+
+
+def _chained_cells(x, p, n_steps):
+    """The GRU over step-major rows as one gru_cell record per step."""
+    n_seq, d = x.data.shape[0] // n_steps, x.data.shape[1]
+    h, states = ad.zeros(n_seq, d), []
+    for t in range(n_steps):
+        h = ad.gru_cell(ad.slice_rows(x, t * n_seq, (t + 1) * n_seq), h, p)
+        states.append(h)
+    return ad.concat(states)
+
+
+class TestGruSequence:
+    """gru_sequence: T lockstep steps of B sequences from zeros, one record."""
+
+    @pytest.mark.parametrize("n_steps,n_seq", [(1, 1), (1, 4), (6, 1), (6, 3)])
+    def test_states_and_gradients_match_chained_cells(self, n_steps, n_seq):
+        rng = np.random.default_rng(61)
+        d = 4
+        p = _rand_gru(rng, d)
+        x = _rand(rng, n_steps * n_seq, d)
+        target = ad.Tensor(rng.normal(size=(n_steps * n_seq, d)))
+        named = [("x", x)] + p.named("gru")
+        runs = []
+        for route in (ad.gru_sequence, _chained_cells):
+            with ad.Tape() as tape:
+                states = route(x, p, n_steps)
+                loss = ad.total_sum(ad.mul(states, target))
+            grads = ad.backward(loss, tape)
+            runs.append([states.data] + [grads.of(t) for _, t in named])
+        for (name, _), got, want in zip([("states", None)] + named, *runs):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0, err_msg=name)
+
+    def test_states_match_numpy_recurrence(self):
+        rng = np.random.default_rng(62)
+        n_steps, n_seq, d = 5, 3, 4
+        p = _rand_gru(rng, d)
+        xs = rng.normal(size=(n_steps, n_seq, d))
+        got = ad.gru_sequence(ad.Tensor(xs.reshape(-1, d)), p, n_steps).data
+        got = got.reshape(n_steps, n_seq, d)
+        for b in range(n_seq):
+            h = np.zeros(d)
+            for t in range(n_steps):
+                h = gru_step(xs[t, b], h, p)
+                np.testing.assert_allclose(got[t, b], h, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    @pytest.mark.parametrize("n_seq", [1, 3])
+    def test_gradients_match_finite_differences(self, n_steps, n_seq):
+        rng = np.random.default_rng(63 + 10 * n_steps + n_seq)
+        d = 3
+        p = _rand_gru(rng, d)
+        x = _rand(rng, n_steps * n_seq, d)
+        target = ad.Tensor(rng.normal(size=(n_steps * n_seq, d)))
+
+        def build():
+            return ad.total_sum(ad.mul(ad.gru_sequence(x, p, n_steps), target))
+
+        assert_gradients_match(build, [("x", x)] + p.named("gru"))
+
+    def test_blocks_of_steps_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        d, n_steps, n_seq = 3, 7, 2
+        p = _rand_gru(rng, d)
+        x = _rand(rng, n_steps * n_seq, d)
+        target = ad.Tensor(rng.normal(size=(n_steps * n_seq, d)))
+        named = [("x", x)] + p.named("gru")
+        runs = []
+        for cells in (ad.GRU_BLOCK, 3 * d * n_seq * 3):       # one block; blocks of 3 steps
+            monkeypatch.setattr(ad, "GRU_BLOCK", cells)
+            evaluated = ad.gru_sequence(x, p, n_steps).data
+            with ad.Tape() as tape:
+                states = ad.gru_sequence(x, p, n_steps)
+                loss = ad.total_sum(ad.mul(states, target))
+            grads = ad.backward(loss, tape)
+            runs.append([evaluated, states.data] + [grads.of(t) for _, t in named])
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_one_step_is_a_cell_from_zeros(self):
+        rng = np.random.default_rng(64)
+        p = _rand_gru(rng, 4)
+        for n_seq in (1, 3):
+            x = ad.Tensor(rng.normal(size=(n_seq, 4)))
+            got = ad.gru_sequence(x, p, 1).data
+            np.testing.assert_array_equal(got, ad.gru_cell(x, ad.zeros(n_seq, 4), p).data)
+
+    def test_zero_weights_from_zero_state_stay_zero(self):
+        states = ad.gru_sequence(ad.Tensor(np.ones((6, 3))), _zero_gru(3), 3)
+        np.testing.assert_array_equal(states.data, np.zeros((6, 3)))
+
+    def test_one_tape_record_and_the_same_bits_without_a_tape(self):
+        rng = np.random.default_rng(65)
+        p = _rand_gru(rng, 3)
+        x = _rand(rng, 12, 3)
+        with ad.Tape() as tape:
+            taped = ad.gru_sequence(x, p, 4)
+        assert len(tape) == 1
+        assert ad.gru_sequence(x, p, 4).data.tobytes() == taped.data.tobytes()
+
+    def test_shape_errors(self):
+        p = _zero_gru(3)
+        for x, n_steps in ((ad.zeros(7, 3), 2), (ad.zeros(6, 4), 2),
+                           (ad.zeros(6, 3), 0), (ad.zeros(6), 2)):
+            with pytest.raises(ad.ShapeError, match="gru-sequence"):
+                ad.gru_sequence(x, p, n_steps)
 
 
 def _head_inputs(rng, counts=(3, 1), n_cands=4, d=3, width=4):
@@ -294,6 +392,23 @@ class TestBackward:
         assert len(tape) == 3
         ad.backward(loss, tape)
         assert len(tape) == 0
+
+    def test_many_dense_gradients_merge_in_arrival_order(self):
+        """The third and later arrivals are added in place: same bits as acc + g."""
+        rng = np.random.default_rng(32)
+        x = _rand(rng, 5, 3)
+        w = _rand(rng, 3, 3)
+        c = ad.Tensor(rng.normal(size=(5, 3)))
+        with ad.Tape() as tape:
+            parts = [ad.mul(x, c), ad.softplus(x), ad.linear(x, w), ad.leaky_relu(x)]
+            total = parts[0]
+            for part in parts[1:]:
+                total = ad.add(total, part)
+            loss = ad.total_sum(ad.mul(total, total))
+        want = dense_backward(loss, tape)
+        got = ad.backward(loss, tape)
+        for t in (x, w):
+            assert got.of(t).tobytes() == want[id(t)].tobytes()
 
     def test_reused_operand_accumulates(self):
         x = ad.Tensor([1.5], requires_grad=True)

@@ -409,6 +409,30 @@ class TestComposedGradients:
             assert np.array_equal(grads.of(t), want.get(id(t), np.zeros_like(t.data))), name
 
 
+class TestTapeLength:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_records_do_not_grow_with_the_number_of_buckets(self, variant):
+        """The temporal GRU is one record: a training batch of users with 5
+        buckets each and one of users with 30 each record as many ops."""
+        lengths = []
+        for n_steps in (5, 30):
+            ds = synthetic_dataset(n_users=3, n_items=40, seq_len=n_steps + 1, seed=4,
+                                   l_s=50)
+            params = init_params(3, 40, d=4, l_s=50, variant=variant, seed=5)
+            ctxs = [user_context(ds, u, "train") for u in range(3)]
+            steps = [list(range(1, n_steps + 1))] * 3
+            n_rows = 3 * n_steps
+            cands = np.random.default_rng(6).integers(0, 40, size=(n_rows, 6))
+            rngs = [np.random.default_rng(row) for row in range(n_rows)]
+            with ad.Tape() as tape:
+                scores = score_user_steps(params, ctxs, steps, cands, training=True,
+                                          rngs=rngs, p_drop=0.3)
+                total_loss(sequence_loss(scores, [(0, row) for row in range(n_rows)], 5),
+                           params.trainable(), 5e-4)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1], lengths
+
+
 class TestCandidateHeadInTheModel:
     """g's head is one record: folded in eval mode, masks drawn as before."""
 

@@ -61,6 +61,30 @@ class TestTrainLoop:
         for (_, a), (_, b) in zip(r1.params.trainable(), r2.params.trainable()):
             assert a.data.tobytes() == b.data.tobytes()
 
+    def test_validation_candidates_drawn_once(self, toy_dataset, monkeypatch):
+        """Drawn once before the epochs, they give the curve and the parameter
+        bytes of drawing them again at every validation pass."""
+        drawn = []
+        draw = training.eval_candidates
+
+        def counting(ds, split, cfg, users):
+            drawn.append(len(users))
+            return draw(ds, split, cfg, users)
+
+        monkeypatch.setattr(training, "eval_candidates", counting)
+        once = train(toy_dataset, _toy_config(max_epochs=3, seed=7, p_drop=0.3))
+        assert drawn == [toy_dataset.n_users]
+        evaluate = training.evaluate_all
+
+        def every_epoch(params, ds, split, cfg, candidates):
+            return evaluate(params, ds, split, cfg)
+
+        monkeypatch.setattr(training, "evaluate_all", every_epoch)
+        again = train(toy_dataset, _toy_config(max_epochs=3, seed=7, p_drop=0.3))
+        assert len(once.curve) == 3 and once.curve == again.curve
+        for (name, a), (_, b) in zip(once.params.trainable(), again.params.trainable()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_different_seed_differs(self, toy_dataset):
         r1 = train(toy_dataset, _toy_config(max_epochs=1, seed=1))
         r2 = train(toy_dataset, _toy_config(max_epochs=1, seed=2))

@@ -17,17 +17,6 @@ def _params(seed=11, variant="tea-s"):
                        seed=seed).transition
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _np_gru(x, h, g):
-    z = _sigmoid(g.w_xz.data @ x + g.w_hz.data @ h + g.b_z.data)
-    r = _sigmoid(g.w_xr.data @ x + g.w_hr.data @ h + g.b_r.data)
-    n = np.tanh(g.w_xn.data @ x + r * (g.w_hn.data @ h) + g.b_n.data)
-    return (1.0 - z) * n + z * h
-
-
 def _np_walk(params, user, anchor, walk_users):
     """Reference walk aggregation: per-walk GRU unroll, then means."""
     d = params.shared.item.data.shape[1]
@@ -35,9 +24,9 @@ def _np_walk(params, user, anchor, walk_users):
         return np.zeros(d), np.zeros(d)
     h1s, h2s = [], []
     for other in walk_users:
-        h1 = _np_gru(params.shared.user.data[user], np.zeros(d), params.walk_gru)
-        h2 = _np_gru(params.shared.item.data[anchor], h1, params.walk_gru)
-        _ = _np_gru(params.shared.user.data[other], h2, params.walk_gru)
+        h1 = oracles.gru_step(params.shared.user.data[user], np.zeros(d), params.walk_gru)
+        h2 = oracles.gru_step(params.shared.item.data[anchor], h1, params.walk_gru)
+        _ = oracles.gru_step(params.shared.user.data[other], h2, params.walk_gru)
         h1s.append(h1)
         h2s.append(h2)
     return np.mean(h1s, axis=0), np.mean(h2s, axis=0)
