@@ -2,11 +2,11 @@
 
 The engine is deliberately small: row-major float64 arrays, a flat set of
 primitives, an explicit gradient tape, and a bias-corrected Adam update.
-Bucket aggregation and f's score head are composed from these primitives
-over whole minibatches; the GRU (one step, or many lockstep steps) and g's
-candidate head (attention, MLP, dropout and bilinear score) are fused
-primitives with hand-written backwards. A single backward sweep over the
-tape differentiates the whole model, and the interpreter's cost scales
+Bucket aggregation is composed from these primitives over whole
+minibatches; the GRU (one step, or many lockstep steps) and the candidate
+head (g's attention, MLP and dropout, and the bilinear score of f + g) are
+fused primitives with hand-written backwards. A single backward sweep over
+the tape differentiates the whole model, and the interpreter's cost scales
 with the number of records, not with the size of the arrays they hold.
 
 Tape recording is process-global and meant for one training step at a
@@ -57,9 +57,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -168,12 +165,6 @@ class Gradients:
             g = self._entries[id(t)] = g.dense()
         return g
 
-    def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def backward(loss: Tensor, tape: Tape) -> Gradients:
     """Reverse sweep: gradients of a scalar loss w.r.t. every reachable leaf.
@@ -279,22 +270,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product following numpy matmul rules.
-
-    Operands are 1-D or 2-D, or two stacks of matrices of equal length,
-    (B, n, k) @ (B, k, m).
-    """
+    """Matrix product of 1-D or 2-D operands, following numpy matmul rules."""
     ad, bd = a.data, b.data
-    paired = ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] == bd.shape[0]
-    if ad.ndim == 0 or bd.ndim == 0 or (max(ad.ndim, bd.ndim) > 2 and not paired):
-        raise ShapeError("matmul", ad.shape, bd.shape)
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim >= 2 else 0]:
+    if not (1 <= ad.ndim <= 2 and 1 <= bd.ndim <= 2) or ad.shape[-1] != bd.shape[0]:
         raise ShapeError("matmul", ad.shape, bd.shape)
     out = _wrap(np.asarray(ad @ bd))  # 1-D @ 1-D gives a 0-d array
 
     def back(g: Array):
-        if paired:
-            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
         if ad.ndim == 2 and bd.ndim == 1:
@@ -493,9 +475,8 @@ HEAD_BLOCK = 1 << 15
 
 
 def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
-                   w3: Tensor, shared3: Tensor, *, keys: Tensor | None = None,
-                   pos: Tensor | None = None, rows: Segments | None = None,
-                   widths=None, keep: Array | None = None,
+                   w3: Tensor, shared3: Tensor, *, keys: Tensor, pos: Tensor,
+                   rows: Segments, widths, keep: Array | None = None,
                    p_drop: float = 0.0) -> Tensor:
     """Candidate-as-query attention, a relu MLP, dropout and a bilinear score.
 
@@ -508,11 +489,12 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         out[i, c] = (w3 h + shared3[i]) . e
 
     cands is (N, C, d), pos (N, d), keys and values (B, T, d) with each
-    user's rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Without
-    keys there is no attention: values is the (d,) vector that stands in
-    for the attention output of every row. keep is the (N, C, d) bool
-    keep-mask; without one (eval mode, or p_drop = 0) there is no dropout
-    and w3 folds into w2, saving one (N, C, d) product and keeping no h.
+    user's rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Any
+    score linear in e joins through shared3: the model adds f's user vector
+    to g's shared terms there, so the head returns f + g. keep is the
+    (N, C, d) bool keep-mask; without one (eval mode, or p_drop = 0) there
+    is no dropout and w3 folds into w2, saving one (N, C, d) product and
+    keeping no h.
 
     One tape record. Rows are processed in blocks of about HEAD_BLOCK
     cells. On a tape the forward keeps the softmax weights (N, T, C), r,
@@ -521,24 +503,19 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     at hand.
     """
     e = cands.data
-    if e.ndim != 3 or values.data.shape[-1] != e.shape[2]:
-        raise ShapeError("candidate-head", e.shape, values.data.shape)
+    widths = np.asarray(widths, dtype=np.intp)
+    if (e.ndim != 3 or values.data.ndim != 3 or keys.data.shape != values.data.shape
+            or values.data.shape[2] != e.shape[2] or rows.size != e.shape[0]
+            or widths.shape != (e.shape[0],) or widths.max() > keys.data.shape[1]):
+        raise ShapeError("candidate-head", e.shape, keys.data.shape, widths.shape)
+    if widths.min() < 1:
+        row = int(np.flatnonzero(widths < 1)[0])
+        raise ValueError(f"candidate_head: row {row} sees no history position")
     n_rows, n_cands, d = e.shape
-    inputs = [cands, values, w2, bias2, w3, shared3]
-    attend = keys is not None
-    width = 0
-    if attend:
-        width = keys.data.shape[1]
-        widths = np.asarray(widths, dtype=np.intp)
-        if (keys.data.shape != values.data.shape or rows.size != n_rows
-                or widths.shape != (n_rows,) or widths.max() > width):
-            raise ShapeError("candidate-head", e.shape, keys.data.shape, widths.shape)
-        if widths.min() < 1:
-            row = int(np.flatnonzero(widths < 1)[0])
-            raise ValueError(f"candidate_head: row {row} sees no history position")
-        inputs += [keys, pos]
-        users = rows.ids
-        positions = np.arange(width)[None, :, None]
+    width = keys.data.shape[1]
+    inputs = (cands, values, w2, bias2, w3, shared3, keys, pos)
+    users = rows.ids
+    positions = np.arange(width)[None, :, None]
     if keep is not None and keep.shape != e.shape:
         raise ShapeError("candidate-head-keep", e.shape, keep.shape)
     w2d, w3d = w2.data, w3.data
@@ -554,7 +531,7 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         # whole-batch when the backward reads it, else one block reused
         return np.empty(((n_rows if kept else min(step, n_rows)),) + shape)
 
-    a_all = buffer(width, n_cands) if attend else None
+    a_all = buffer(width, n_cands)
     r_all, y_all = buffer(n_cands, d), buffer(n_cands, d)
     h_all = None if keep is None else buffer(n_cands, d)
     out_data = np.empty((n_rows, n_cands))
@@ -563,21 +540,18 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         at = slice(lo, hi) if kept else slice(0, hi - lo)
         e_b = e[lo:hi]
         r = r_all[at]
-        if attend:
-            # Logits laid out (b, T, C), so the softmax reduces over the middle
-            # axis; k . (e + pos) is split so no query array is built.
-            k_rows = keys.data[users[lo:hi]]
-            a = np.matmul(k_rows, e_b.transpose(0, 2, 1), out=a_all[at])
-            a += np.matmul(k_rows, pos.data[lo:hi, :, None])
-            valid = positions < widths[lo:hi, None, None]
-            a -= np.max(a, axis=1, keepdims=True, where=valid, initial=-np.inf)
-            np.exp(a, out=a, where=valid)    # padded entries are zeroed, never exp'd
-            a *= valid
-            a /= a.sum(axis=1, keepdims=True)
-            np.matmul(a.transpose(0, 2, 1), values.data[users[lo:hi]], out=r)
-            np.maximum(r, 0.0, out=r)
-        else:
-            np.maximum(values.data, 0.0, out=r)
+        # Logits laid out (b, T, C), so the softmax reduces over the middle
+        # axis; k . (e + pos) is split so no query array is built.
+        k_rows = keys.data[users[lo:hi]]
+        a = np.matmul(k_rows, e_b.transpose(0, 2, 1), out=a_all[at])
+        a += np.matmul(k_rows, pos.data[lo:hi, :, None])
+        valid = positions < widths[lo:hi, None, None]
+        a -= np.max(a, axis=1, keepdims=True, where=valid, initial=-np.inf)
+        np.exp(a, out=a, where=valid)        # padded entries are zeroed, never exp'd
+        a *= valid
+        a /= a.sum(axis=1, keepdims=True)
+        np.matmul(a.transpose(0, 2, 1), values.data[users[lo:hi]], out=r)
+        np.maximum(r, 0.0, out=r)
         y = y_all[at]
         if keep is None:
             np.matmul(r.reshape(-1, d), w32.T, out=y.reshape(-1, d))
@@ -604,9 +578,8 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
             d_w2, d_w3 = np.zeros_like(w2d), np.zeros_like(w3d)
             d_bias2 = np.empty_like(d_shared)
         d_values = np.zeros_like(values.data)
-        if attend:
-            d_pos = np.empty((n_rows, d))
-            d_keys = np.zeros_like(keys.data)
+        d_pos = np.empty((n_rows, d))
+        d_keys = np.zeros_like(keys.data)
         for lo in range(0, n_rows, step):
             hi = min(lo + step, n_rows)
             g_b, e_b, y = g[lo:hi, :, None], e[lo:hi], y_all[lo:hi]
@@ -628,10 +601,6 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
                 d_r = d_h @ w2d
             d_r = d_r.reshape(e_b.shape)
             d_r *= r_all[lo:hi] > 0.0                # d out / d (attention output)
-            if not attend:
-                d_values += d_r.sum(axis=(0, 1))
-                np.multiply(g_b, y, out=d_e[lo:hi])
-                continue
             a, u = a_all[lo:hi], users[lo:hi]
             # The block's rows of one user are consecutive: sum them, then add.
             starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
@@ -650,10 +619,9 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
             d_w2 = w3d.T @ d_w32
             d_w3 = d_w32 @ w2d.T + d_shared.reshape(-1, d).T @ bias2.data.reshape(-1, d)
             d_bias2 = d_shared @ w3d
-        grads = (d_e, d_values, d_w2, d_bias2, d_w3, d_shared)
-        return grads + (d_keys, d_pos) if attend else grads
+        return d_e, d_values, d_w2, d_bias2, d_w3, d_shared, d_keys, d_pos
 
-    return _emit(out, tuple(inputs), back)
+    return _emit(out, inputs, back)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ data only.
 
 `score_user_steps` is the only scorer: training passes a minibatch of
 users with all their steps, evaluation a chunk of users with the held-out
-step each. It fixes each user's windows and adds the two potentials, the
-transition score g (`transition.transition_scores`) and the unary score f
-(`unary.unary_scores`).
+step each. It fixes each user's windows and the row layout, takes f's user
+vector from `unary.user_vectors` and scores f + g in g's candidate head
+(`transition.transition_scores`).
 """
 
 from __future__ import annotations
@@ -83,28 +83,33 @@ def score_user_steps(params: ModelParams, ctxs: list[UserContext],
     """
     if len(steps) != len(ctxs) or not ctxs:
         raise ValueError(f"{len(ctxs)} contexts need as many step lists, got {len(steps)}")
-    l_s = params.l_s
-    lo, lo_gru = [], []
     for ctx, user_steps in zip(ctxs, steps):
         if not user_steps or min(user_steps) < 1 or max(user_steps) > len(ctx.buckets):
             raise IndexError(f"steps {user_steps} out of range for user {ctx.user}")
-        s_max = max(user_steps)
-        start = max(0, s_max - (l_s - 1))
-        if any(max(0, s - (l_s - 1)) != start for s in user_steps):
-            raise ValueError(f"steps {user_steps} of user {ctx.user} need more than "
-                             f"one attention window (l_s={l_s}); score them in "
-                             f"separate calls")
-        lo.append(start)
-        lo_gru.append(max(0, s_max - l_s))
+    rows = ad.Segments([len(st) for st in steps])  # each user's rows, consecutive
+    row_step = np.concatenate([np.asarray(st, dtype=np.intp) for st in steps])
+    s_max = np.maximum.reduceat(row_step, rows.starts)
+    l_s = params.l_s
+    lo = np.maximum(s_max - (l_s - 1), 0)        # attention windows
+    lo_gru = np.maximum(s_max - l_s, 0)           # temporal GRU windows
+    split = np.flatnonzero(np.maximum(row_step - (l_s - 1), 0) != lo[rows.ids])
+    if split.size:
+        b = rows.ids[split[0]]
+        raise ValueError(f"steps {steps[b]} of user {ctxs[b].user} need more than "
+                         f"one attention window (l_s={l_s}); score them in "
+                         f"separate calls")
     cands = np.asarray(candidates, dtype=np.intp)
-    n_rows = sum(len(st) for st in steps)
+    n_rows = row_step.size
     if cands.ndim != 2 or cands.shape[0] != n_rows:
         raise ValueError(f"candidates of shape {cands.shape} for {n_rows} steps")
-    if training and p_drop > 0.0 and (rngs is None or len(rngs) != n_rows):
-        raise ValueError(f"training mode needs one rng per step ({n_rows})")
+    keep = None
+    if training and p_drop > 0.0:
+        if rngs is None or len(rngs) != n_rows:
+            raise ValueError(f"training mode needs one rng per step ({n_rows})")
+        d = params.shared.item.data.shape[1]
+        keep = ad.keep_masks(rngs, p_drop, cands.shape + (d,))    # g's masks first
+    h_f = unary.user_vectors(params.unary, ctxs, rows, row_step, lo_gru, s_max,
+                             training, rngs, p_drop)
     cand_embs = ad.gather_rows(params.shared.item, cands)
-    g = transition.transition_scores(params.transition, ctxs, steps, lo, cand_embs,
-                                     training, rngs, p_drop)
-    f = unary.unary_scores(params.unary, ctxs, steps, lo_gru, cand_embs,
-                           training, rngs, p_drop)
-    return ad.add(f, g)
+    return transition.transition_scores(params.transition, ctxs, rows, row_step, lo, s_max,
+                                        cand_embs, h_f, keep, p_drop)

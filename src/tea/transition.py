@@ -4,8 +4,9 @@ Scores candidate next items against the user's own history: causal
 self-attention with position embeddings over the step's window, a
 co-interaction walk GRU, and a bilinear head against the candidate
 embeddings. `transition_scores` is the only implementation and scores a
-whole minibatch at once; the single-candidate reference that mirrors the
-formula term by term lives with the tests.
+whole minibatch at once, with f's user vector folded into the same head;
+the single-candidate reference that mirrors the formula term by term lives
+with the tests.
 """
 
 from __future__ import annotations
@@ -17,31 +18,28 @@ from .autodiff import Tensor
 from .params import TransitionParams
 
 
-def transition_scores(params: TransitionParams, ctxs, steps: list[list[int]],
-                      lo: list[int], cand_embs: Tensor, training: bool, rngs,
-                      p_drop: float) -> Tensor:
-    """g for every (user, step) row of a minibatch, shape (N, C).
+def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
+                      row_step: np.ndarray, lo: np.ndarray, s_max: np.ndarray,
+                      cand_embs: Tensor, h_f: Tensor, keep, p_drop: float) -> Tensor:
+    """f + g for every (user, step) row of a minibatch, shape (N, C).
 
-    Row order is user by user, each user's steps in the order given;
-    `cand_embs` (N, C, d) holds each row's candidate item embeddings.
-    Attention for user b's step s runs over `ctxs[b].items[lo[b]:s]` with
-    positions counted from 0; the candidate takes position s - lo[b]. The
-    hidden state is h = p_user + w_g2 relu(w_g1 z + b_g1) + b_g2 with z the
-    attention aggregate (zero for an empty window, the cold-start
-    convention); the score is
+    Row i belongs to user `rows.ids[i]` and predicts step `row_step[i]`;
+    `cand_embs` (N, C, d) holds each row's candidate item embeddings and
+    h_f (N, d) f's user vectors (`unary.user_vectors`). Attention for user
+    b's step s runs over `ctxs[b].items[lo[b]:s]` with positions counted
+    from 0; the candidate takes position s - lo[b]. The hidden state is
+    h = p_user + w_g2 relu(w_g1 z + b_g1) + b_g2 with z the attention
+    aggregate (zero for an empty window, the cold-start convention); g is
     (w_g3 [h (+) h_walk_user (+) h_walk_item (+) p_user]) . q_candidate.
-    Dropout hits h only in training mode, row i's mask drawn from rngs[i].
+    f = h_f . q_candidate is linear in the candidate too, so h_f joins the
+    part of the head's vector that all of a row's candidates share.
+    Dropout hits h only where `keep`, the (N, C, d) keep-mask, is given.
     Everything from the attention to the score is one `ad.candidate_head`
     record.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
-    n_rows, n_cands = cand_embs.data.shape[:2]
-    counts = [len(st) for st in steps]
-    rows = ad.Segments(counts)                     # each user's rows, consecutive
     row_user = rows.ids
-    row_step = np.concatenate([np.asarray(st, dtype=np.intp) for st in steps])
-    row_n = row_step - np.repeat(np.asarray(lo, dtype=np.intp), counts)
     p_user = ad.gather_rows(sh.user, [ctx.user for ctx in ctxs])         # (B, d)
     bias = ad.add(ad.gather_rows(p_user, row_user[:, None]), params.b_g2)  # (N, 1, d)
 
@@ -54,33 +52,38 @@ def transition_scores(params: TransitionParams, ctxs, steps: list[list[int]],
         if walk_rows.size:
             walk_part = _walk_terms(params, ctxs, p_user, row_user, row_step, walk_rows)
             shared_part = ad.add(walk_part, shared_part)
-    keep = (ad.keep_masks(rngs, p_drop, (n_rows, n_cands, d))
-            if training and p_drop > 0.0 else None)
-    head = (params.w_g2, bias, ad.slice_cols(w3, 0, d), shared_part)
-    if row_n.max() == 0:
-        # empty window (l_s = 1): z = 0, the cold start, leaves b_g1
-        return ad.candidate_head(cand_embs, params.b_g1, *head, keep=keep, p_drop=p_drop)
-    keys, values = _history(params, ctxs, steps, lo, int(row_n.max()))
-    return ad.candidate_head(cand_embs, values, *head, keys=keys,
-                             pos=ad.gather_rows(sh.position, row_n), rows=rows,
-                             widths=row_n, keep=keep, p_drop=p_drop)
+    shared_part = ad.add(shared_part, ad.reshape(h_f, (row_user.size, 1, d)))
+    row_n = row_step - lo[row_user]
+    keys, values = _history(params, ctxs, lo, s_max)
+    # l_s = 1 leaves every window empty: one zero position stands in, whose
+    # value is exactly b_g1 under a softmax weight of exactly 1.
+    return ad.candidate_head(cand_embs, values, params.w_g2, bias, ad.slice_cols(w3, 0, d),
+                             shared_part, keys=keys, pos=ad.gather_rows(sh.position, row_n),
+                             rows=rows, widths=np.maximum(row_n, 1), keep=keep,
+                             p_drop=p_drop)
 
 
-def _history(params: TransitionParams, ctxs, steps, lo, width: int
+def _history(params: TransitionParams, ctxs, lo: np.ndarray, s_max: np.ndarray
              ) -> tuple[Tensor, Tensor]:
     """Attention keys and values of every user's history window, each (B, T, d).
 
-    Each window is padded at the end to `width`, the batch's widest; the
-    head's per-row causal width hides the padding.
+    User b's window is `ctxs[b].items[lo[b]:s_max[b]]`. Each window is padded
+    at the end to T, the batch's widest; the head's per-row causal width
+    hides the padding. When every window is empty, T = 1 and the one
+    position's embedding is zero.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
-    history = np.zeros((len(ctxs), width), dtype=np.intp)  # padded with item 0
-    for b, (ctx, st) in enumerate(zip(ctxs, steps)):
-        window = ctx.items[lo[b]:max(st)]
-        history[b, :len(window)] = window
-    e_hist = ad.add(ad.gather_rows(sh.item, history),
-                    ad.gather_rows(sh.position, np.arange(width)))       # (B, T, d)
+    width = int((s_max - lo).max())
+    if width == 0:
+        e_hist = ad.zeros(len(ctxs), 1, d)
+    else:
+        history = np.zeros((len(ctxs), width), dtype=np.intp)  # padded with item 0
+        for b, (ctx, start, stop) in enumerate(zip(ctxs, lo.tolist(), s_max.tolist())):
+            window = ctx.items[start:stop]
+            history[b, :len(window)] = window
+        e_hist = ad.add(ad.gather_rows(sh.item, history),
+                        ad.gather_rows(sh.position, np.arange(width)))   # (B, T, d)
     # (w_q e_cand) . (w_k e_t) / sqrt(d) = e_cand . (w_q^T w_k e_t) / sqrt(d):
     # the query projection and the scale fold into the per-user keys.
     w_qk = ad.scale(ad.matmul(ad.transpose(params.w_q), params.w_k), 1.0 / np.sqrt(d))

@@ -4,9 +4,11 @@ Scores candidate items against the user's temporally evolving graph
 neighborhood: per-step aggregation of the items the user's social
 neighbors touched (mean-pooled or attention-weighted), a temporal GRU over
 those per-step summaries, a static social aggregate, and a dot-product
-head against the candidate embeddings. `unary_scores` is the only
-implementation and scores a whole minibatch at once; the single-candidate
-reference lives with the tests.
+head against the candidate embeddings. `user_vectors` is the only
+implementation: it builds the user side of that dot product for a whole
+minibatch, and g's candidate head (`transition.transition_scores`) takes
+the product with each candidate. The single-candidate reference lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -82,32 +84,34 @@ def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
     return h_user
 
 
-def unary_scores(params: UnaryParams, ctxs, steps: list[list[int]],
-                 lo_gru: list[int], cand_embs: Tensor, training: bool, rngs,
+def user_vectors(params: UnaryParams, ctxs, rows: ad.Segments, row_step: np.ndarray,
+                 lo_gru: np.ndarray, s_max: np.ndarray, training: bool, rngs,
                  p_drop: float) -> Tensor:
-    """f for every (user, step) row of a minibatch, shape (N, C).
+    """f's user vector h_f for every (user, step) row of a minibatch, shape (N, d).
 
-    Row order is user by user, each user's steps in the order given. User
-    b's temporal GRU runs from a zero state over `ctxs[b].buckets[lo_gru[b]:s]`
-    for its largest step s, each bucket aggregated against the user's own
-    item at that step. All users step in lockstep over (B, d) states, as one
-    `ad.gru_sequence` record; a user with fewer buckets is padded with empty
-    ones at the end, which only move states no step reads. Step s reads the
-    state after bucket s - 1, fuses it with the social aggregate of the
-    user's neighbors and dots it with the rows of `cand_embs` (N, C, d).
+    f for row i and candidate c is `h_f[i] . e_c`, e_c the candidate's item
+    embedding; g's candidate head takes that product together with g's.
+    Row i belongs to user `rows.ids[i]` and predicts step `row_step[i]`.
+    User b's temporal GRU runs from a zero state over
+    `ctxs[b].buckets[lo_gru[b]:s_max[b]]`, each bucket aggregated against
+    the user's own item at that step. All users step in lockstep over
+    (B, d) states, as one `ad.gru_sequence` record; a user with fewer
+    buckets is padded with empty ones at the end, which only move states no
+    step reads. Step s reads the state after bucket s - 1 and fuses it with
+    the social aggregate of the user's neighbors (`fuse_context`, dropout
+    included).
     """
-    d = params.shared.item.data.shape[1]
     n_users = len(ctxs)
-    counts = [len(st) for st in steps]
-    row_user = np.repeat(np.arange(n_users), counts)
-    row_cell = (np.concatenate([np.asarray(st, dtype=np.intp) for st in steps])
-                - np.repeat(np.asarray(lo_gru, dtype=np.intp), counts))
-    depths = [max(st) - lo for st, lo in zip(steps, lo_gru)]
+    row_user = rows.ids
+    row_cell = row_step - lo_gru[row_user]
+    depths = s_max - lo_gru
+    n_steps = int(depths.max())
+    windows = list(zip(ctxs, lo_gru.tolist(), depths.tolist()))
 
     # Step-major layout: bucket k = t * B + b is user b's t-th bucket.
     buckets, anchors = [], []
-    for t in range(max(depths)):
-        for ctx, lo, depth in zip(ctxs, lo_gru, depths):
+    for t in range(n_steps):
+        for ctx, lo, depth in windows:
             if t < depth:
                 buckets.append(ctx.buckets[lo + t])
                 anchors.append(ctx.items[lo + t])
@@ -118,11 +122,8 @@ def unary_scores(params: UnaryParams, ctxs, steps: list[list[int]],
         summaries = bipartite_aggregate_attention(params, anchors, buckets)
     else:
         summaries = bipartite_aggregate_sage(params, buckets)
-    states = ad.gru_sequence(summaries, params.temporal_gru, max(depths))
+    states = ad.gru_sequence(summaries, params.temporal_gru, n_steps)
     h_temporal = ad.gather_rows(states, (row_cell - 1) * n_users + row_user)
     h_social = ad.gather_rows(social_aggregate(params, [ctx.neighbors for ctx in ctxs]),
                               row_user)
-    h_user = fuse_context(params, h_temporal, h_social, training, rngs, p_drop)
-    n_rows, n_cands = cand_embs.data.shape[:2]
-    scores = ad.matmul(cand_embs, ad.reshape(h_user, (n_rows, d, 1)))   # (N, C, 1)
-    return ad.reshape(scores, (n_rows, n_cands))
+    return fuse_context(params, h_temporal, h_social, training, rngs, p_drop)

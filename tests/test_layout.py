@@ -92,7 +92,7 @@ def test_score_user_steps_reaches_the_potentials_through_their_scorers():
     model = load_package(PACKAGE)["model"]
     reached = sorted(ref for ref in model.references("score_user_steps")
                      if ref[0] in ("transition", "unary"))
-    assert reached == [("transition", "transition_scores"), ("unary", "unary_scores")]
+    assert reached == [("transition", "transition_scores"), ("unary", "user_vectors")]
 
 
 def test_training_and_evaluation_score_through_one_call():

@@ -479,11 +479,32 @@ class TestCandidateHeadInTheModel:
             replay.random(d)                                   # f's mask comes next
             assert rng.bit_generator.state == replay.bit_generator.state
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_candidate_embeddings_feed_one_record(self, variant):
+        """f and g score in one head: in a training batch with dropout, the
+        gathered candidate embeddings are an input of exactly one record."""
+        l_s = 4
+        ctxs, steps = _batch_contexts(l_s, seed=18)
+        params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=108)
+        cands = _candidate_rows(steps, seed=19)
+        rngs = [np.random.default_rng([20, row]) for row in range(cands.shape[0])]
+        with ad.Tape() as tape:
+            score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
+                             p_drop=0.3)
+        item = params.shared.item
+        gathered = [rec.out for rec in tape.records if rec.inputs == (item,)
+                    and rec.out.data.shape == cands.shape + (4,)]
+        assert len(gathered) == 1
+        np.testing.assert_array_equal(gathered[0].data, item.data[cands])
+        readers = [rec for rec in tape.records
+                   if any(inp is gathered[0] for inp in rec.inputs)]
+        assert len(readers) == 1, len(readers)
+
     def test_training_batch_memory(self):
         """Forward, loss and backward of a short-seq-sized batch: 3 users x 28 steps,
         51 candidates, d = 32. The head built from a dozen primitives peaked at
         18.2 candidate-sized (N, C, d) arrays under tracemalloc; one record that
-        keeps about five of them stays below two thirds of that."""
+        keeps about five of them, and scores f + g, stays at 9."""
         n_users, n_steps, n_cands, d = 3, 28, 51, 32
         ds = synthetic_dataset(n_users=n_users, n_items=300, seq_len=n_steps + 1,
                                seed=1, l_s=50)
@@ -510,4 +531,4 @@ class TestCandidateHeadInTheModel:
         finally:
             tracemalloc.stop()
         cand_bytes = n_rows * n_cands * d * 8
-        assert peak <= 12 * cand_bytes, f"peak {peak / cand_bytes:.2f} candidate arrays"
+        assert peak <= 9 * cand_bytes, f"peak {peak / cand_bytes:.2f} candidate arrays"

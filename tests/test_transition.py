@@ -266,7 +266,8 @@ class TestTransitionGradients:
         assert_gradients_match(build, p.named() + p.shared.named())
 
     def test_cold_start_gradients(self):
-        """l_s = 1: no attention, relu(b_g1) feeds the head of every row; dropout on."""
+        """l_s = 1: every window is empty, so relu(b_g1) feeds the head of every
+        row through one zero history position; dropout on."""
         params = _g_only(seed=72, l_s=1)
         p = params.transition
         ctxs = [UserContext(1, [0, 3], [[], []], [[2], [0]], []),
