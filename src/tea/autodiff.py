@@ -403,25 +403,6 @@ def total_sum(a: Tensor) -> Tensor:
     return _emit(out, (a,), back)
 
 
-def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum of squared entries over several tensors, as one scalar.
-
-    The per-tensor sums are added in the order given.
-    """
-    if not tensors:
-        raise ValueError("sum_of_squares: empty input")
-    total = None
-    for t in tensors:
-        sq = (t.data * t.data).sum()
-        total = sq if total is None else total + sq
-    out = _wrap(np.asarray(total))
-
-    def back(g: Array):
-        return tuple(2.0 * g * t.data for t in tensors)
-
-    return _emit(out, tuple(tensors), back)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """table[indices] along axis 0; the gradient is a RowGrad of the touched rows.
 
@@ -888,35 +869,64 @@ class AdamState:
 
 
 def adam_step(params: Iterable[tuple[str, Tensor]], grads: dict[str, Array],
-              state: AdamState) -> None:
-    """Bias-corrected Adam update, in place; `grads` maps each name to its array.
+              state: AdamState, gamma: float = 0.0,
+              clip_norm: float = 0.0) -> tuple[float, float]:
+    """Adam on the L2-penalized, clipped gradient, in place; returns (sum theta^2, ||e||).
 
-    Evaluates m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2 and
-    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps) operation by operation,
-    block by block through two scratch rows of ADAM_BLOCK elements, so a
-    step allocates nothing table-sized. Every element sees the operations
-    whole-array expressions would apply, in the same order.
+    The gradient for theta is e = g + 2 gamma theta, `grads` mapping each
+    name to g, scaled by clip_norm / ||e|| when 0 < clip_norm < ||e||, the
+    norm taken over all tensors. A read-only pass takes ||e|| and sum theta^2
+    before the update (the penalized loss adds gamma times it); a second
+    applies m = b1 m + (1-b1) e, v = b2 v + (1-b2) e^2 and
+    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps). Both run block by block
+    through scratch rows of ADAM_BLOCK elements, so a step allocates nothing
+    table-sized, and every element sees the operations of whole-array
+    expressions in the same order; only the norm's summation order differs.
     """
-    scratch = np.empty((2, ADAM_BLOCK))
+    params = list(params)
+    scratch = np.empty((3, ADAM_BLOCK))
+    two_gamma = 2.0 * gamma
+
+    def penalized(x: Array, gb: Array, out: Array) -> Array:
+        return np.add(np.multiply(two_gamma, x, out=out), gb, out=out) if gamma else gb
+
+    sq_norm = sq_theta = 0.0
+    for name, tensor in params:
+        g = grads[name]
+        if g.shape != tensor.data.shape:
+            raise ShapeError("adam-step", tensor.data.shape, g.shape)
+        blocks = np.nditer([tensor.data, g],
+                           flags=["external_loop", "buffered", "zerosize_ok"],
+                           op_flags=[["readonly"]] * 2, buffersize=ADAM_BLOCK)
+        with blocks:
+            for x, gb in blocks:
+                a, b = scratch[:2, :x.size]
+                e = penalized(x, gb, a)
+                sq_norm += float(np.multiply(e, e, out=b).sum())
+                sq_theta += float(np.multiply(x, x, out=b).sum())
+    norm = float(np.sqrt(sq_norm))
+    factor = clip_norm / norm if 0 < clip_norm < norm else None
+
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, tensor in params:
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ShapeError("adam-step", tensor.data.shape, g.shape)
-        blocks = np.nditer([tensor.data, state.m[name], state.v[name], g],
+        blocks = np.nditer([tensor.data, state.m[name], state.v[name], grads[name]],
                            flags=["external_loop", "buffered", "zerosize_ok"],
                            op_flags=[["readwrite"]] * 3 + [["readonly"]],
                            buffersize=ADAM_BLOCK)
         with blocks:
             for x, m, v, gb in blocks:
-                a, b = scratch[:, :x.size]
+                a, b, c = scratch[:, :x.size]
+                e = penalized(x, gb, c)
+                if factor is not None:
+                    e = np.multiply(e, factor, out=c)
                 m *= b1
-                m += np.multiply(1.0 - b1, gb, out=a)
+                m += np.multiply(1.0 - b1, e, out=a)
                 v *= b2
-                v += np.multiply(1.0 - b2, np.multiply(gb, gb, out=a), out=a)
+                v += np.multiply(1.0 - b2, np.multiply(e, e, out=a), out=a)
                 num = np.multiply(state.lr, np.divide(m, bc1, out=a), out=a)
                 den = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
                 x -= np.divide(num, den, out=a)
+    return sq_theta, norm

@@ -70,6 +70,7 @@ def _effective_train_config(args) -> TrainConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    cfg.validate()   # before any output directory is made
     return cfg
 
 
@@ -199,6 +200,9 @@ def cmd_eval(args) -> int:
     echo = {"train_config": train_config, "checkpoint_epoch": epoch,
             "n_neg": args.n_neg, "seed": seed, "ks": list(ks)}
     write_report(report, json_path, csv_path, config_echo=echo)
+    timing_path = os.path.join(out_dir, f"timing_{args.split}.json")
+    with open(timing_path, "w", encoding="utf-8") as fh:   # kept out of the report
+        fh.write(json.dumps({"wall_clock_seconds": report.wall_clock_seconds}) + "\n")
     summary = " ".join(f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}"
                        for k in ks)
     print(f"{args.split}: {summary}")

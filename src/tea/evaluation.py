@@ -60,7 +60,6 @@ class EvalReport:
             "seed": self.seed,
             "variant": self.variant,
             "rank_histogram": _histogram(self.ranks),
-            "wall_clock_seconds": self.wall_clock_seconds,
         }
         if config_echo is not None:
             out["config"] = config_echo

@@ -1,14 +1,17 @@
-"""Training objective: sampled-contrast sequence loss and L2 penalty.
+"""Training objective: the sampled-contrast sequence loss.
 
 The per-step loss contrasts the target's combined score against uniformly
 sampled negatives through log-sigmoid terms; it is negated so a single
 minimizer drives training. log(sigmoid(x)) is computed as -softplus(-x) to
-avoid saturation.
+avoid saturation. The objective's L2 term, gamma times the sum of squared
+entries of every trainable tensor, is not taped: `autodiff.adam_step` adds
+its gradient 2 gamma theta and returns the sum of squares for the logged
+loss.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,15 +49,3 @@ def sequence_loss(scores: Tensor, keys: Sequence[tuple[int, int]], n_s: int) -> 
     terms = ad.softplus(ad.mul(scores, ad.Tensor(signs)))
     return ad.scale(ad.total_sum(terms), 1.0 / n)
 
-
-def total_loss(crf_loss: Tensor, params: Iterable[tuple[str, Tensor]],
-               gamma: float = 5e-4) -> Tensor:
-    """crf_loss + gamma * sum of squared entries over all trainable tensors.
-
-    Callers pass each tensor once; the shared embedding tables must not be
-    double-counted just because both score functions use them.
-    """
-    if gamma == 0.0:
-        return crf_loss
-    reg = ad.sum_of_squares([t for _, t in params])
-    return ad.add(crf_loss, ad.scale(reg, gamma))

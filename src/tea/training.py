@@ -4,6 +4,9 @@ Every source of randomness is derived from (seed, purpose, epoch, user,
 step), so two runs with the same seed produce bit-identical curves and
 parameters regardless of batching. Validation NDCG@10 drives early
 stopping; the returned parameters are the best-validation snapshot.
+Only the sequence loss is taped: `adam_step` adds the L2 term's gradient,
+clips the global gradient norm and returns what the logged loss and the
+per-epoch clip counts need.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .autodiff import AdamState, Tape, adam_step, backward
 from .data import PreparedDataset, sample_negatives
 from .evaluation import EvalConfig, eval_candidates, evaluate_all
 from .model import positive_target, score_user_steps, user_context
-from .objective import NonFiniteScoreError, sequence_loss, total_loss
+from .objective import NonFiniteScoreError, sequence_loss
 from .params import ModelParams, init_params
 
 
@@ -54,8 +57,11 @@ class TrainConfig:
                 raise ValueError(f"config field {name} must be positive")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError("p_drop must be in [0, 1)")
-        if self.lr <= 0 or self.gamma < 0:
-            raise ValueError("lr must be positive and gamma nonnegative")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("config field lr must be positive and finite")
+        for name in ("gamma", "clip_norm"):   # clip_norm = 0 turns clipping off
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"config field {name} must be nonnegative and finite")
         if self.max_epochs < 0 or self.patience < 0:
             raise ValueError("max_epochs and patience must be nonnegative")
 
@@ -81,23 +87,6 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
         raise ValueError("early_stop: empty history")
     best_epoch = 1 + int(np.argmax(history))  # argmax takes the first maximum
     return len(history) - best_epoch >= patience, best_epoch
-
-
-def _global_norm(grads: dict[str, np.ndarray]) -> float:
-    # Each g*g goes into one buffer as long as the largest gradient.
-    squares = np.empty(max((g.size for g in grads.values()), default=0))
-    total = 0.0
-    for g in grads.values():
-        total += float(np.multiply(g, g, out=squares[:g.size].reshape(g.shape)).sum())
-    return float(np.sqrt(total))
-
-
-def _clip(grads: dict[str, np.ndarray], clip_norm: float) -> None:
-    norm = _global_norm(grads)
-    if clip_norm > 0 and norm > clip_norm:
-        factor = clip_norm / norm
-        for g in grads.values():
-            g *= factor
 
 
 def _example_rng(seed: int, epoch: int, user: int, step: int) -> np.random.Generator:
@@ -156,6 +145,8 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
             batches.pop()
         loss_sum = 0.0
         n_steps = 0
+        grad_norm_max = 0.0
+        n_clipped = 0
         for batch_idx, batch in enumerate(batches):
             ctxs, step_lists, cand_rows, rngs, keys = [], [], [], [], []
             for i in batch:
@@ -173,18 +164,20 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
                 scores = score_user_steps(params, ctxs, step_lists, cand_rows,
                                           training=True, rngs=rngs, p_drop=config.p_drop)
                 try:
-                    crf_loss = sequence_loss(scores, keys, config.n_s)
+                    loss = sequence_loss(scores, keys, config.n_s)
                 except NonFiniteScoreError as exc:
                     raise NumericalError(epoch, batch_idx,
                                          _param_norm(named)) from exc
-                loss = total_loss(crf_loss, named, config.gamma)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
+            crf_value = loss.item()
+            if not np.isfinite(crf_value):
                 raise NumericalError(epoch, batch_idx, _param_norm(named))
             grads = backward(loss, tape)
             flat = {name: grads.of(t) for name, t in named}
-            _clip(flat, config.clip_norm)
-            adam_step(named, flat, state)
+            sq_theta, grad_norm = adam_step(named, flat, state, config.gamma,
+                                            config.clip_norm)
+            grad_norm_max = max(grad_norm_max, grad_norm)
+            n_clipped += 0 < config.clip_norm < grad_norm
+            loss_value = crf_value + config.gamma * sq_theta
             loss_sum += loss_value * len(keys)
             n_steps += len(keys)
             # Free the batch's arrays before the next batch or the validation pass.
@@ -201,7 +194,8 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
             best_epoch = epoch
         if log:
             log(f"epoch {epoch}: loss={train_loss:.6f} "
-                f"val_hr10={val.hr[10]:.4f} val_ndcg10={val.ndcg[10]:.4f}")
+                f"val_hr10={val.hr[10]:.4f} val_ndcg10={val.ndcg[10]:.4f} "
+                f"grad_norm_max={grad_norm_max:.6g} clipped={n_clipped}/{len(batches)}")
         if stop:
             if log:
                 log(f"early stop at epoch {epoch} (best epoch {best_epoch})")

@@ -13,6 +13,12 @@ its candidate head or its GRU over whole sequences: the temporal GRU runs
 `segment_softmax`.
 `exact_conditional` enumerates the per-step softmax over a small item set,
 and `predict_probability` is sigmoid(f + g).
+
+The optimizer's reference route is the whole-array one: `total_loss` tapes
+the L2 penalty from `mul` and `total_sum`, `clip` scales every gradient by
+one global-norm factor and `adam_update` applies the bias-corrected update
+as whole-array expressions. `tea.autodiff.adam_step` computes the same
+step block by block, with the penalty's gradient and the clip inside.
 """
 
 from __future__ import annotations
@@ -301,3 +307,32 @@ def predict_probability(f_score: float, g_score: float) -> float:
         return 1.0 / (1.0 + np.exp(-x))
     e = np.exp(x)
     return e / (1.0 + e)
+
+
+def total_loss(crf_loss: Tensor, params, gamma: float) -> Tensor:
+    """crf_loss + gamma * sum of squared entries, taped one tensor at a time."""
+    if gamma == 0.0:
+        return crf_loss
+    reg = None
+    for _, t in params:
+        term = ad.total_sum(ad.mul(t, t))
+        reg = term if reg is None else ad.add(reg, term)
+    return ad.add(crf_loss, ad.scale(reg, gamma))
+
+
+def clip(grads: dict[str, np.ndarray], clip_norm: float):
+    """(gradients scaled to a global norm of at most clip_norm, the norm before)."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    if 0 < clip_norm < norm:
+        grads = {name: g * (clip_norm / norm) for name, g in grads.items()}
+    return grads, norm
+
+
+def adam_update(theta, m, v, g, t, lr, b1=0.9, b2=0.99, eps=1e-8) -> None:
+    """The bias-corrected Adam update as whole-array expressions, in place."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

@@ -9,7 +9,7 @@ from tea import autodiff as ad
 
 from gradcheck import (assert_gradients_match, dense_backward, numeric_gradient,
                        max_mismatch)
-from oracles import gru_step
+from oracles import adam_update, clip, gru_step, total_loss
 
 
 def _rand(rng, *shape, grad=True):
@@ -509,8 +509,6 @@ def _primitive_cases(rng):
          [("a", flat)]),
         ("segment-softmax", lambda: ad.total_sum(
             ad.mul(ad.segment_softmax(logits7, seg), w7)), [("a", logits7)]),
-        ("sum-of-squares", lambda: ad.sum_of_squares([m34, v4, m34]),
-         [("a", m34), ("b", v4)]),
         ("dropout", lambda: ad.total_sum(ad.mul(ad.dropout(m34, 0.5, streams()), w34)),
          [("a", m34)]),
         ("candidate-head", lambda: head(h_keep), h_named),
@@ -563,9 +561,7 @@ def _three_gathers(table, gamma, rng):
         w = ad.Tensor(rng.normal(size=(size,) + table.data.shape[1:]))
         term = ad.total_sum(ad.mul(ad.gather_rows(table, idx), w))
         loss = term if loss is None else ad.add(loss, term)
-    if gamma:
-        loss = ad.add(loss, ad.scale(ad.sum_of_squares([table]), gamma))
-    return loss
+    return total_loss(loss, [("table", table)], gamma)
 
 
 class TestRowGradients:
@@ -588,9 +584,8 @@ class TestRowGradients:
         base, w = _rand(rng, 6, 3), _rand(rng, 3, 3)
         with ad.Tape() as tape:
             table = ad.linear(base, w)          # consumed by a record: densified
-            loss = _three_gathers(table, 0.0, rng)
-            if gamma:
-                loss = ad.add(loss, ad.scale(ad.sum_of_squares([base, w]), gamma))
+            loss = total_loss(_three_gathers(table, 0.0, rng),
+                              [("base", base), ("w", w)], gamma)
         want = dense_backward(loss, tape)
         grads = ad.backward(loss, tape)
         for t in (base, w):
@@ -626,50 +621,102 @@ class TestRowGradients:
         assert peak < 2 * table.data.nbytes, f"backward peaked at {peak} bytes"
 
 
-def _adam_reference(theta, m, v, g, t, lr, b1, b2, eps):
-    """The bias-corrected update as whole-array expressions."""
-    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * (g * g)
-    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+def _adam_setup(rng):
+    """Parameters spanning two blocks, their whole-array copies and a state."""
+    shapes = {"a": (7, 3), "b": (5,), "c": (2, 4, 3), "d": (3000, 7)}
+    named = [(n, _rand(rng, *s)) for n, s in shapes.items()]
+    ref = {n: [t.data.copy(), np.zeros(s), np.zeros(s)]
+           for (n, t), s in zip(named, shapes.values())}
+    return named, shapes, ref, ad.AdamState(named, lr=0.03, beta1=0.8, beta2=0.95)
+
+
+def _adam_grads(rng, shapes):
+    grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+    grads["a"] = np.asfortranarray(grads["a"])   # column-major gradients
+    return grads
 
 
 class TestAdam:
     def test_equals_whole_array_expressions_bit_for_bit(self):
         rng = np.random.default_rng(45)
-        # "d" spans two blocks; "a" gets column-major gradients.
-        shapes = {"a": (7, 3), "b": (5,), "c": (2, 4, 3), "d": (3000, 7)}
-        named = [(n, _rand(rng, *s)) for n, s in shapes.items()]
-        ref = {n: [t.data.copy(), np.zeros(s), np.zeros(s)]
-               for (n, t), s in zip(named, shapes.values())}
-        state = ad.AdamState(named, lr=0.03, beta1=0.8, beta2=0.95)
+        named, shapes, ref, state = _adam_setup(rng)
         for step in range(1, 6):
-            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-            grads["a"] = np.asfortranarray(grads["a"])
+            grads = _adam_grads(rng, shapes)
             ad.adam_step(named, grads, state)
             for n, t in named:
-                _adam_reference(*ref[n], grads[n], step, 0.03, 0.8, 0.95, 1e-8)
+                adam_update(*ref[n], grads[n], step, 0.03, 0.8, 0.95, 1e-8)
                 assert np.array_equal(t.data, ref[n][0])
                 assert np.array_equal(state.m[n], ref[n][1])
                 assert np.array_equal(state.v[n], ref[n][2])
 
-    def test_repeated_step_allocates_less_than_a_table(self):
+    def test_penalty_equals_whole_array_expressions_bit_for_bit(self):
+        """Without clipping, the step is Adam on g + 2 gamma theta, bit for bit."""
+        rng = np.random.default_rng(47)
+        gamma = 5e-4
+        named, shapes, ref, state = _adam_setup(rng)
+        for step in range(1, 6):
+            grads = _adam_grads(rng, shapes)
+            want_sq = sum(float((ref[n][0] ** 2).sum()) for n in shapes)
+            sq_theta, norm = ad.adam_step(named, grads, state, gamma=gamma)
+            penalized = {n: grads[n] + 2 * gamma * ref[n][0] for n in shapes}
+            _, want_norm = clip(penalized, 0.0)
+            np.testing.assert_allclose(sq_theta, want_sq, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(norm, want_norm, rtol=1e-14, atol=0)
+            for n, t in named:
+                adam_update(*ref[n], penalized[n], step, 0.03, 0.8, 0.95, 1e-8)
+                assert np.array_equal(t.data, ref[n][0])
+                assert np.array_equal(state.m[n], ref[n][1])
+                assert np.array_equal(state.v[n], ref[n][2])
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-4])
+    def test_clipped_step_matches_whole_array_route(self, gamma):
+        """Clipped: only the global norm's summation order differs."""
+        rng = np.random.default_rng(48)
+        named, shapes, ref, state = _adam_setup(rng)
+        for step in range(1, 6):
+            grads = _adam_grads(rng, shapes)
+            penalized = {n: grads[n] + 2 * gamma * ref[n][0] for n in shapes}
+            clipped, want_norm = clip(penalized, 1.0)
+            _, norm = ad.adam_step(named, grads, state, gamma=gamma, clip_norm=1.0)
+            assert want_norm > 1.0
+            np.testing.assert_allclose(norm, want_norm, rtol=1e-14, atol=0)
+            for n, t in named:
+                adam_update(*ref[n], clipped[n], step, 0.03, 0.8, 0.95, 1e-8)
+                for got, want in zip((t.data, state.m[n], state.v[n]), ref[n]):
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
+
+    def test_clip_off_below_the_norm(self):
+        """clip_norm = 0, or above the norm, leaves the gradient unscaled."""
+        rng = np.random.default_rng(49)
+        grads = {"w": rng.normal(size=(4, 3))}
+        runs = []
+        for clip_norm in (0.0, 1e6):
+            w = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+            state = ad.AdamState([("w", w)], lr=0.1)
+            for _ in range(3):
+                _, norm = ad.adam_step([("w", w)], grads, state, clip_norm=clip_norm)
+            runs.append(w.data)
+        assert norm == clip(grads, 0.0)[1] and np.array_equal(*runs)
+
+    @pytest.mark.parametrize("gamma, clip_norm", [(0.0, 0.0), (5e-4, 5.0)],
+                             ids=["plain", "penalty-and-clip"])
+    def test_repeated_step_allocates_less_than_a_table(self, gamma, clip_norm):
         rng = np.random.default_rng(46)
         table = _rand(rng, 200_000, 8)
         named = [("emb", table)]
         state = ad.AdamState(named)
         grads = {"emb": rng.normal(size=table.data.shape)}
-        ad.adam_step(named, grads, state)
+        ad.adam_step(named, grads, state, gamma, clip_norm)
         tracemalloc.start()
         try:
             for _ in range(3):
-                ad.adam_step(named, grads, state)
+                _, norm = ad.adam_step(named, grads, state, gamma, clip_norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < table.data.nbytes, f"adam_step peaked at {peak} bytes"
+        assert norm > clip_norm          # clipping fires when it is on
 
     def test_zero_gradient_leaves_params_unchanged(self):
         t = ad.Tensor([1.0, -2.0], requires_grad=True)

@@ -95,6 +95,20 @@ class TestTrain:
         assert code == 0
         assert "walk aggregation: disabled" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, flag, value", [("gamma", "--gamma", "nan"),
+                                                    ("clip_norm", "--clip-norm", "-1")])
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_bad_optimizer_setting_exit_2(self, data_dir, tmp_path, capsys, field,
+                                          flag, value, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        args = [flag, value] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_dir, "--out", str(out)] + args + _FAST)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical_curves(self, data_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -274,9 +288,10 @@ class TestEval:
             assert main(["eval", "--data", data_dir,
                          "--checkpoint", os.path.join(trained_dir, "checkpoint.tea"),
                          "--out", out, "--seed", "9"]) == 0
-            rep = json.load(open(os.path.join(out, "report_test.json")))
-            rep.pop("wall_clock_seconds")
-            reports.append(rep)
+            reports.append(json.load(open(os.path.join(out, "report_test.json"))))
+            timing = json.load(open(os.path.join(out, "timing_test.json")))
+            assert list(timing) == ["wall_clock_seconds"]
+        assert "wall_clock_seconds" not in reports[0]
         assert reports[0] == reports[1]
 
 

@@ -8,11 +8,11 @@ import pytest
 from tea import autodiff as ad
 from tea.data import prepare_dataset
 from tea.model import UserContext, score_user_steps, user_context
-from tea.objective import sequence_loss, total_loss
+from tea.objective import sequence_loss
 from tea.params import init_params
 
 from corpus import cycle_corpus, synthetic_dataset, write_corpus
-from oracles import score_candidates_single_route
+from oracles import score_candidates_single_route, total_loss
 from gradcheck import assert_gradients_match, dense_backward
 from scoring import score_steps
 
@@ -427,8 +427,7 @@ class TestTapeLength:
             with ad.Tape() as tape:
                 scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                           rngs=rngs, p_drop=0.3)
-                total_loss(sequence_loss(scores, [(0, row) for row in range(n_rows)], 5),
-                           params.trainable(), 5e-4)
+                sequence_loss(scores, [(0, row) for row in range(n_rows)], 5)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1], lengths
 
@@ -449,7 +448,8 @@ class TestCandidateHeadInTheModel:
             with ad.Tape() as tape:
                 scores = score_user_steps(params, ctxs, steps, cands, training=training,
                                           rngs=None, p_drop=0.0)
-                loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named)
+                loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named,
+                                  5e-4)
             grads = ad.backward(loss, tape)
             runs.append([scores.data] + [grads.of(t) for _, t in named])
         for evaluated, trained in zip(*runs):

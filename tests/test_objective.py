@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea.objective import NonFiniteScoreError, sequence_loss, total_loss
+from tea.objective import NonFiniteScoreError, sequence_loss
 
 from gradcheck import assert_gradients_match
-from oracles import exact_conditional, predict_probability
+from oracles import adam_update, exact_conditional, predict_probability, total_loss
 
 
 def _batch(rows, users=None, step=1):
@@ -88,36 +88,54 @@ class TestSequenceLoss:
 
 
 class TestTotalLoss:
+    """The L2 term: `adam_step` applies it, `oracles.total_loss` tapes it."""
+
     def test_gamma_zero_is_identity(self):
         crf = ad.Tensor([1.25])
         out = total_loss(crf, [("w", ad.Tensor([9.0], requires_grad=True))], 0.0)
         assert out is crf
+        runs = []
+        for gamma in (None, 0.0):
+            w = ad.Tensor([9.0, -2.0], requires_grad=True)
+            state = ad.AdamState([("w", w)])
+            args = () if gamma is None else (gamma,)
+            ad.adam_step([("w", w)], {"w": np.array([0.5, 0.25])}, state, *args)
+            runs.append(w.data)
+        assert np.array_equal(*runs)
 
     def test_zero_parameters_no_penalty(self):
-        crf = ad.Tensor(np.asarray(2.0))
-        out = total_loss(crf, [("w", ad.Tensor(np.zeros(4), requires_grad=True))], 1.0)
-        np.testing.assert_allclose(out.item(), 2.0)
+        w = ad.Tensor(np.zeros(4), requires_grad=True)
+        state = ad.AdamState([("w", w)])
+        sq_theta, _ = ad.adam_step([("w", w)], {"w": np.zeros(4)}, state, gamma=1.0)
+        np.testing.assert_allclose(2.0 + 1.0 * sq_theta, 2.0)
+        np.testing.assert_array_equal(w.data, np.zeros(4))
 
     def test_squared_norm(self):
-        crf = ad.Tensor(np.asarray(0.0))
         w = ad.Tensor([3.0, 4.0], requires_grad=True)
-        out = total_loss(crf, [("w", w)], gamma=1.0)
+        state = ad.AdamState([("w", w)])
+        sq_theta, _ = ad.adam_step([("w", w)], {"w": np.zeros(2)}, state, gamma=1.0)
+        np.testing.assert_allclose(0.0 + 1.0 * sq_theta, 25.0)
+        out = total_loss(ad.Tensor(np.asarray(0.0)), [("w", ad.Tensor([3.0, 4.0]))], 1.0)
         np.testing.assert_allclose(out.item(), 25.0)
 
     def test_penalty_is_one_record(self):
+        """The penalty adds no tape record: the step sums it and adds its gradient."""
         rng = np.random.default_rng(8)
         named = [(f"w{i}", ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True))
                  for i in range(30)]
-        crf = ad.Tensor(np.asarray(0.5), requires_grad=True)
-        with ad.Tape() as tape:
-            out = total_loss(crf, named, gamma=0.01)
-        # sum_of_squares, scale and the add onto the crf loss
-        assert len(tape) == 3
+        want_grads = {name: 0.02 * t.data for name, t in named}
         want = 0.5 + 0.01 * sum(float((t.data ** 2).sum()) for _, t in named)
-        np.testing.assert_allclose(out.item(), want, atol=1e-12)
-        grads = ad.backward(out, tape)
-        for _, t in named:
-            np.testing.assert_allclose(grads.of(t), 0.02 * t.data, atol=1e-15)
+        ref = {name: [t.data.copy(), np.zeros((3, 2)), np.zeros((3, 2))]
+               for name, t in named}
+        state = ad.AdamState(named, lr=0.01)
+        with ad.Tape() as tape:
+            sq_theta, _ = ad.adam_step(named, {n: np.zeros((3, 2)) for n, _ in named},
+                                       state, gamma=0.01)
+        assert len(tape) == 0
+        np.testing.assert_allclose(0.5 + 0.01 * sq_theta, want, atol=1e-12)
+        for name, t in named:
+            adam_update(*ref[name], want_grads[name], 1, 0.01)
+            np.testing.assert_allclose(t.data, ref[name][0], atol=1e-15)
 
     def test_penalty_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)

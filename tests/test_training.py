@@ -1,5 +1,7 @@
 """Optimization loop: early stopping, convergence, determinism, checkpoints."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
 from tea.model import positive_target, score_user_steps, user_context
-from tea.objective import NonFiniteScoreError, sequence_loss, total_loss
+from tea.objective import NonFiniteScoreError, sequence_loss
 from tea.params import (IncompatibleCheckpointError, init_params,
                         load_checkpoint, save_checkpoint)
 from tea.training import (NumericalError, TrainConfig, early_stop, train,
                           write_curve_csv)
+
+import oracles
+
+VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
 
 
 def _toy_config(**overrides):
@@ -158,14 +164,72 @@ class TestRepeatedBatch:
                     [[step] for _, step, _, _ in fixed],
                     [[pos] + negs for _, _, pos, negs in fixed])
                 keys = [(user, step) for user, step, _, _ in fixed]
-                loss = total_loss(sequence_loss(scores, keys, config.n_s), named,
-                                  config.gamma)
-            losses.append(loss.item())
+                loss = sequence_loss(scores, keys, config.n_s)
             grads = backward(loss, tape)
             flat = {name: grads.of(t) for name, t in named}
-            adam_step(named, flat, state)
+            sq_theta, _ = adam_step(named, flat, state, config.gamma)
+            losses.append(loss.item() + config.gamma * sq_theta)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert decreases >= 45, f"only {decreases}/50 steps non-increasing"
+
+
+class TestOptimizerRoute:
+    """One `train` batch against the whole-array route: taped L2 penalty,
+    whole-array clip, whole-array Adam."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("clip_norm, fires", [(1e-3, True), (1e3, False), (0.0, False)])
+    def test_one_batch_matches_the_reference_route(self, toy_dataset, monkeypatch,
+                                                   variant, clip_norm, fires):
+        config = _toy_config(variant=variant, gamma=5e-4, p_drop=0.3, max_epochs=1,
+                             batch_size=10_000, clip_norm=clip_norm)
+        batches = []
+        real = training.score_user_steps
+
+        def spy(params, ctxs, steps, cands, **kwargs):
+            batches.append((ctxs, steps, cands, copy.deepcopy(kwargs["rngs"])))
+            return real(params, ctxs, steps, cands, **kwargs)
+
+        monkeypatch.setattr(training, "score_user_steps", spy)
+        result = train(toy_dataset, config)
+        (ctxs, steps, cands, rngs), = batches
+
+        params = init_params(toy_dataset.n_users, toy_dataset.n_items, config.d,
+                             config.l_s, variant, config.seed)
+        named = params.trainable()
+        keys = [(ctx.user, step) for ctx, row in zip(ctxs, steps) for step in row]
+        with Tape() as tape:
+            scores = real(params, ctxs, steps, cands, training=True, rngs=rngs,
+                          p_drop=config.p_drop)
+            loss = oracles.total_loss(sequence_loss(scores, keys, config.n_s), named,
+                                      config.gamma)
+        grads = backward(loss, tape)
+        flat, norm = oracles.clip({name: grads.of(t) for name, t in named}, clip_norm)
+        assert (0 < clip_norm < norm) == fires
+        for name, t in named:
+            oracles.adam_update(t.data, np.zeros_like(t.data), np.zeros_like(t.data),
+                                flat[name], 1, config.lr)
+        for (name, got), (_, want) in zip(result.params.trainable(), named):
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        np.testing.assert_allclose(result.curve[0]["train_loss"], loss.item(),
+                                   rtol=1e-12, atol=0)
+
+
+class TestClipTelemetry:
+    @pytest.mark.parametrize("clip_norm, clipped", [(1e-6, "all"), (0.0, "none")])
+    def test_epoch_line_counts_clipped_batches(self, toy_dataset, clip_norm, clipped):
+        lines = []
+        result = train(toy_dataset, _toy_config(max_epochs=2, batch_size=32,
+                                                clip_norm=clip_norm), log=lines.append)
+        epochs = [line for line in lines if line.startswith("epoch ")]
+        assert len(epochs) == len(result.curve) == 2
+        for line in epochs:
+            head, _, counts = line.rpartition(" clipped=")
+            k, n = (int(x) for x in counts.split("/"))
+            assert n > 1 and k == (n if clipped == "all" else 0)
+            norm = float(head.rpartition(" grad_norm_max=")[2])
+            assert norm > 0 and np.isfinite(norm)
 
 
 class TestClone:
@@ -228,4 +292,11 @@ class TestConfig:
             TrainConfig(p_drop=1.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0).validate()
+        bad = [("lr", np.nan), ("lr", np.inf), ("gamma", np.nan), ("gamma", -1e-4),
+               ("gamma", np.inf), ("clip_norm", -1.0), ("clip_norm", np.nan),
+               ("clip_norm", np.inf), ("p_drop", np.nan)]
+        for field, value in bad:
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value}).validate()
         TrainConfig().validate()
+        TrainConfig(clip_norm=0.0, gamma=0.0).validate()   # both off
