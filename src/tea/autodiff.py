@@ -16,7 +16,7 @@ time; scoring without an active tape is a plain (and faster) forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -157,13 +157,20 @@ class Gradients:
     def __init__(self, entries: dict[int, Array | RowGrad]) -> None:
         self._entries = entries
 
-    def of(self, t: Tensor) -> Array:
+    def of(self, t: Tensor, out: Array | None = None) -> Array:
+        """t's gradient, written into `out` (t's shape) when one is given; a
+        row gradient is scattered into it, with no table-sized temporary."""
         g = self._entries.get(id(t))
-        if g is None:
-            return np.zeros_like(t.data)
+        if out is None:
+            if g is not None and not isinstance(g, RowGrad):
+                return g
+            out = self._entries[id(t)] = np.empty_like(t.data)
         if isinstance(g, RowGrad):
-            g = self._entries[id(t)] = g.dense()
-        return g
+            out.fill(0.0)
+            out[g.ids] = g.values
+        else:
+            out[...] = 0.0 if g is None else g
+        return out
 
 
 def backward(loss: Tensor, tape: Tape) -> Gradients:
@@ -847,86 +854,65 @@ ADAM_BLOCK = 1 << 14
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter.
+    """First/second moment vectors, laid out like theta, plus the step counter.
 
     beta2 defaults to 0.99 rather than 0.999: the embedding tables start
     near zero, and a long second-moment memory of the first noisy steps
     throttles them for hundreds of updates.
     """
 
-    def __init__(self, params: Iterable[tuple[str, Tensor]], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8) -> None:
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
-        for name, tensor in params:
-            self.m[name] = np.zeros_like(tensor.data)
-            self.v[name] = np.zeros_like(tensor.data)
+    def __init__(self, theta: Array, lr: float = 0.01, beta1: float = 0.9,
+                 beta2: float = 0.99, eps: float = 1e-8) -> None:
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
 
 
-def adam_step(params: Iterable[tuple[str, Tensor]], grads: dict[str, Array],
-              state: AdamState, gamma: float = 0.0,
+def adam_step(theta: Array, grad: Array, state: AdamState, gamma: float = 0.0,
               clip_norm: float = 0.0) -> tuple[float, float]:
     """Adam on the L2-penalized, clipped gradient, in place; returns (sum theta^2, ||e||).
 
-    The gradient for theta is e = g + 2 gamma theta, `grads` mapping each
-    name to g, scaled by clip_norm / ||e|| when 0 < clip_norm < ||e||, the
-    norm taken over all tensors. A read-only pass takes ||e|| and sum theta^2
-    before the update (the penalized loss adds gamma times it); a second
-    applies m = b1 m + (1-b1) e, v = b2 v + (1-b2) e^2 and
-    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps). Both run block by block
-    through scratch rows of ADAM_BLOCK elements, so a step allocates nothing
-    table-sized, and every element sees the operations of whole-array
-    expressions in the same order; only the norm's summation order differs.
+    theta and grad are 1-D vectors of one length (`ModelParams.flat` and a
+    gradient laid out like it). The gradient for theta is e = g + 2 gamma
+    theta, scaled by clip_norm / ||e|| when 0 < clip_norm < ||e||. A
+    read-only pass takes ||e|| and sum theta^2 before the update (the
+    penalized loss adds gamma times it); a second applies m = b1 m + (1-b1) e,
+    v = b2 v + (1-b2) e^2 and theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    Both walk slices of ADAM_BLOCK elements through scratch rows, so a step
+    allocates nothing table-sized, and every element sees the operations of
+    whole-array expressions in the same order; only the norm's summation
+    order differs.
     """
-    params = list(params)
     scratch = np.empty((3, ADAM_BLOCK))
+    blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, theta.size, ADAM_BLOCK)]
     two_gamma = 2.0 * gamma
 
     def penalized(x: Array, gb: Array, out: Array) -> Array:
         return np.add(np.multiply(two_gamma, x, out=out), gb, out=out) if gamma else gb
 
     sq_norm = sq_theta = 0.0
-    for name, tensor in params:
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ShapeError("adam-step", tensor.data.shape, g.shape)
-        blocks = np.nditer([tensor.data, g],
-                           flags=["external_loop", "buffered", "zerosize_ok"],
-                           op_flags=[["readonly"]] * 2, buffersize=ADAM_BLOCK)
-        with blocks:
-            for x, gb in blocks:
-                a, b = scratch[:2, :x.size]
-                e = penalized(x, gb, a)
-                sq_norm += float(np.multiply(e, e, out=b).sum())
-                sq_theta += float(np.multiply(x, x, out=b).sum())
+    for block in blocks:
+        x = theta[block]
+        a, b = scratch[:2, :x.size]
+        e = penalized(x, grad[block], a)
+        sq_norm += float(np.multiply(e, e, out=b).sum())
+        sq_theta += float(np.multiply(x, x, out=b).sum())
     norm = float(np.sqrt(sq_norm))
     factor = clip_norm / norm if 0 < clip_norm < norm else None
 
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for name, tensor in params:
-        blocks = np.nditer([tensor.data, state.m[name], state.v[name], grads[name]],
-                           flags=["external_loop", "buffered", "zerosize_ok"],
-                           op_flags=[["readwrite"]] * 3 + [["readonly"]],
-                           buffersize=ADAM_BLOCK)
-        with blocks:
-            for x, m, v, gb in blocks:
-                a, b, c = scratch[:, :x.size]
-                e = penalized(x, gb, c)
-                if factor is not None:
-                    e = np.multiply(e, factor, out=c)
-                m *= b1
-                m += np.multiply(1.0 - b1, e, out=a)
-                v *= b2
-                v += np.multiply(1.0 - b2, np.multiply(e, e, out=a), out=a)
-                num = np.multiply(state.lr, np.divide(m, bc1, out=a), out=a)
-                den = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
-                x -= np.divide(num, den, out=a)
+    bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for block in blocks:
+        x, m, v = theta[block], state.m[block], state.v[block]
+        a, b, c = scratch[:, :x.size]
+        e = penalized(x, grad[block], c)
+        if factor is not None:
+            e = np.multiply(e, factor, out=c)
+        m *= b1
+        m += np.multiply(1.0 - b1, e, out=a)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.multiply(e, e, out=a), out=a)
+        num = np.multiply(state.lr, np.divide(m, bc1, out=a), out=a)
+        den = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+        x -= np.divide(num, den, out=a)
     return sq_theta, norm

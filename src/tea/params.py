@@ -3,15 +3,17 @@
 Embedding tables are shared between the two score functions; every tensor
 gets its own named random stream so adding or removing a block (e.g. the
 walk GRU in the reduced variants) never shifts the init of the others.
+Every trainable tensor is a view into one float64 vector, `ModelParams.flat`.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -99,7 +101,8 @@ class UnaryParams:
 
 @dataclass
 class ModelParams:
-    """Everything trainable, with the shared tables stored exactly once."""
+    """Everything trainable, with the shared tables stored exactly once: each
+    tensor's data is a view into `flat`, in `trainable()` (checkpoint) order."""
 
     shared: SharedEmbeddings
     transition: TransitionParams
@@ -109,6 +112,13 @@ class ModelParams:
     n_items: int
     l_s: int
     variant: str
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.flat = np.empty(sum(t.data.size for _, t in self.trainable()))
+        for (_, t), view in zip(self.trainable(), self.views(self.flat)):
+            view[...] = t.data
+            t.data = view
 
     @property
     def use_walks(self) -> bool:
@@ -117,9 +127,13 @@ class ModelParams:
     def trainable(self) -> list[tuple[str, Tensor]]:
         return self.shared.named() + self.transition.named() + self.unary.named()
 
-    def clone(self) -> "ModelParams":
-        """An independent copy; the shared tables stay shared within it."""
-        return copy.deepcopy(self)
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each trainable tensor's slice of a vector laid out like `flat`."""
+        out, start = [], 0
+        for _, t in self.trainable():
+            out.append(flat[start:start + t.data.size].reshape(t.data.shape))
+            start += t.data.size
+        return out
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -202,8 +216,11 @@ def init_params(n_users: int, n_items: int, d: int, l_s: int,
 # ---------------------------------------------------------------------------
 
 
+def _tensor_specs(params: ModelParams) -> list[dict]:
+    return [{"name": n, "shape": list(t.data.shape)} for n, t in params.trainable()]
+
+
 def save_checkpoint(path, params: ModelParams, config: dict, epoch: int) -> None:
-    tensors = params.trainable()
     header = {
         "format": CHECKPOINT_MAGIC,
         "config": config,
@@ -213,15 +230,14 @@ def save_checkpoint(path, params: ModelParams, config: dict, epoch: int) -> None
         "d": params.d,
         "l_s": params.l_s,
         "variant": params.variant,
-        "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in tensors],
+        "tensors": _tensor_specs(params),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, t in tensors:
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def _read_exactly(fh, n: int, path, what: str) -> bytes:
@@ -232,7 +248,7 @@ def _read_exactly(fh, n: int, path, what: str) -> bytes:
     return raw
 
 
-def _check_header(path, header) -> None:
+def _check_header(path, header, blob_bytes: int) -> None:
     """Reject a header whose fields init_params or the blob reader cannot use."""
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise IncompatibleCheckpointError(f"{path}: checkpoint header format mismatch")
@@ -253,6 +269,13 @@ def _check_header(path, header) -> None:
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise IncompatibleCheckpointError(
             f"{path}: header field 'tensors' is not a list of objects")
+    # The embedding tables and g.w_q alone, checked before init_params allocates.
+    d = header["d"]
+    least = 8 * d * (header["n_users"] + header["n_items"] + header["l_s"] + d)
+    if least > blob_bytes:
+        raise IncompatibleCheckpointError(
+            f"{path}: header counts need at least {least} tensor bytes, "
+            f"the file holds {blob_bytes} after the header")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
@@ -269,25 +292,17 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
         except ValueError as exc:
             raise IncompatibleCheckpointError(
                 f"{path}: undecodable checkpoint header ({exc})") from None
-        _check_header(path, header)
+        _check_header(path, header, os.fstat(fh.fileno()).st_size - fh.tell())
         params = init_params(header["n_users"], header["n_items"], header["d"],
                              header["l_s"], header["variant"], seed=0)
-        expected = params.trainable()
-        names = [spec.get("name") for spec in header["tensors"]]
-        expected_names = [name for name, _ in expected]
-        if names != expected_names:
-            missing = [n for n in expected_names if n not in names]
-            unexpected = [n for n in names if n not in expected_names]
-            raise IncompatibleCheckpointError(
-                f"{path}: header tensors do not match variant {header['variant']!r} "
-                f"(missing {missing}, unexpected {unexpected})")
-        for spec, (name, t) in zip(header["tensors"], expected):
-            if spec.get("shape") != list(t.data.shape):
+        for i, (want, got) in enumerate(zip_longest(_tensor_specs(params),
+                                                    header["tensors"])):
+            if got != want:
                 raise IncompatibleCheckpointError(
-                    f"{path}: tensor {name!r} shape {spec.get('shape')} != expected "
-                    f"{list(t.data.shape)}")
-            raw = _read_exactly(fh, t.data.nbytes, path, f"tensor {name!r}")
-            t.data[...] = np.frombuffer(raw, dtype="<f8").reshape(t.data.shape)
+                    f"{path}: header tensor #{i} is {got}, expected {want} "
+                    f"for variant {header['variant']!r}")
+        raw = _read_exactly(fh, params.flat.nbytes, path, "tensors")
+        params.flat[...] = np.frombuffer(raw, dtype="<f8")
         if fh.read(1):
             raise IncompatibleCheckpointError(
                 f"{path}: trailing bytes after the last tensor")

@@ -4,9 +4,10 @@ Every source of randomness is derived from (seed, purpose, epoch, user,
 step), so two runs with the same seed produce bit-identical curves and
 parameters regardless of batching. Validation NDCG@10 drives early
 stopping; the returned parameters are the best-validation snapshot.
-Only the sequence loss is taped: `adam_step` adds the L2 term's gradient,
-clips the global gradient norm and returns what the logged loss and the
-per-epoch clip counts need.
+Only the sequence loss is taped: each batch's gradients are written into
+one vector laid out like `ModelParams.flat`, and `adam_step` adds the L2
+term's gradient, clips the global gradient norm and returns what the
+logged loss and the per-epoch clip counts need.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ def _example_rng(seed: int, epoch: int, user: int, step: int) -> np.random.Gener
         np.random.SeedSequence([seed & 0xFFFFFFFF, 0xA1, epoch, user, step]))
 
 
-def _param_norm(named) -> float:
-    return float(np.sqrt(sum(float((t.data ** 2).sum()) for _, t in named)))
-
-
 def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     """Run the optimization loop and return the best-validation parameters."""
     config.validate()
@@ -106,8 +103,9 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         config.l_s = ds.config["l_s"]
     params = init_params(ds.n_users, ds.n_items, config.d, config.l_s,
                          config.variant, config.seed)
-    named = params.trainable()
-    state = AdamState(named, lr=config.lr)
+    state = AdamState(params.flat, lr=config.lr)
+    grad = np.empty_like(params.flat)
+    grad_views = list(zip((t for _, t in params.trainable()), params.views(grad)))
 
     # One entry per user; a batch scores all steps of its users in one call.
     user_steps: list[tuple[int, list[int]]] = []
@@ -122,7 +120,7 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
 
     curve: list[dict] = []
     ndcg_history: list[float] = []
-    best_snapshot = params.clone()
+    best_flat = params.flat.copy()   # the parameters of the best epoch so far
     best_epoch = 0
     val_cfg = EvalConfig(ks=(10,), n_neg=100, seed=config.seed)
     # keyed on (seed, split, user) only: drawn once, not every epoch
@@ -167,21 +165,21 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
                     loss = sequence_loss(scores, keys, config.n_s)
                 except NonFiniteScoreError as exc:
                     raise NumericalError(epoch, batch_idx,
-                                         _param_norm(named)) from exc
+                                         np.linalg.norm(params.flat)) from exc
             crf_value = loss.item()
             if not np.isfinite(crf_value):
-                raise NumericalError(epoch, batch_idx, _param_norm(named))
+                raise NumericalError(epoch, batch_idx, np.linalg.norm(params.flat))
             grads = backward(loss, tape)
-            flat = {name: grads.of(t) for name, t in named}
-            sq_theta, grad_norm = adam_step(named, flat, state, config.gamma,
+            for t, view in grad_views:
+                grads.of(t, out=view)
+            sq_theta, grad_norm = adam_step(params.flat, grad, state, config.gamma,
                                             config.clip_norm)
             grad_norm_max = max(grad_norm_max, grad_norm)
             n_clipped += 0 < config.clip_norm < grad_norm
-            loss_value = crf_value + config.gamma * sq_theta
-            loss_sum += loss_value * len(keys)
+            loss_sum += (crf_value + config.gamma * sq_theta) * len(keys)
             n_steps += len(keys)
             # Free the batch's arrays before the next batch or the validation pass.
-            del tape, grads, flat
+            del tape, grads
 
         train_loss = loss_sum / max(n_steps, 1)
         val = evaluate_all(params, ds, "val", val_cfg, candidates=val_cands)
@@ -190,7 +188,7 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         ndcg_history.append(val.ndcg[10])
         stop, best = early_stop(ndcg_history, config.patience)
         if best == epoch:
-            best_snapshot = params.clone()
+            best_flat[...] = params.flat
             best_epoch = epoch
         if log:
             log(f"epoch {epoch}: loss={train_loss:.6f} "
@@ -201,8 +199,8 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
                 log(f"early stop at epoch {epoch} (best epoch {best_epoch})")
             break
 
-    final = best_snapshot if best_epoch > 0 else params
-    return TrainResult(params=final, curve=curve, best_epoch=best_epoch,
+    params.flat[...] = best_flat
+    return TrainResult(params=params, curve=curve, best_epoch=best_epoch,
                        config=config)
 
 

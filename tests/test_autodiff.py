@@ -601,6 +601,39 @@ class TestRowGradients:
                                       [[0, 0], [1, 1], [0, 0], [2, 2], [0, 0]])
         assert grads.of(table) is grads.of(table)
 
+    @pytest.mark.parametrize("gathers", [0, 1, 3])
+    def test_written_into_a_buffer_as_read_dense(self, gathers):
+        """`of(t, out=buf)` overwrites buf with what `of(t)` reads: untouched,
+        row and merged dense gradients alike."""
+        rng = np.random.default_rng(50)
+        table, other = _rand(rng, 30, 4), _rand(rng, 2)
+        with ad.Tape() as tape:
+            loss = ad.total_sum(other)
+            for _ in range(gathers):
+                idx = rng.integers(0, 9, size=5)
+                loss = ad.add(loss, ad.total_sum(ad.gather_rows(table, idx)))
+        grads = ad.backward(loss, tape)
+        buf = np.full((30, 4), np.nan)
+        assert grads.of(table, out=buf) is buf
+        assert np.array_equal(buf, grads.of(table))
+
+    def test_row_gradient_into_a_buffer_makes_no_table_sized_temporary(self):
+        table = ad.Tensor(np.zeros((200_000, 8)), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.total_sum(ad.gather_rows(table, np.arange(0, 200_000, 400)))
+        grads = ad.backward(loss, tape)
+        buf = np.ones_like(table.data)
+        tracemalloc.start()
+        try:
+            grads.of(table, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes // 10, f"of(out=) peaked at {peak} bytes"
+        want = np.zeros_like(buf)
+        want[::400] = 1.0
+        assert np.array_equal(buf, want)
+
     def test_backward_of_three_gathers_stays_below_two_tables(self):
         """The parent's dense table per gather needed three tables at once."""
         rng = np.random.default_rng(44)
@@ -622,135 +655,116 @@ class TestRowGradients:
 
 
 def _adam_setup(rng):
-    """Parameters spanning two blocks, their whole-array copies and a state."""
-    shapes = {"a": (7, 3), "b": (5,), "c": (2, 4, 3), "d": (3000, 7)}
-    named = [(n, _rand(rng, *s)) for n, s in shapes.items()]
-    ref = {n: [t.data.copy(), np.zeros(s), np.zeros(s)]
-           for (n, t), s in zip(named, shapes.values())}
-    return named, shapes, ref, ad.AdamState(named, lr=0.03, beta1=0.8, beta2=0.95)
-
-
-def _adam_grads(rng, shapes):
-    grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-    grads["a"] = np.asfortranarray(grads["a"])   # column-major gradients
-    return grads
+    """A parameter vector spanning two blocks, its whole-array copies and a state."""
+    theta = rng.normal(size=21_050)
+    ref = [theta.copy(), np.zeros_like(theta), np.zeros_like(theta)]
+    return theta, ref, ad.AdamState(theta, lr=0.03, beta1=0.8, beta2=0.95)
 
 
 class TestAdam:
     def test_equals_whole_array_expressions_bit_for_bit(self):
         rng = np.random.default_rng(45)
-        named, shapes, ref, state = _adam_setup(rng)
+        theta, ref, state = _adam_setup(rng)
         for step in range(1, 6):
-            grads = _adam_grads(rng, shapes)
-            ad.adam_step(named, grads, state)
-            for n, t in named:
-                adam_update(*ref[n], grads[n], step, 0.03, 0.8, 0.95, 1e-8)
-                assert np.array_equal(t.data, ref[n][0])
-                assert np.array_equal(state.m[n], ref[n][1])
-                assert np.array_equal(state.v[n], ref[n][2])
+            grad = rng.normal(size=theta.size)
+            ad.adam_step(theta, grad, state)
+            adam_update(*ref, grad, step, 0.03, 0.8, 0.95, 1e-8)
+            assert np.array_equal(theta, ref[0])
+            assert np.array_equal(state.m, ref[1])
+            assert np.array_equal(state.v, ref[2])
 
     def test_penalty_equals_whole_array_expressions_bit_for_bit(self):
         """Without clipping, the step is Adam on g + 2 gamma theta, bit for bit."""
         rng = np.random.default_rng(47)
         gamma = 5e-4
-        named, shapes, ref, state = _adam_setup(rng)
+        theta, ref, state = _adam_setup(rng)
         for step in range(1, 6):
-            grads = _adam_grads(rng, shapes)
-            want_sq = sum(float((ref[n][0] ** 2).sum()) for n in shapes)
-            sq_theta, norm = ad.adam_step(named, grads, state, gamma=gamma)
-            penalized = {n: grads[n] + 2 * gamma * ref[n][0] for n in shapes}
-            _, want_norm = clip(penalized, 0.0)
+            grad = rng.normal(size=theta.size)
+            want_sq = float((ref[0] ** 2).sum())
+            sq_theta, norm = ad.adam_step(theta, grad, state, gamma=gamma)
+            penalized = grad + 2 * gamma * ref[0]
+            _, want_norm = clip({"e": penalized}, 0.0)
             np.testing.assert_allclose(sq_theta, want_sq, rtol=1e-14, atol=0)
             np.testing.assert_allclose(norm, want_norm, rtol=1e-14, atol=0)
-            for n, t in named:
-                adam_update(*ref[n], penalized[n], step, 0.03, 0.8, 0.95, 1e-8)
-                assert np.array_equal(t.data, ref[n][0])
-                assert np.array_equal(state.m[n], ref[n][1])
-                assert np.array_equal(state.v[n], ref[n][2])
+            adam_update(*ref, penalized, step, 0.03, 0.8, 0.95, 1e-8)
+            assert np.array_equal(theta, ref[0])
+            assert np.array_equal(state.m, ref[1])
+            assert np.array_equal(state.v, ref[2])
 
     @pytest.mark.parametrize("gamma", [0.0, 5e-4])
     def test_clipped_step_matches_whole_array_route(self, gamma):
         """Clipped: only the global norm's summation order differs."""
         rng = np.random.default_rng(48)
-        named, shapes, ref, state = _adam_setup(rng)
+        theta, ref, state = _adam_setup(rng)
         for step in range(1, 6):
-            grads = _adam_grads(rng, shapes)
-            penalized = {n: grads[n] + 2 * gamma * ref[n][0] for n in shapes}
-            clipped, want_norm = clip(penalized, 1.0)
-            _, norm = ad.adam_step(named, grads, state, gamma=gamma, clip_norm=1.0)
+            grad = rng.normal(size=theta.size)
+            clipped, want_norm = clip({"e": grad + 2 * gamma * ref[0]}, 1.0)
+            _, norm = ad.adam_step(theta, grad, state, gamma=gamma, clip_norm=1.0)
             assert want_norm > 1.0
             np.testing.assert_allclose(norm, want_norm, rtol=1e-14, atol=0)
-            for n, t in named:
-                adam_update(*ref[n], clipped[n], step, 0.03, 0.8, 0.95, 1e-8)
-                for got, want in zip((t.data, state.m[n], state.v[n]), ref[n]):
-                    scale = np.abs(want).max()
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
+            adam_update(*ref, clipped["e"], step, 0.03, 0.8, 0.95, 1e-8)
+            for got, want in zip((theta, state.m, state.v), ref):
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
 
     def test_clip_off_below_the_norm(self):
         """clip_norm = 0, or above the norm, leaves the gradient unscaled."""
         rng = np.random.default_rng(49)
-        grads = {"w": rng.normal(size=(4, 3))}
+        grad = rng.normal(size=12)
         runs = []
         for clip_norm in (0.0, 1e6):
-            w = ad.Tensor(np.ones((4, 3)), requires_grad=True)
-            state = ad.AdamState([("w", w)], lr=0.1)
+            w = np.ones(12)
+            state = ad.AdamState(w, lr=0.1)
             for _ in range(3):
-                _, norm = ad.adam_step([("w", w)], grads, state, clip_norm=clip_norm)
-            runs.append(w.data)
-        assert norm == clip(grads, 0.0)[1] and np.array_equal(*runs)
+                _, norm = ad.adam_step(w, grad, state, clip_norm=clip_norm)
+            runs.append(w)
+        assert norm == clip({"w": grad}, 0.0)[1] and np.array_equal(*runs)
 
     @pytest.mark.parametrize("gamma, clip_norm", [(0.0, 0.0), (5e-4, 5.0)],
                              ids=["plain", "penalty-and-clip"])
     def test_repeated_step_allocates_less_than_a_table(self, gamma, clip_norm):
         rng = np.random.default_rng(46)
-        table = _rand(rng, 200_000, 8)
-        named = [("emb", table)]
-        state = ad.AdamState(named)
-        grads = {"emb": rng.normal(size=table.data.shape)}
-        ad.adam_step(named, grads, state, gamma, clip_norm)
+        theta = rng.normal(size=200_000 * 8)
+        state = ad.AdamState(theta)
+        grad = rng.normal(size=theta.size)
+        ad.adam_step(theta, grad, state, gamma, clip_norm)
         tracemalloc.start()
         try:
             for _ in range(3):
-                _, norm = ad.adam_step(named, grads, state, gamma, clip_norm)
+                _, norm = ad.adam_step(theta, grad, state, gamma, clip_norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table.data.nbytes, f"adam_step peaked at {peak} bytes"
+        assert peak < theta.nbytes, f"adam_step peaked at {peak} bytes"
         assert norm > clip_norm          # clipping fires when it is on
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        t = ad.Tensor([1.0, -2.0], requires_grad=True)
-        before = t.data.copy()
-        state = ad.AdamState([("t", t)], lr=0.5)
-        ad.adam_step([("t", t)], {"t": np.zeros(2)}, state)
-        np.testing.assert_array_equal(t.data, before)
+        t = np.array([1.0, -2.0])
+        before = t.copy()
+        state = ad.AdamState(t, lr=0.5)
+        ad.adam_step(t, np.zeros(2), state)
+        np.testing.assert_array_equal(t, before)
         assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         for g in (0.3, -4.0):
-            t = ad.Tensor([1.0], requires_grad=True)
-            state = ad.AdamState([("t", t)], lr=0.01)
-            ad.adam_step([("t", t)], {"t": np.array([g])}, state)
+            t = np.array([1.0])
+            state = ad.AdamState(t, lr=0.01)
+            ad.adam_step(t, np.array([g]), state)
             want = 1.0 - 0.01 * g / (abs(g) + 1e-8)
-            np.testing.assert_allclose(t.data, [want], atol=1e-12)
+            np.testing.assert_allclose(t, [want], atol=1e-12)
 
     def test_three_steps_match_scalar_recurrence(self):
         g = 0.7
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        t = ad.Tensor([2.0], requires_grad=True)
-        state = ad.AdamState([("t", t)], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        t = np.array([2.0])
+        state = ad.AdamState(t, lr=lr, beta1=b1, beta2=b2, eps=eps)
         theta, m, v = 2.0, 0.0, 0.0
         for step in range(1, 4):
-            ad.adam_step([("t", t)], {"t": np.array([g])}, state)
+            ad.adam_step(t, np.array([g]), state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mhat = m / (1 - b1 ** step)
             vhat = v / (1 - b2 ** step)
             theta -= lr * mhat / (np.sqrt(vhat) + eps)
-            np.testing.assert_allclose(t.data, [theta], atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        t = ad.Tensor([1.0, 2.0], requires_grad=True)
-        state = ad.AdamState([("t", t)])
-        with pytest.raises(ad.ShapeError, match="adam-step"):
-            ad.adam_step([("t", t)], {"t": np.zeros(3)}, state)
+            np.testing.assert_allclose(t, [theta], atol=1e-12)

@@ -173,6 +173,9 @@ _HEADER_EDITS = {
     "unexpected_tensor": lambda header, blobs: header["tensors"][1].update(
         name="emb.bogus"),
     "undecodable": None,
+    # counts far beyond the file: rejected before anything is allocated
+    "n_items_beyond_file": lambda header, blobs: header.update(n_items=10**13),
+    "d_beyond_file": lambda header, blobs: header.update(d=2**40),
 }
 
 

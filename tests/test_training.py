@@ -1,12 +1,14 @@
 """Optimization loop: early stopping, convergence, determinism, checkpoints."""
 
 import copy
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from tea import autodiff as ad
-from tea import params as tea_params
 from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
@@ -20,6 +22,15 @@ from tea.training import (NumericalError, TrainConfig, early_stop, train,
 import oracles
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
+
+# sha256 of save_checkpoint(init_params(7, 11, 4, 5, variant, seed=3), {}, 0):
+# pins the init draws and the on-disk format.
+CHECKPOINT_SHA256 = {
+    "tea-s": "4c91b4c302c981ba9d7792834a48e1e4e4311d56ca929d91caeafa67f87373c6",
+    "tea-a": "00a080dbe48d1113be5516f72455d07830eb9b7a3413b431a2c08d6faea803a6",
+    "tea-rs": "ccdbdcc0ab23e40b3a6a8628839e3cd4ae65784d7a4a96c5b790aa1a336e04fb",
+    "tea-ra": "557003d7442c6ed90f806cf3e1da886090a20ab18321b05e74ecf4386fe012ce",
+}
 
 
 def _toy_config(**overrides):
@@ -91,6 +102,32 @@ class TestTrainLoop:
         for (name, a), (_, b) in zip(once.params.trainable(), again.params.trainable()):
             assert a.data.tobytes() == b.data.tobytes(), name
 
+    def test_best_epoch_parameters_are_restored(self, toy_dataset, monkeypatch):
+        """Validation NDCG peaking at epoch 2 of 4 returns the parameters of a
+        two-epoch run whose NDCG rises, byte for byte."""
+        evaluate = training.evaluate_all
+
+        def run(max_epochs, ndcgs):
+            seen, ndcgs = [], iter(ndcgs)
+
+            def scripted(params, *args, **kwargs):
+                seen.append(params.flat.copy())
+                report = evaluate(params, *args, **kwargs)
+                report.ndcg[10] = next(ndcgs)
+                return report
+
+            monkeypatch.setattr(training, "evaluate_all", scripted)
+            return train(toy_dataset, _toy_config(max_epochs=max_epochs, seed=4)), seen
+
+        four, seen = run(4, [0.1, 0.5, 0.3, 0.2])
+        two, _ = run(2, [0.1, 0.5])
+        assert four.best_epoch == two.best_epoch == 2 and len(four.curve) == 4
+        assert four.params.flat.tobytes() == two.params.flat.tobytes()
+        assert four.params.flat.tobytes() == seen[1].tobytes()
+        assert four.params.flat.tobytes() != seen[3].tobytes()
+        for (name, a), (_, b) in zip(four.params.trainable(), two.params.trainable()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_different_seed_differs(self, toy_dataset):
         r1 = train(toy_dataset, _toy_config(max_epochs=1, seed=1))
         r2 = train(toy_dataset, _toy_config(max_epochs=1, seed=2))
@@ -148,7 +185,7 @@ class TestRepeatedBatch:
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, config.d,
                              config.l_s, config.variant, seed=3)
         named = params.trainable()
-        state = AdamState(named, lr=0.003)  # full-batch steps tolerate less
+        state = AdamState(params.flat, lr=0.003)  # full-batch steps tolerate less
         batch = [(u, 2) for u in range(toy_dataset.n_users)]
         fixed = []
         for user, step in batch:
@@ -166,8 +203,8 @@ class TestRepeatedBatch:
                 keys = [(user, step) for user, step, _, _ in fixed]
                 loss = sequence_loss(scores, keys, config.n_s)
             grads = backward(loss, tape)
-            flat = {name: grads.of(t) for name, t in named}
-            sq_theta, _ = adam_step(named, flat, state, config.gamma)
+            grad = np.concatenate([grads.of(t).ravel() for _, t in named])
+            sq_theta, _ = adam_step(params.flat, grad, state, config.gamma)
             losses.append(loss.item() + config.gamma * sq_theta)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert decreases >= 45, f"only {decreases}/50 steps non-increasing"
@@ -232,28 +269,33 @@ class TestClipTelemetry:
             assert norm > 0 and np.isfinite(norm)
 
 
-class TestClone:
-    def test_copies_without_drawing(self, monkeypatch):
-        """clone copies the arrays: no random stream is drawn for it."""
-        source = init_params(6, 9, 4, 5, "tea-a", seed=8)
+class TestFlatLayout:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tensors_are_views_covering_flat_in_order(self, variant):
+        params = init_params(6, 9, 4, 5, variant, seed=8)
+        flat = params.flat
+        start = 0
+        for name, t in params.trainable():
+            assert t.data.flags.c_contiguous and t.requires_grad, name
+            assert t.data.ctypes.data == flat.ctypes.data + 8 * start, name
+            start += t.data.size
+        assert start == flat.size and flat.dtype == np.float64
+        other = np.arange(flat.size, dtype=np.float64)   # views() lays it out alike
+        flat[...] = other
+        for (name, t), view in zip(params.trainable(), params.views(other)):
+            assert np.shares_memory(view, other) and np.array_equal(view, t.data), name
 
-        def no_draws(*args):
-            raise AssertionError("clone drew a random stream")
 
-        monkeypatch.setattr(tea_params, "_rng_for", no_draws)
-        copy = source.clone()
-        for (na, a), (nb, b) in zip(source.trainable(), copy.trainable()):
-            assert na == nb and a is not b
-            assert a.data.tobytes() == b.data.tobytes()
-            assert a.requires_grad and b.requires_grad
-        assert copy.transition.shared is copy.unary.shared is copy.shared
-        assert copy.shared is not source.shared
-        assert (copy.variant, copy.d, copy.l_s) == (source.variant, source.d, source.l_s)
-        before = source.shared.item.data.copy()
-        copy.shared.item.data += 1.0
-        copy.unary.w_agg.data[0, 0] = 7.0
-        assert np.array_equal(source.shared.item.data, before)
-        assert source.unary.w_agg.data[0, 0] != 7.0
+def _edit_header(path, **fields):
+    """Rewrite a checkpoint's header fields, keeping its tensor bytes."""
+    raw = path.read_bytes()
+    magic, rest = raw.split(b"\n", 1)
+    (hlen,) = struct.unpack("<Q", rest[:8])
+    header = json.loads(rest[8:8 + hlen])
+    header.update(fields)
+    blob = json.dumps(header).encode()
+    path.write_bytes(magic + b"\n" + struct.pack("<Q", len(blob)) + blob
+                     + rest[8 + hlen:])
 
 
 class TestCheckpoints:
@@ -266,6 +308,23 @@ class TestCheckpoints:
         for (na, a), (nb, b) in zip(result.params.trainable(), loaded.trainable()):
             assert na == nb
             assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_init_checkpoint_bytes_are_pinned(self, tmp_path, variant):
+        path = tmp_path / "init.tea"
+        save_checkpoint(path, init_params(7, 11, 4, 5, variant, seed=3), {}, 0)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[variant]
+
+    @pytest.mark.parametrize("field, value", [("n_items", 10**13), ("d", 2**40)])
+    def test_header_counts_beyond_the_file_rejected(self, tmp_path, field, value):
+        """Counts that need more tensor bytes than the file holds are rejected
+        before anything is allocated for them."""
+        path = tmp_path / "model.tea"
+        save_checkpoint(path, init_params(7, 11, 4, 5, "tea-s", seed=3), {}, 0)
+        _edit_header(path, **{field: value})
+        with pytest.raises(IncompatibleCheckpointError, match="tensor bytes") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.tea"
