@@ -436,26 +436,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _emit(out, (table,), back)
 
 
-def dropout(x: Tensor, p_drop: float, rngs: Sequence[np.random.Generator]) -> Tensor:
-    """Inverted dropout, one stream per row: row i's keep mask comes from rngs[i].
-
-    Each row draws a mask of shape x.shape[1:]; entries are zeroed with
-    probability p_drop and survivors rescaled.
-    """
-    if p_drop <= 0.0:
-        return x
-    keep = keep_masks(rngs, p_drop, x.data.shape)
-    return mul(x, _wrap(keep / (1.0 - p_drop)))
-
-
-def keep_masks(rngs: Sequence[np.random.Generator], p_drop: float,
-               shape: tuple[int, ...]) -> Array:
-    """A bool keep-mask of `shape` for dropout at p_drop, row i drawn from rngs[i]."""
-    if len(rngs) != shape[0]:
-        raise ShapeError("dropout", shape, (len(rngs),))
-    return np.stack([rng.random(shape[1:]) >= p_drop for rng in rngs])
-
-
 # Candidate cells (rows x candidates x max(T, d)) per block of rows in
 # candidate_head: a block's temporaries stay cache-sized and are reused from
 # the allocator's free lists instead of faulting in fresh pages.

@@ -164,8 +164,6 @@ def cmd_train(args) -> int:
     _require_file(os.path.join(args.data, "dataset.json"))
     ds = PreparedDataset.load(args.data)
     config = _effective_train_config(args)
-    if args.variant is not None:
-        config.variant = args.variant
     os.makedirs(args.out, exist_ok=True)
     walks_on = VARIANTS[config.variant][1]
     print(f"training variant {config.variant} (seed {config.seed}); "

@@ -295,13 +295,15 @@ def extract_time_restricted_walks(user: int, seq: list[Interaction],
             for t, it in enumerate(seq)]
 
 
-def sample_negatives(positive: int, n_items: int, n_s: int,
-                     rng: np.random.Generator) -> list[int]:
-    """n_s uniform draws (with replacement) from the item set minus the positive."""
+def sample_negatives(positives, n_items: int, n_s: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """n_s uniform draws (with replacement) per positive from the item set minus
+    that positive, shape `positives.shape + (n_s,)`, in one `integers` call."""
     if n_items < 2:
         raise ValueError(f"need at least 2 items to sample negatives, have {n_items}")
-    draws = rng.integers(0, n_items - 1, size=n_s)
-    return (draws + (draws >= positive)).tolist()
+    positives = np.asarray(positives)
+    draws = rng.integers(0, n_items - 1, size=positives.shape + (n_s,))
+    return draws + (draws >= positives[..., None])
 
 
 # ---------------------------------------------------------------------------

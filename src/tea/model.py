@@ -12,7 +12,9 @@ data only.
 users with all their steps, evaluation a chunk of users with the held-out
 step each. It fixes each user's windows and the row layout, takes f's user
 vector from `unary.user_vectors` and scores f + g in g's candidate head
-(`transition.transition_scores`).
+(`transition.transition_scores`). In training mode each user brings one
+random stream, keyed on (seed, epoch, user), that draws the dropout masks
+of all the user's rows.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ def user_context(ds: PreparedDataset, user: int, split: str) -> UserContext:
                        rec.walks + [rec.walks_val], neighbors)
 
 
-def positive_target(ds: PreparedDataset, user: int, step: int) -> int:
-    return ds.users[user].seq_items[step]
-
-
 def score_user_steps(params: ModelParams, ctxs: list[UserContext],
                      steps: list[list[int]], candidates, training: bool = False,
                      rngs: list | None = None, p_drop: float = 0.5) -> Tensor:
@@ -78,8 +76,10 @@ def score_user_steps(params: ModelParams, ctxs: list[UserContext],
     the temporal GRU over `buckets[max(0, s - l_s):s]` from a zero state.
     Steps below l_s all share the window that starts at 0; a user whose
     steps would need windows with different starts raises ValueError. In
-    training mode row i's dropout masks come from rngs[i], g's mask before
-    f's. No row's scores depend on the other users in the batch.
+    training mode `rngs[b]` is user b's stream, keyed on (seed, epoch, user)
+    by `train`; it draws g's (R_b, C, d) keep-mask for all of the user's R_b
+    rows, then f's (R_b, d). No row's scores depend on the other users in
+    the batch.
     """
     if len(steps) != len(ctxs) or not ctxs:
         raise ValueError(f"{len(ctxs)} contexts need as many step lists, got {len(steps)}")
@@ -102,14 +102,18 @@ def score_user_steps(params: ModelParams, ctxs: list[UserContext],
     n_rows = row_step.size
     if cands.ndim != 2 or cands.shape[0] != n_rows:
         raise ValueError(f"candidates of shape {cands.shape} for {n_rows} steps")
-    keep = None
+    keep_g = keep_f = None
     if training and p_drop > 0.0:
-        if rngs is None or len(rngs) != n_rows:
-            raise ValueError(f"training mode needs one rng per step ({n_rows})")
+        if rngs is None or len(rngs) != len(ctxs):
+            raise ValueError(f"training mode needs one rng per context ({len(ctxs)})")
         d = params.shared.item.data.shape[1]
-        keep = ad.keep_masks(rngs, p_drop, cands.shape + (d,))    # g's masks first
+        keep_g = np.empty(cands.shape + (d,), dtype=bool)
+        keep_f = np.empty((n_rows, d), dtype=bool)
+        for rng, a, n in zip(rngs, rows.starts.tolist(), rows.counts.tolist()):
+            keep_g[a:a + n] = rng.random((n,) + keep_g.shape[1:]) >= p_drop
+            keep_f[a:a + n] = rng.random((n, d)) >= p_drop
     h_f = unary.user_vectors(params.unary, ctxs, rows, row_step, lo_gru, s_max,
-                             training, rngs, p_drop)
+                             keep_f, p_drop)
     cand_embs = ad.gather_rows(params.shared.item, cands)
     return transition.transition_scores(params.transition, ctxs, rows, row_step, lo, s_max,
-                                        cand_embs, h_f, keep, p_drop)
+                                        cand_embs, h_f, keep_g, p_drop)

@@ -269,13 +269,22 @@ def _check_header(path, header, blob_bytes: int) -> None:
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise IncompatibleCheckpointError(
             f"{path}: header field 'tensors' is not a list of objects")
-    # The embedding tables and g.w_q alone, checked before init_params allocates.
-    d = header["d"]
-    least = 8 * d * (header["n_users"] + header["n_items"] + header["l_s"] + d)
-    if least > blob_bytes:
+    # Checked before init_params allocates anything for the counts.
+    need = _tensor_bytes(header["n_users"], header["n_items"], header["d"],
+                         header["l_s"], header["variant"])
+    if need != blob_bytes:
         raise IncompatibleCheckpointError(
-            f"{path}: header counts need at least {least} tensor bytes, "
+            f"{path}: header counts need {need} tensor bytes, "
             f"the file holds {blob_bytes} after the header")
+
+
+def _tensor_bytes(n_users: int, n_items: int, d: int, l_s: int, variant: str) -> int:
+    """`init_params(...).flat.nbytes`, from the counts alone."""
+    aggregator, use_walks = VARIANTS[variant]
+    per_d = n_users + n_items + l_s        # the embedding tables
+    per_d += 20 * d + 7                    # g's and f's weights, f's temporal GRU
+    per_d += use_walks * (6 * d + 3) + (aggregator == "attention") * 2
+    return 8 * d * per_d
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
@@ -303,7 +312,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
                     f"for variant {header['variant']!r}")
         raw = _read_exactly(fh, params.flat.nbytes, path, "tensors")
         params.flat[...] = np.frombuffer(raw, dtype="<f8")
-        if fh.read(1):
-            raise IncompatibleCheckpointError(
-                f"{path}: trailing bytes after the last tensor")
     return params, header["config"], header["epoch"]

@@ -1,8 +1,10 @@
 """Mini-batch training of both score functions with Adam.
 
-Every source of randomness is derived from (seed, purpose, epoch, user,
-step), so two runs with the same seed produce bit-identical curves and
-parameters regardless of batching. Validation NDCG@10 drives early
+Each user's training draws come from one stream per (seed, epoch, user):
+the negatives of all the user's steps, then g's and f's dropout masks
+(the epoch's shuffle has a (seed, epoch) stream of its own). Batches hold
+whole users, so two runs with the same seed produce bit-identical curves
+and parameters regardless of batching. Validation NDCG@10 drives early
 stopping; the returned parameters are the best-validation snapshot.
 Only the sequence loss is taped: each batch's gradients are written into
 one vector laid out like `ModelParams.flat`, and `adam_step` adds the L2
@@ -19,9 +21,9 @@ import numpy as np
 from .autodiff import AdamState, Tape, adam_step, backward
 from .data import PreparedDataset, sample_negatives
 from .evaluation import EvalConfig, eval_candidates, evaluate_all
-from .model import positive_target, score_user_steps, user_context
+from .model import score_user_steps, user_context
 from .objective import NonFiniteScoreError, sequence_loss
-from .params import ModelParams, init_params
+from .params import VARIANTS, ModelParams, init_params
 
 
 class NumericalError(RuntimeError):
@@ -65,6 +67,9 @@ class TrainConfig:
                 raise ValueError(f"config field {name} must be nonnegative and finite")
         if self.max_epochs < 0 or self.patience < 0:
             raise ValueError("max_epochs and patience must be nonnegative")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"config field variant is {self.variant!r}; "
+                             f"expected one of {sorted(VARIANTS)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,11 +95,6 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
     return len(history) - best_epoch >= patience, best_epoch
 
 
-def _example_rng(seed: int, epoch: int, user: int, step: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, 0xA1, epoch, user, step]))
-
-
 def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     """Run the optimization loop and return the best-validation parameters."""
     config.validate()
@@ -107,16 +107,17 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     grad = np.empty_like(params.flat)
     grad_views = list(zip((t for _, t in params.trainable()), params.views(grad)))
 
-    # One entry per user; a batch scores all steps of its users in one call.
-    user_steps: list[tuple[int, list[int]]] = []
+    # One entry per user (its steps and their positives); a batch scores all
+    # steps of its users in one call.
+    user_steps: list[tuple[int, list[int], np.ndarray]] = []
     for user in range(ds.n_users):
-        t_len = len(ds.users[user].seq_items)
+        items = ds.users[user].seq_items
         if config.all_steps:
-            steps = list(range(1, t_len))
+            steps = list(range(1, len(items)))
         else:
-            steps = [t_len - 1] if t_len >= 2 else []
+            steps = [len(items) - 1] if len(items) >= 2 else []
         if steps:
-            user_steps.append((user, steps))
+            user_steps.append((user, steps, np.take(items, steps)))
 
     curve: list[dict] = []
     ndcg_history: list[float] = []
@@ -148,19 +149,21 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         for batch_idx, batch in enumerate(batches):
             ctxs, step_lists, cand_rows, rngs, keys = [], [], [], [], []
             for i in batch:
-                user, steps = user_steps[i]
+                user, steps, positives = user_steps[i]
+                # The user's stream draws its negatives here, then both masks
+                # in score_user_steps.
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0xA1, epoch, user]))
+                negatives = sample_negatives(positives, ds.n_items, config.n_s, rng)
                 ctxs.append(user_context(ds, user, "train"))
                 step_lists.append(steps)
-                for step in steps:
-                    rng = _example_rng(config.seed, epoch, user, step)
-                    pos = positive_target(ds, user, step)
-                    cand_rows.append([pos] + sample_negatives(pos, ds.n_items,
-                                                              config.n_s, rng))
-                    rngs.append(rng)
-                    keys.append((user, step))
+                cand_rows.append(np.column_stack([positives, negatives]))
+                rngs.append(rng)
+                keys.extend((user, step) for step in steps)
             with Tape() as tape:
-                scores = score_user_steps(params, ctxs, step_lists, cand_rows,
-                                          training=True, rngs=rngs, p_drop=config.p_drop)
+                scores = score_user_steps(params, ctxs, step_lists,
+                                          np.concatenate(cand_rows), training=True,
+                                          rngs=rngs, p_drop=config.p_drop)
                 try:
                     loss = sequence_loss(scores, keys, config.n_s)
                 except NonFiniteScoreError as exc:

@@ -7,8 +7,9 @@ those per-step summaries, a static social aggregate, and a dot-product
 head against the candidate embeddings. `user_vectors` is the only
 implementation: it builds the user side of that dot product for a whole
 minibatch, and g's candidate head (`transition.transition_scores`) takes
-the product with each candidate. The single-candidate reference lives with
-the tests.
+the product with each candidate. Its dropout mask comes from the caller,
+drawn from each user's (seed, epoch, user) stream after g's. The
+single-candidate reference lives with the tests.
 """
 
 from __future__ import annotations
@@ -71,21 +72,21 @@ def social_aggregate(params: UnaryParams, neighbor_lists: list[list[int]]) -> Te
 
 
 def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
-                 training: bool = False, rngs=None, p_drop: float = 0.5) -> Tensor:
+                 keep: np.ndarray | None = None, p_drop: float = 0.5) -> Tensor:
     """Two-layer head over [h_temporal (+) h_social], one (N, d) row each.
 
-    Dropout in training mode, row i's mask drawn from rngs[i].
+    Inverted dropout where `keep`, the (N, d) bool keep-mask, is given.
     """
     joint = ad.concat([h_temporal, h_social], axis=1)
     hidden = ad.relu(ad.linear(joint, params.w_f1, params.b_f1))
     h_user = ad.linear(hidden, params.w_f2, params.b_f2)
-    if training:
-        h_user = ad.dropout(h_user, p_drop, rngs)
+    if keep is not None:
+        h_user = ad.mul(h_user, Tensor(keep / (1.0 - p_drop)))
     return h_user
 
 
 def user_vectors(params: UnaryParams, ctxs, rows: ad.Segments, row_step: np.ndarray,
-                 lo_gru: np.ndarray, s_max: np.ndarray, training: bool, rngs,
+                 lo_gru: np.ndarray, s_max: np.ndarray, keep: np.ndarray | None,
                  p_drop: float) -> Tensor:
     """f's user vector h_f for every (user, step) row of a minibatch, shape (N, d).
 
@@ -99,7 +100,7 @@ def user_vectors(params: UnaryParams, ctxs, rows: ad.Segments, row_step: np.ndar
     buckets is padded with empty ones at the end, which only move states no
     step reads. Step s reads the state after bucket s - 1 and fuses it with
     the social aggregate of the user's neighbors (`fuse_context`, dropout
-    included).
+    by `keep` included).
     """
     n_users = len(ctxs)
     row_user = rows.ids
@@ -126,4 +127,4 @@ def user_vectors(params: UnaryParams, ctxs, rows: ad.Segments, row_step: np.ndar
     h_temporal = ad.gather_rows(states, (row_cell - 1) * n_users + row_user)
     h_social = ad.gather_rows(social_aggregate(params, [ctx.neighbors for ctx in ctxs]),
                               row_user)
-    return fuse_context(params, h_temporal, h_social, training, rngs, p_drop)
+    return fuse_context(params, h_temporal, h_social, keep, p_drop)

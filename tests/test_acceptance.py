@@ -16,7 +16,7 @@ from tea import autodiff as ad
 from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
 from tea.evaluation import (EvalConfig, evaluate_all, hr_at_k, ndcg_at_k, rank)
-from tea.model import positive_target, score_user_steps, user_context
+from tea.model import score_user_steps, user_context
 from tea.objective import sequence_loss
 from tea.params import init_params
 from tea.training import TrainConfig, train
@@ -46,8 +46,8 @@ def _tiny_loss_setup(seed):
     rng = np.random.default_rng(seed)
     user = int(rng.integers(0, 3))
     step = int(rng.integers(1, 3))
-    pos = positive_target(ds, user, step)
-    negs = sample_negatives(pos, 5, 2, rng)
+    pos = ds.users[user].seq_items[step]
+    negs = sample_negatives(pos, 5, 2, rng).tolist()
 
     def build_loss():
         scores = score_user_steps(params, [user_context(ds, user, "train")],

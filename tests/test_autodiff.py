@@ -330,14 +330,6 @@ class TestCandidateHead:
         with pytest.raises(ad.ShapeError, match="candidate-head"):
             _head(t, np.array([1, 2, 5, 3]))
 
-    def test_keep_masks_draw_each_row_from_its_stream(self):
-        masks = ad.keep_masks([np.random.default_rng(k) for k in range(3)], 0.4, (3, 5, 2))
-        for k in range(3):
-            want = np.random.default_rng(k).random((5, 2)) >= 0.4
-            np.testing.assert_array_equal(masks[k], want)
-        with pytest.raises(ad.ShapeError, match="dropout"):
-            ad.keep_masks([np.random.default_rng(0)], 0.4, (2, 5))
-
 
 class TestBackward:
     def test_product_rule(self):
@@ -445,7 +437,8 @@ def _primitive_cases(rng):
     w233, w23, w7, w52 = c(2, 3, 3), c(2, 3), c(7,), c(5, 2)
     wl34, bl3, bl213 = _rand(rng, 3, 4), _rand(rng, 3), _rand(rng, 2, 1, 3)
     seg = ad.Segments([2, 0, 3, 1, 1])
-    streams = lambda: [np.random.default_rng(900 + i) for i in range(3)]
+    # f's dropout: a mul by the keep-mask scaled by 1 / (1 - p_drop)
+    f_keep = ad.Tensor((np.random.default_rng(900).random((3, 4)) >= 0.5) / 0.5)
     # g's head: two users with 2 and 1 rows, causal widths 1, 2 and 3 of T = 3.
     hc, hp, hk, hv = _rand(rng, 3, 2, 2), _rand(rng, 3, 2), _rand(rng, 2, 3, 2), \
         _rand(rng, 2, 3, 2)
@@ -509,7 +502,7 @@ def _primitive_cases(rng):
          [("a", flat)]),
         ("segment-softmax", lambda: ad.total_sum(
             ad.mul(ad.segment_softmax(logits7, seg), w7)), [("a", logits7)]),
-        ("dropout", lambda: ad.total_sum(ad.mul(ad.dropout(m34, 0.5, streams()), w34)),
+        ("dropout", lambda: ad.total_sum(ad.mul(ad.mul(m34, f_keep), w34)),
          [("a", m34)]),
         ("candidate-head", lambda: head(h_keep), h_named),
         ("candidate-head-folded", lambda: head(None), h_named),

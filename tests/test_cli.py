@@ -10,6 +10,7 @@ import pytest
 
 from tea import autodiff as ad
 from tea import evaluation, training
+from tea import params as tea_params
 from tea.cli import main
 from tea.params import load_checkpoint
 
@@ -107,6 +108,16 @@ class TestTrain:
         code = main(["train", "--data", data_dir, "--out", str(out)] + args + _FAST)
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_variant_in_config_file_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = tea-x\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_dir, "--out", str(out),
+                     "--config", str(cfg)] + _FAST)
+        assert code == 2
+        assert "variant" in capsys.readouterr().err
         assert not out.exists()
 
     def test_same_seed_byte_identical_curves(self, data_dir, tmp_path):
@@ -244,6 +255,26 @@ class TestEval:
         code = main(["eval", "--data", data_dir, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "ev")])
         assert code == 5
+        assert str(bad) in capsys.readouterr().err
+
+    def test_edited_d_rejected_before_allocating(self, data_dir, trained_dir, tmp_path,
+                                                capsys, monkeypatch):
+        """d = 200 with the file padded to 8 d (n_users + n_items + l_s + d) bytes,
+        which covers the embeddings and g.w_q but not the other weights."""
+        raw = open(os.path.join(trained_dir, "checkpoint.tea"), "rb").read()
+        magic, header, _ = _split_checkpoint(raw)
+        header["d"] = 200
+        padded = 8 * 200 * (header["n_users"] + header["n_items"] + header["l_s"] + 200)
+        header_bytes = json.dumps(header).encode()
+        bad = tmp_path / "edited.tea"
+        bad.write_bytes(magic + b"\n" + struct.pack("<Q", len(header_bytes))
+                        + header_bytes + bytes(padded))
+        calls = []
+        monkeypatch.setattr(tea_params, "init_params",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(["eval", "--data", data_dir, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 5 and calls == []
         assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["seq_items", "buckets", "item_ids"])

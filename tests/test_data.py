@@ -292,20 +292,21 @@ class TestNegativeSampling:
     def test_same_seed_identical(self):
         a = sample_negatives(3, 100, 50, np.random.default_rng(9))
         b = sample_negatives(3, 100, 50, np.random.default_rng(9))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_equals_the_per_draw_shift(self):
-        """The same draws, shifted past the positive one by one, as Python ints."""
-        for seed, (positive, n_items) in enumerate([(0, 1000), (999, 1000), (7, 12)]):
-            draws = np.random.default_rng(seed).integers(0, n_items - 1, size=50)
-            want = [int(x) + (1 if x >= positive else 0) for x in draws]
-            got = sample_negatives(positive, n_items, 50, np.random.default_rng(seed))
-            assert got == want
-            assert all(type(x) is int for x in got)
+        """One integers call for all positives; each row's draws shifted past
+        its positive one by one."""
+        positives = np.array([0, 999, 7, 500])
+        draws = np.random.default_rng(5).integers(0, 999, size=(4, 50))
+        want = [[int(x) + (1 if x >= pos else 0) for x in row]
+                for pos, row in zip(positives.tolist(), draws)]
+        got = sample_negatives(positives, 1000, 50, np.random.default_rng(5))
+        assert got.shape == (4, 50) and got.tolist() == want
 
     def test_two_items_forced(self):
         out = sample_negatives(0, 2, 50, np.random.default_rng(0))
-        assert out == [1] * 50
+        assert out.tolist() == [1] * 50
 
     def test_too_few_items(self):
         with pytest.raises(ValueError):
@@ -317,6 +318,20 @@ class TestNegativeSampling:
         counts = np.bincount(draws, minlength=5)
         assert counts[2] == 0
         np.testing.assert_allclose(counts[[0, 1, 3, 4]] / 40_000, 0.25, atol=0.02)
+
+    def test_user_negatives_chi_square_uniform(self):
+        """All of a user's steps at once: every row is uniform over the items
+        other than its positive (pooled chi-square, 4 sigma above its mean)."""
+        n_items, n_s = 12, 3_000
+        positives = np.array([0, 11, 5, 5, 3, 8])
+        out = sample_negatives(positives, n_items, n_s, np.random.default_rng(23))
+        counts = np.stack([np.bincount(row, minlength=n_items) for row in out])
+        assert not counts[np.arange(positives.size), positives].any()
+        others = counts[np.arange(n_items) != positives[:, None]]
+        expected = n_s / (n_items - 1)
+        chi2 = float(((others - expected) ** 2 / expected).sum())
+        dof = positives.size * (n_items - 2)
+        assert chi2 < dof + 4 * np.sqrt(2 * dof), chi2
 
 
 @pytest.fixture(scope="module")

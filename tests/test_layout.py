@@ -112,3 +112,12 @@ def test_g_head_is_one_primitive():
         modules["transition"].references("transition_scores"))
     for name in ("masked_softmax", "row_sum", "AllMaskedError"):
         assert not any(name in module.defs for module in modules.values()), name
+
+
+def test_training_streams_are_keyed_per_user():
+    """train draws each user's negatives through data.sample_negatives (one
+    array per user); the per-row stream helpers are gone from the package."""
+    modules = load_package(PACKAGE)
+    assert ("data", "sample_negatives") in set(modules["training"].references("train"))
+    for name in ("_example_rng", "dropout", "keep_masks", "positive_target"):
+        assert not any(name in module.defs for module in modules.values()), name

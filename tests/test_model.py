@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
+from tea import unary
 from tea.data import prepare_dataset
 from tea.model import UserContext, score_user_steps, user_context
 from tea.objective import sequence_loss
@@ -331,21 +332,20 @@ class TestBatchedProgram:
         ctxs, steps = _batch_contexts(l_s, seed=5)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=103)
         cands = _candidate_rows(steps, seed=6)
-        keys = [(ctx.user, s) for ctx, st in zip(ctxs, steps) for s in st]
 
         def rngs(subset):
-            return [np.random.default_rng([7, *key]) for key in subset]
+            return [np.random.default_rng([7, ctx.user]) for ctx in subset]
 
         together = score_user_steps(params, ctxs, steps, cands, training=True,
-                                    rngs=rngs(keys)).data
+                                    rngs=rngs(ctxs)).data
         first = 0
         for ctx, st in zip(ctxs, steps):
             rows = slice(first, first + len(st))
             alone = score_user_steps(params, [ctx], [st], cands[rows], training=True,
-                                     rngs=rngs(keys[rows])).data
+                                     rngs=rngs([ctx])).data
             np.testing.assert_allclose(together[rows], alone, atol=1e-12)
             first += len(st)
-        # the pairing is not trivial: dropout is on and draws differ per row
+        # the pairing is not trivial: dropout is on and draws differ per user
         eval_mode = score_user_steps(params, ctxs, steps, cands).data
         assert not np.allclose(together, eval_mode)
 
@@ -366,7 +366,7 @@ class TestBatchedProgram:
         keys = [(ctx.user, s) for ctx, st in zip(ctxs, steps) for s in st]
 
         def build():
-            rngs = [np.random.default_rng([12, *key]) for key in keys]
+            rngs = [np.random.default_rng([12, ctx.user]) for ctx in ctxs]
             scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                       rngs=rngs)
             return total_loss(sequence_loss(scores, keys, n_s=2),
@@ -397,7 +397,7 @@ class TestComposedGradients:
         named = params.trainable()
         cands = _candidate_rows(steps, seed=7)
         n_rows, n_s = cands.shape[0], cands.shape[1] - 1
-        rngs = [np.random.default_rng(row) for row in range(n_rows)]
+        rngs = [np.random.default_rng(user) for user in range(len(ctxs))]
         with ad.Tape() as tape:
             scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                       rngs=rngs, p_drop=0.3)
@@ -423,13 +423,31 @@ class TestTapeLength:
             steps = [list(range(1, n_steps + 1))] * 3
             n_rows = 3 * n_steps
             cands = np.random.default_rng(6).integers(0, 40, size=(n_rows, 6))
-            rngs = [np.random.default_rng(row) for row in range(n_rows)]
+            rngs = [np.random.default_rng(user) for user in range(3)]
             with ad.Tape() as tape:
                 scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                           rngs=rngs, p_drop=0.3)
                 sequence_loss(scores, [(0, row) for row in range(n_rows)], 5)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1], lengths
+
+
+def _spy_masks(monkeypatch) -> dict:
+    """Record g's keep-mask ("g") and f's ("f") as score_user_steps passes them."""
+    seen = {}
+    head, fuse = ad.candidate_head, unary.fuse_context
+
+    def spy_head(*args, **kwargs):
+        seen["g"] = kwargs["keep"]
+        return head(*args, **kwargs)
+
+    def spy_fuse(params, h_temporal, h_social, keep, p_drop):
+        seen["f"] = keep
+        return fuse(params, h_temporal, h_social, keep, p_drop)
+
+    monkeypatch.setattr(ad, "candidate_head", spy_head)
+    monkeypatch.setattr(unary, "fuse_context", spy_fuse)
+    return seen
 
 
 class TestCandidateHeadInTheModel:
@@ -455,29 +473,45 @@ class TestCandidateHeadInTheModel:
         for evaluated, trained in zip(*runs):
             np.testing.assert_allclose(evaluated, trained, atol=1e-12, rtol=0)
 
-    def test_g_mask_is_drawn_per_row_before_f_mask(self, monkeypatch):
+    def test_g_mask_is_drawn_per_user_before_f_mask(self, monkeypatch):
         l_s, d, p_drop = 4, 4, 0.3
         ctxs, steps = _batch_contexts(l_s, seed=14)
         params = init_params(5, 9, d=d, l_s=l_s, variant="tea-a", seed=107)
         cands = _candidate_rows(steps, seed=15)
-        n_rows, n_cands = cands.shape
-        seen = {}
-        head = ad.candidate_head
-
-        def spy(*args, **kwargs):
-            seen["keep"] = kwargs["keep"]
-            return head(*args, **kwargs)
-
-        monkeypatch.setattr(ad, "candidate_head", spy)
-        rngs = [np.random.default_rng([16, row]) for row in range(n_rows)]
+        n_cands = cands.shape[1]
+        seen = _spy_masks(monkeypatch)
+        rngs = [np.random.default_rng([16, ctx.user]) for ctx in ctxs]
         score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
                          p_drop=p_drop)
-        for row, rng in enumerate(rngs):
-            replay = np.random.default_rng([16, row])
-            np.testing.assert_array_equal(seen["keep"][row],
-                                          replay.random((n_cands, d)) >= p_drop)
-            replay.random(d)                                   # f's mask comes next
+        first = 0
+        for ctx, st, rng in zip(ctxs, steps, rngs):
+            rows = slice(first, first + len(st))
+            replay = np.random.default_rng([16, ctx.user])
+            np.testing.assert_array_equal(seen["g"][rows],
+                                          replay.random((len(st), n_cands, d)) >= p_drop)
+            np.testing.assert_array_equal(seen["f"][rows],       # f's mask comes next
+                                          replay.random((len(st), d)) >= p_drop)
             assert rng.bit_generator.state == replay.bit_generator.state
+            first += len(st)
+
+    def test_keep_rate_of_both_masks(self, monkeypatch):
+        """Both masks keep each entry with probability 1 - p_drop (4 sigma)."""
+        n_users, n_steps, d, p_drop = 4, 29, 16, 0.3
+        ds = synthetic_dataset(n_users=n_users, n_items=50, seq_len=n_steps + 1,
+                               seed=2, l_s=50)
+        params = init_params(n_users, 50, d=d, l_s=50, variant="tea-s", seed=2)
+        ctxs = [user_context(ds, u, "train") for u in range(n_users)]
+        steps = [list(range(1, n_steps + 1))] * n_users
+        cands = np.random.default_rng(3).integers(0, 50, size=(n_users * n_steps, 11))
+        seen = _spy_masks(monkeypatch)
+        rngs = [np.random.default_rng([21, u]) for u in range(n_users)]
+        score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
+                         p_drop=p_drop)
+        assert seen["g"].shape == cands.shape + (d,)
+        assert seen["f"].shape == (cands.shape[0], d)
+        for mask in (seen["g"], seen["f"]):
+            sigma = np.sqrt(p_drop * (1 - p_drop) / mask.size)
+            assert abs(mask.mean() - (1 - p_drop)) < 4 * sigma, mask.mean()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_candidate_embeddings_feed_one_record(self, variant):
@@ -487,7 +521,7 @@ class TestCandidateHeadInTheModel:
         ctxs, steps = _batch_contexts(l_s, seed=18)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=108)
         cands = _candidate_rows(steps, seed=19)
-        rngs = [np.random.default_rng([20, row]) for row in range(cands.shape[0])]
+        rngs = [np.random.default_rng([20, ctx.user]) for ctx in ctxs]
         with ad.Tape() as tape:
             score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
                              p_drop=0.3)
@@ -516,7 +550,7 @@ class TestCandidateHeadInTheModel:
         keys = [(0, row) for row in range(n_rows)]
 
         def batch():
-            rngs = [np.random.default_rng([17, row]) for row in range(n_rows)]
+            rngs = [np.random.default_rng([17, user]) for user in range(n_users)]
             with ad.Tape() as tape:
                 scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                           rngs=rngs, p_drop=0.5)

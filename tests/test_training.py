@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
+from tea import params as tea_params
 from tea import training
 from tea.autodiff import AdamState, Tape, adam_step, backward
 from tea.data import sample_negatives
-from tea.model import positive_target, score_user_steps, user_context
+from tea.model import score_user_steps, user_context
 from tea.objective import NonFiniteScoreError, sequence_loss
 from tea.params import (IncompatibleCheckpointError, init_params,
                         load_checkpoint, save_checkpoint)
@@ -178,6 +179,43 @@ class TestTrainLoop:
         assert isinstance(info.value.__cause__, NonFiniteScoreError)
 
 
+class TestRandomStreams:
+    """Each user's stream is keyed on (seed, epoch, user) and draws the user's
+    negatives, g's keep-mask and f's keep-mask, so batching changes no draw."""
+
+    @staticmethod
+    def _epoch_draws(ds, monkeypatch, batch_size):
+        draws, n_batches = {}, []
+
+        def spy(params, ctxs, steps, cands, **kwargs):
+            scores = score_user_steps(params, ctxs, steps, cands, **kwargs)
+            first = 0
+            for ctx, st, rng in zip(ctxs, steps, kwargs["rngs"]):
+                draws[ctx.user] = (st, cands[first:first + len(st)].copy(),
+                                   rng.bit_generator.state)
+                first += len(st)
+            n_batches.append(len(ctxs))
+            return scores
+
+        monkeypatch.setattr(training, "score_user_steps", spy)
+        train(ds, _toy_config(max_epochs=1, p_drop=0.3, batch_size=batch_size))
+        return draws, len(n_batches)
+
+    def test_draws_do_not_depend_on_the_batch_size(self, toy_dataset, monkeypatch):
+        one, n_one = self._epoch_draws(toy_dataset, monkeypatch, batch_size=1)
+        all_, n_all = self._epoch_draws(toy_dataset, monkeypatch, batch_size=10_000)
+        assert (n_one, n_all) == (toy_dataset.n_users, 1)
+        assert sorted(one) == sorted(all_) == list(range(toy_dataset.n_users))
+        for user in one:
+            steps, cands, state = one[user]
+            assert steps == all_[user][0]
+            np.testing.assert_array_equal(cands, all_[user][1])
+            assert state == all_[user][2], user
+            # the truth column holds the user's own next items
+            np.testing.assert_array_equal(
+                cands[:, 0], np.take(toy_dataset.users[user].seq_items, steps))
+
+
 class TestRepeatedBatch:
     def test_loss_mostly_non_increasing_over_fifty_steps(self, toy_dataset):
         """One fixed batch, 50 Adam steps: >= 45 of them must not increase."""
@@ -190,9 +228,9 @@ class TestRepeatedBatch:
         fixed = []
         for user, step in batch:
             rng = np.random.default_rng(user)
-            pos = positive_target(toy_dataset, user, step)
-            fixed.append((user, step, pos,
-                          sample_negatives(pos, toy_dataset.n_items, config.n_s, rng)))
+            pos = toy_dataset.users[user].seq_items[step]
+            negs = sample_negatives(pos, toy_dataset.n_items, config.n_s, rng)
+            fixed.append((user, step, pos, negs.tolist()))
         losses = []
         for _ in range(51):
             with Tape() as tape:
@@ -325,6 +363,12 @@ class TestCheckpoints:
         with pytest.raises(IncompatibleCheckpointError, match="tensor bytes") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_header_byte_count_equals_the_allocation(self, variant):
+        for counts in [(7, 11, 4, 5), (1, 2, 1, 1), (30, 500, 16, 50)]:
+            want = init_params(*counts, variant, seed=3).flat.nbytes
+            assert tea_params._tensor_bytes(*counts, variant) == want, counts
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.tea"
