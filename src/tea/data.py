@@ -2,9 +2,14 @@
 
 Turns raw tab-separated event logs into the prepared corpus the trainer
 consumes: per-user behavior sequences, per-step neighbor-item buckets,
-time-restricted co-interaction walks, and a leave-one-out split. All
-randomness is derived from the run seed per (user, step), so per-user work
-could run in any order without changing the output.
+time-restricted co-interaction walks, and a leave-one-out split.
+
+The walk sets of all users are built in one sliding-window sweep per item,
+so `prepare_dataset` is linear in the events plus the walk sets' size,
+not quadratic in an item's popularity. The only randomness is the
+subsample of a walk set above the cap, drawn from a stream keyed on
+(seed, user, step), so the output does not depend on the order of the
+work.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86_400
-_INT64_MAX = int(np.iinfo(np.int64).max)   # sorts after every user id in a window bound
 
 
 class ParseError(ValueError):
@@ -258,41 +262,77 @@ def build_neighbor_item_buckets(seq: list[Interaction], val_ts: int, test_ts: in
     return buckets, bucket_val, bucket_gap
 
 
-def co_interactors(user: int, item: int, ts: int,
-                   item_events: dict[int, list[tuple[int, int]]],
-                   tau_seconds: int, cap: int, seed: int, tag: int
-                   ) -> list[int]:
-    """Users u' != user with a training event on `item` within tau of ts.
-
-    More than `cap` candidates are subsampled uniformly with a
-    (seed, user, tag)-derived stream.
-    """
-    events = item_events.get(item, [])
-    lo = bisect.bisect_left(events, (ts - tau_seconds, -1))
-    hi = bisect.bisect_right(events, (ts + tau_seconds, _INT64_MAX))
-    others = sorted({u for _, u in events[lo:hi] if u != user})
-    if len(others) > cap:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
-        # The same draws as rng.choice(others, ...), without converting the list.
-        picks = rng.choice(len(others), size=cap, replace=False).tolist()
-        others = sorted([others[i] for i in picks])
-    return others
-
-
-def extract_time_restricted_walks(user: int, seq: list[Interaction],
+def extract_time_restricted_walks(queries: list[list[Interaction]],
                                   item_events: dict[int, list[tuple[int, int]]],
                                   tau_seconds: int, cap: int, seed: int
-                                  ) -> list[list[int]]:
-    """Co-interactor walk sets for each of the user's training events.
+                                  ) -> list[list[list[int]]]:
+    """Co-interactor walk sets of every query event, in one sweep per item.
 
-    walks[t] lists the users that also consumed seq[t]'s item within
-    tau_seconds of it. Only training events qualify as co-interactions, so
-    held-out targets never leak in.
+    queries[k] lists one user's events; out[k][t] holds, sorted, the users
+    u' != that user with a training event on queries[k][t]'s item within
+    tau_seconds of it, both ends included. item_events maps an item to its
+    time-sorted (ts, user) training events, so held-out targets never leak
+    in. More than `cap` users are subsampled uniformly with a stream keyed
+    on (seed, user, t).
+
+    Each item's queries are visited in time order while two pointers slide
+    the window over its events: an event enters once its ts <= q + tau and
+    leaves once its ts < q - tau. The window is a count per co-user and the
+    sorted list of the distinct ones, so the cost is linear in events plus
+    queries x cap, plus one seeded draw per capped set.
     """
-    return [co_interactors(user, it.item, it.ts, item_events, tau_seconds,
-                           cap, seed, tag=t)
-            for t, it in enumerate(seq)]
+    users: list[int] = []
+    items: list[int] = []
+    stamps: list[int] = []
+    tags: list[int] = []
+    for events in queries:
+        tags.extend(range(len(events)))
+        for it in events:
+            users.append(it.user)
+            items.append(it.item)
+            stamps.append(it.ts)
+    order = np.lexsort((stamps, items))          # by item, then by ts
+    bounds = np.flatnonzero(np.diff(np.asarray(items)[order])) + 1
+    order = order.tolist()
+    bounds = [0, *bounds.tolist(), len(order)] if order else []
+    seed32 = seed & 0xFFFFFFFF
+    flat: list = [None] * len(order)
+    for a, b in zip(bounds, bounds[1:]):
+        events = item_events.get(items[order[a]], [])
+        count: dict[int, int] = {}
+        present: list[int] = []                  # distinct users in the window, sorted
+        lo = hi = 0
+        for k in order[a:b]:
+            ts = stamps[k]
+            while hi < len(events) and events[hi][0] <= ts + tau_seconds:
+                u = events[hi][1]
+                hi += 1
+                count[u] = count.get(u, 0) + 1
+                if count[u] == 1:
+                    bisect.insort(present, u)
+            while lo < hi and events[lo][0] < ts - tau_seconds:
+                u = events[lo][1]
+                lo += 1
+                count[u] -= 1
+                if not count[u]:
+                    del count[u]
+                    del present[bisect.bisect_left(present, u)]
+            user = users[k]
+            own = bisect.bisect_left(present, user) if user in count else len(present)
+            n_others = len(present) - (own < len(present))
+            if n_others <= cap:
+                flat[k] = present[:own] + present[own + 1:]
+                continue
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                np.array([seed32, 0x57, user, tags[k]], dtype=np.uint32))))
+            # Positions among the others, shifted past the user's own slot.
+            picks = sorted(rng.choice(n_others, size=cap, replace=False).tolist())
+            flat[k] = [present[i + (i >= own)] for i in picks]
+    out, offset = [], 0
+    for events in queries:
+        out.append(flat[offset:offset + len(events)])
+        offset += len(events)
+    return out
 
 
 def sample_negatives(positives, n_items: int, n_s: int,
@@ -476,7 +516,15 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
                     rating_threshold: float = 3.0, tau_days: int = 60,
                     l_s: int = 50, l_n: int = 20, walk_cap: int = 10,
                     seed: int = 0) -> PreparedDataset:
-    """Full ingestion pipeline from raw files to a PreparedDataset."""
+    """Full ingestion pipeline from raw files to a PreparedDataset.
+
+    Window settings that would write a snapshot `train` rejects, or silently
+    change what the windows hold, raise a ValueError naming the flag.
+    """
+    for flag, value, least in (("--ls", l_s, 1), ("--ln", l_n, 1),
+                               ("--walk-cap", walk_cap, 0), ("--tau-days", tau_days, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     loaded = load_interactions(interactions_path)
     filtered = preprocess(loaded.interactions, min_actions, rating_threshold)
 
@@ -505,8 +553,12 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
     for events in by_item.values():
         events.sort()
 
-    tau_seconds = tau_days * DAY_SECONDS
+    # One walk query per training event in the sequence, tagged by its
+    # position, then one for the validation event, tagged len(seq).
     n_users = len(user_ids)
+    walk_sets = extract_time_restricted_walks(
+        [sequences[user] + [split.val[user]] for user in range(n_users)],
+        by_item, tau_days * DAY_SECONDS, walk_cap, seed)
     users: list[UserRecord] = []
     for user in range(n_users):
         seq = sequences[user]
@@ -517,10 +569,8 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
         neighbor_events.sort()
         buckets, bucket_val, bucket_gap = build_neighbor_item_buckets(
             seq, val.ts, test.ts, neighbor_events, l_n)
-        walks = extract_time_restricted_walks(user, seq, by_item, tau_seconds,
-                                              walk_cap, seed)
-        walks_val = co_interactors(user, val.item, val.ts, by_item, tau_seconds,
-                                   walk_cap, seed, tag=len(seq))
+        walks = walk_sets[user]
+        walks_val = walks.pop()
         users.append(UserRecord(
             seq_items=[it.item for it in seq], seq_ts=[it.ts for it in seq],
             val_item=val.item, val_ts=val.ts, test_item=test.item, test_ts=test.ts,

@@ -19,10 +19,16 @@ the L2 penalty from `mul` and `total_sum`, `clip` scales every gradient by
 one global-norm factor and `adam_update` applies the bias-corrected update
 as whole-array expressions. `tea.autodiff.adam_step` computes the same
 step block by block, with the penalty's gradient and the clip inside.
+
+`co_interactors` is the brute-force walk set of one event: the distinct
+users of the item's whole +-tau window, capped by the keyed draw.
+`tea.data.extract_time_restricted_walks` builds every event's walk set in
+one sliding-window sweep per item, and the tests assert the two agree.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,3 +342,22 @@ def adam_update(theta, m, v, g, t, lr, b1=0.9, b2=0.99, eps=1e-8) -> None:
     v *= b2
     v += (1.0 - b2) * (g * g)
     theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def co_interactors(user: int, item: int, ts: int,
+                   item_events: dict[int, list[tuple[int, int]]],
+                   tau_seconds: int, cap: int, seed: int, tag: int) -> list[int]:
+    """Users u' != user with a training event on `item` within tau of ts, sorted.
+
+    More than `cap` of them are subsampled uniformly with a
+    (seed, user, tag)-keyed stream.
+    """
+    events = item_events.get(item, [])
+    lo = bisect.bisect_left(events, (ts - tau_seconds, -1))
+    hi = bisect.bisect_right(events, (ts + tau_seconds, float("inf")))
+    others = sorted({u for _, u in events[lo:hi] if u != user})
+    if len(others) > cap:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
+        others = sorted(rng.choice(others, size=cap, replace=False).tolist())
+    return others

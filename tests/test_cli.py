@@ -68,6 +68,30 @@ class TestPrepare:
         assert code == 0
         assert json.load(open(out / "stats.json"))["users"] == 10
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--ls", "0"), ("--ls", "-3"), ("--ln", "0"), ("--ln", "-2"),
+        ("--walk-cap", "-1"), ("--tau-days", "-1"),
+    ])
+    def test_bad_window_setting_exit_2_before_output(self, corpus_files, tmp_path,
+                                                      capsys, flag, value):
+        inter, social = corpus_files
+        out = tmp_path / "o"
+        code = main(["prepare", "--interactions", inter, "--social", social,
+                     "--out", str(out), flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_cap_and_tau_are_allowed(self, corpus_files, tmp_path):
+        inter, social = corpus_files
+        out = tmp_path / "o"
+        code = main(["prepare", "--interactions", inter, "--social", social,
+                     "--out", str(out), "--ls", "16", "--walk-cap", "0",
+                     "--tau-days", "0"])
+        assert code == 0
+        users = json.load(open(out / "dataset.json"))["users"]
+        assert all(w == [] for u in users for w in u["walks"] + [u["walks_val"]])
+
     def test_empty_output_exit_3(self, corpus_files, tmp_path):
         inter, social = corpus_files
         code = main(["prepare", "--interactions", inter, "--social", social,

@@ -9,12 +9,12 @@ import pytest
 
 from tea.data import (DAY_SECONDS, EmptyDatasetError, Interaction, ParseError,
                       PreparedDataset, bucket_items, build_behavior_sequences,
-                      build_neighbor_item_buckets, co_interactors,
-                      extract_time_restricted_walks, leave_one_out_split,
-                      load_interactions, load_social_edges, preprocess,
-                      prepare_dataset, sample_negatives)
+                      build_neighbor_item_buckets, extract_time_restricted_walks,
+                      leave_one_out_split, load_interactions, load_social_edges,
+                      preprocess, prepare_dataset, sample_negatives)
 
 from corpus import cycle_corpus, follower_corpus, write_corpus
+from oracles import co_interactors
 
 
 def _write(path, lines):
@@ -222,34 +222,46 @@ class TestBuckets:
         assert b_val == [5] and b_gap == [6]
 
 
+_UNTOUCHED = 10 ** 6
+
+
+def _walk_set(user, item, ts, item_events, tau, cap, seed, tag):
+    """The sweep's walk set of one query event at position `tag` of the user's
+    list; the positions before it hold events on an item nobody touched."""
+    pad = [Interaction(user, _UNTOUCHED, ts)] * tag
+    out = extract_time_restricted_walks([pad + [Interaction(user, item, ts)]],
+                                        item_events, tau, cap, seed)
+    return out[0][tag]
+
+
 class TestWalks:
     def test_within_window_included(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (30 * DAY_SECONDS, 9)]}
-        out = co_interactors(0, 3, 0, events, tau, cap=10, seed=0, tag=0)
+        out = _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0)
         assert out == [9]
 
     def test_sixty_one_days_excluded(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (61 * DAY_SECONDS, 9)]}
-        assert co_interactors(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == []
+        assert _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == []
 
     def test_boundary_inclusive(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (60 * DAY_SECONDS, 9)]}
-        assert co_interactors(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == [9]
+        assert _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == [9]
 
     def test_lonely_item_empty(self):
         seq = _events([(0, 3, 100)])
-        walks = extract_time_restricted_walks(0, seq, {3: [(100, 0)]},
+        walks = extract_time_restricted_walks([seq], {3: [(100, 0)]},
                                               tau_seconds=10, cap=10, seed=0)
-        assert walks == [[]]
+        assert walks == [[[]]]
 
     def test_cap_is_seeded_and_uniform(self):
         events = {1: [(t, u) for t, u in enumerate(range(1, 40))]}
-        a = co_interactors(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
-        b = co_interactors(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
-        c = co_interactors(0, 1, 20, events, 10 ** 9, cap=10, seed=6, tag=2)
+        a = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
+        b = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
+        c = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=6, tag=2)
         assert a == b and len(a) == 10
         assert a != c  # different seed, different subsample (w.h.p.)
 
@@ -259,11 +271,51 @@ class TestWalks:
             for n_others in (11, 40, 257):
                 pool = [2 * u + 1 for u in range(n_others)]
                 events = {4: [(t, u) for t, u in enumerate(pool)]}
-                got = co_interactors(user, 4, 0, events, 10 ** 9, cap=10, seed=seed, tag=tag)
+                got = _walk_set(user, 4, 0, events, 10 ** 9, cap=10, seed=seed, tag=tag)
                 rng = np.random.default_rng(
                     np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
                 others = sorted(u for u in pool if u != user)
                 assert got == sorted(rng.choice(others, size=10, replace=False).tolist())
+
+    @pytest.mark.parametrize("cap", [0, 1, 3, 10])
+    @pytest.mark.parametrize("corpus_seed", range(8))
+    def test_sweep_equals_the_oracle(self, corpus_seed, cap):
+        """Every query of a seeded random corpus gets the brute-force walk set.
+
+        Timestamps are whole multiples of tau's unit, so events tie and land
+        exactly at +-tau; (user, item) pairs repeat; each user queries its own
+        events, and validation-like events on items without training events.
+        """
+        rng = np.random.default_rng(corpus_seed)
+        n_users, n_items, unit = 24, 5, 7
+        tau = unit * (corpus_seed % 4)
+        item_events: dict[int, list[tuple[int, int]]] = {}
+        for _ in range(160):
+            item = int(rng.integers(n_items))
+            item_events.setdefault(item, []).append(
+                (unit * int(rng.integers(12)), int(rng.integers(n_users))))
+        for events in item_events.values():
+            events.sort()
+        queries = []
+        for user in range(n_users):
+            own = [Interaction(u, item, ts) for item, events in item_events.items()
+                   for ts, u in events if u == user]
+            extra = [Interaction(user, int(rng.integers(n_items + 2)),
+                                 unit * int(rng.integers(-1, 13)) + int(rng.integers(2)))
+                     for _ in range(3)]
+            queries.append([own[i] for i in rng.permutation(len(own))] + extra)
+        got = extract_time_restricted_walks(queries, item_events, tau, cap,
+                                            seed=corpus_seed)
+        assert [len(w) for w in got] == [len(q) for q in queries]
+        drawn = 0
+        for events, walks in zip(queries, got):
+            for tag, (it, walk) in enumerate(zip(events, walks)):
+                assert walk == co_interactors(it.user, it.item, it.ts, item_events,
+                                              tau, cap, corpus_seed, tag)
+                drawn += len(co_interactors(it.user, it.item, it.ts, item_events,
+                                            tau, n_users, 0, 0)) > cap
+        # A tau = 0 window holds one timestamp, too few users for a cap of 10.
+        assert drawn > 0 or (tau, cap) == (0, 10)
 
     @pytest.mark.parametrize("corpus, cap, digest", [
         ("cycle", 10, "3a4d9bfdae6db13332dc65c6b6777e4934390bdef8a213c430a55a9768a41eff"),

@@ -121,3 +121,12 @@ def test_training_streams_are_keyed_per_user():
     assert ("data", "sample_negatives") in set(modules["training"].references("train"))
     for name in ("_example_rng", "dropout", "keep_masks", "positive_target"):
         assert not any(name in module.defs for module in modules.values()), name
+
+
+def test_walk_sets_come_from_one_sweep():
+    """prepare_dataset builds every walk set with one extract_time_restricted_walks
+    call; the per-event co_interactors lives in tests/oracles.py."""
+    modules = load_package(PACKAGE)
+    refs = list(modules["data"].references("prepare_dataset"))
+    assert refs.count((None, "extract_time_restricted_walks")) == 1
+    assert not any("co_interactors" in module.defs for module in modules.values())
