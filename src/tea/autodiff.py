@@ -429,17 +429,42 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             return (RowGrad(flat, rows, table.data.shape),)
         order = np.argsort(flat, kind="stable")
         ids = flat[order]
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        first = np.empty(ids.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         return (RowGrad(ids[starts], np.add.reduceat(rows[order], starts, axis=0),
                         table.data.shape),)
 
     return _emit(out, (table,), back)
 
 
-# Candidate cells (rows x candidates x max(T, d)) per block of rows in
-# candidate_head: a block's temporaries stay cache-sized and are reused from
+# Candidate cells (rows x candidates x max(T, d)) per piece of rows in
+# candidate_head: a piece's temporaries stay cache-sized and are reused from
 # the allocator's free lists instead of faulting in fresh pages.
 HEAD_BLOCK = 1 << 15
+
+
+def _pieces(counts: list[int], budget: int) -> list[tuple[int, int, int, int]]:
+    """candidate_head's pieces as (first user, users k, first row, rows R per user).
+
+    A piece is either k consecutive users with R rows each and k R <= budget,
+    or a run of at most `budget` rows of one user with more rows than that.
+    Users without rows belong to no piece.
+    """
+    pieces, b, row = [], 0, 0
+    while b < len(counts):
+        per, k = counts[b], 1
+        if per > budget:
+            pieces.extend((b, 1, row + a, min(budget, per - a)) for a in range(0, per, budget))
+        else:
+            while b + k < len(counts) and counts[b + k] == per and (k + 1) * per <= budget:
+                k += 1
+            if per:
+                pieces.append((b, k, row, per))
+        b += k
+        row += k * per
+    return pieces
 
 
 def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
@@ -464,17 +489,24 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     is no dropout and w3 folds into w2, saving one (N, C, d) product and
     keeping no h.
 
-    One tape record. Rows are processed in blocks of about HEAD_BLOCK
-    cells. On a tape the forward keeps the softmax weights (N, T, C), r,
-    y = w3 h + shared3 and, with a keep-mask, h for the backward; keys and
-    values are kept once per user and gathered per row only for the block
-    at hand.
+    One tape record. All of a user's rows share its keys and values, so the
+    rows are worked through in pieces (`_pieces`) of whole users with equal
+    row counts, or of one user's consecutive rows when it has more than
+    fit: a piece's logits are one (k, w, R C) GEMM against the user slices
+    keys[b:b+k, :w], its attention output one (k, R C, d) GEMM, and in the
+    backward d_keys and d_values one GEMM each per piece. w is the widest
+    causal width of the piece's rows; positions at or past it are never
+    computed. HEAD_BLOCK bounds a piece at about that many cells
+    (rows x C x max(T, d)). On a tape the forward keeps the softmax weights
+    of every piece, r, y = w3 h + shared3 and, with a keep-mask, h for the
+    backward.
     """
     e = cands.data
     widths = np.asarray(widths, dtype=np.intp)
     if (e.ndim != 3 or values.data.ndim != 3 or keys.data.shape != values.data.shape
             or values.data.shape[2] != e.shape[2] or rows.size != e.shape[0]
-            or widths.shape != (e.shape[0],) or widths.max() > keys.data.shape[1]):
+            or rows.n != keys.data.shape[0] or widths.shape != (e.shape[0],)
+            or widths.max() > keys.data.shape[1]):
         raise ShapeError("candidate-head", e.shape, keys.data.shape, widths.shape)
     if widths.min() < 1:
         row = int(np.flatnonzero(widths < 1)[0])
@@ -482,8 +514,7 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     n_rows, n_cands, d = e.shape
     width = keys.data.shape[1]
     inputs = (cands, values, w2, bias2, w3, shared3, keys, pos)
-    users = rows.ids
-    positions = np.arange(width)[None, :, None]
+    positions = np.arange(width)[None, :, None, None]
     if keep is not None and keep.shape != e.shape:
         raise ShapeError("candidate-head-keep", e.shape, keep.shape)
     w2d, w3d = w2.data, w3.data
@@ -494,38 +525,46 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         scale_keep = 1.0 / (1.0 - p_drop)
     kept = _active_tape() is not None and any(t.requires_grad for t in inputs)
     step = max(1, HEAD_BLOCK // (n_cands * max(width, d)))
-
-    def buffer(*shape: int) -> Array:
-        # whole-batch when the backward reads it, else one block reused
-        return np.empty(((n_rows if kept else min(step, n_rows)),) + shape)
-
-    a_all = buffer(width, n_cands)
-    r_all, y_all = buffer(n_cands, d), buffer(n_cands, d)
-    h_all = None if keep is None else buffer(n_cands, d)
+    # (first user, users, first row, rows per user, width, its softmax weights in a_all)
+    pieces, n_weights = [], 0
+    for b, k, lo, per in _pieces(rows.counts.tolist(), step):
+        w = int(widths[lo:lo + k * per].max())
+        size = k * w * per * n_cands
+        pieces.append((b, k, lo, per, w,
+                       slice(n_weights, n_weights + size) if kept else slice(0, size)))
+        n_weights += size
+    # whole-batch when the backward reads it, else one piece's worth reused
+    n_buf = n_rows if kept else min(step, n_rows)
+    a_all = np.empty(n_weights if kept else n_buf * width * n_cands)
+    r_all, y_all = np.empty((n_buf, n_cands, d)), np.empty((n_buf, n_cands, d))
+    h_all = None if keep is None else np.empty((n_buf, n_cands, d))
     out_data = np.empty((n_rows, n_cands))
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        at = slice(lo, hi) if kept else slice(0, hi - lo)
+    for b, k, lo, per, w, at in pieces:
+        hi = lo + k * per
+        rs = slice(lo, hi) if kept else slice(0, hi - lo)
         e_b = e[lo:hi]
-        r = r_all[at]
-        # Logits laid out (b, T, C), so the softmax reduces over the middle
+        k_p = keys.data[b:b + k, :w]
+        # Logits laid out (k, w, R C), so the softmax reduces over the middle
         # axis; k . (e + pos) is split so no query array is built.
-        k_rows = keys.data[users[lo:hi]]
-        a = np.matmul(k_rows, e_b.transpose(0, 2, 1), out=a_all[at])
-        a += np.matmul(k_rows, pos.data[lo:hi, :, None])
-        valid = positions < widths[lo:hi, None, None]
-        a -= np.max(a, axis=1, keepdims=True, where=valid, initial=-np.inf)
-        np.exp(a, out=a, where=valid)        # padded entries are zeroed, never exp'd
-        a *= valid
-        a /= a.sum(axis=1, keepdims=True)
-        np.matmul(a.transpose(0, 2, 1), values.data[users[lo:hi]], out=r)
+        a = np.matmul(k_p, e_b.reshape(k, per * n_cands, d).transpose(0, 2, 1),
+                      out=a_all[at].reshape(k, w, -1))
+        a4 = a.reshape(k, w, per, n_cands)
+        a4 += np.matmul(k_p, pos.data[lo:hi].reshape(k, per, d).transpose(0, 2, 1))[..., None]
+        valid = positions[:, :w] < widths[lo:hi].reshape(k, 1, per, 1)
+        a4 -= np.max(a4, axis=1, keepdims=True, where=valid, initial=-np.inf)
+        np.exp(a4, out=a4, where=valid)      # padded entries are zeroed, never exp'd
+        a4 *= valid
+        a4 /= a4.sum(axis=1, keepdims=True)
+        r = r_all[rs]
+        np.matmul(a.transpose(0, 2, 1), values.data[b:b + k, :w],
+                  out=r.reshape(k, per * n_cands, d))
         np.maximum(r, 0.0, out=r)
-        y = y_all[at]
+        y = y_all[rs]
         if keep is None:
             np.matmul(r.reshape(-1, d), w32.T, out=y.reshape(-1, d))
             y += b_y[lo:hi]
         else:
-            h = h_all[at]
+            h = h_all[rs]
             np.matmul(r.reshape(-1, d), w2d.T, out=h.reshape(-1, d))
             h += bias2.data[lo:hi]
             h *= keep[lo:hi]
@@ -548,8 +587,8 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         d_values = np.zeros_like(values.data)
         d_pos = np.empty((n_rows, d))
         d_keys = np.zeros_like(keys.data)
-        for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
+        for b, k, lo, per, w, at in pieces:
+            hi = lo + k * per
             g_b, e_b, y = g[lo:hi, :, None], e[lo:hi], y_all[lo:hi]
             gy = g_b * e_b                           # d out / d y
             d_shared[lo:hi] = gy.sum(axis=1, keepdims=True)
@@ -567,21 +606,22 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
                 d_bias2[lo:hi] = d_h3.sum(axis=1, keepdims=True)
                 d_w2 += d_h.T @ r2
                 d_r = d_h @ w2d
-            d_r = d_r.reshape(e_b.shape)
-            d_r *= r_all[lo:hi] > 0.0                # d out / d (attention output)
-            a, u = a_all[lo:hi], users[lo:hi]
-            # The block's rows of one user are consecutive: sum them, then add.
-            starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-            d_a = np.matmul(values.data[u], d_r.transpose(0, 2, 1))   # (b, T, C)
-            d_values[u[starts]] += np.add.reduceat(np.matmul(a, d_r), starts, axis=0)
+            d_r = d_r.reshape(k, per * n_cands, d)
+            d_r *= r_all[lo:hi].reshape(d_r.shape) > 0.0   # d out / d (attention output)
+            a = a_all[at].reshape(k, w, -1)
+            k_p = keys.data[b:b + k, :w]
+            d_values[b:b + k, :w] += np.matmul(a, d_r)
+            d_a = np.matmul(values.data[b:b + k, :w], d_r.transpose(0, 2, 1))  # (k, w, R C)
             d_a -= (d_a * a).sum(axis=1, keepdims=True)
             d_a *= a                                 # d out / d logits
-            d_k = np.matmul(d_a, e_b)
-            d_k += d_a.sum(axis=2)[:, :, None] * pos.data[lo:hi, None, :]
-            d_keys[u[starts]] += np.add.reduceat(d_k, starts, axis=0)
-            d_q = np.matmul(d_a.transpose(0, 2, 1), keys.data[u], out=d_e[lo:hi])
-            d_pos[lo:hi] = d_q.sum(axis=1)
-            d_q += g_b * y
+            d_pk = d_a.reshape(k, w, per, n_cands).sum(axis=3)  # d out / d (k . pos)
+            d_k = np.matmul(d_a, e_b.reshape(k, per * n_cands, d))
+            d_k += np.matmul(d_pk, pos.data[lo:hi].reshape(k, per, d))
+            d_keys[b:b + k, :w] += d_k
+            d_pos[lo:hi] = np.matmul(d_pk.transpose(0, 2, 1), k_p).reshape(-1, d)
+            np.matmul(d_a.transpose(0, 2, 1), k_p,
+                      out=d_e[lo:hi].reshape(k, per * n_cands, d))
+            d_e[lo:hi] += g_b * y
         if keep is None:
             # y = (w3 w2) r + (w3 bias2 + shared3)
             d_w2 = w3d.T @ d_w32

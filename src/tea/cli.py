@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,8 +36,9 @@ _EPILOG = ("Setting precedence, lowest to highest: defaults < --config file "
            "< command-line flags.")
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path) -> dict[str, tuple[int, str]]:
+    """key -> (line number, raw value) of a flat `key = value` file."""
+    values: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -45,7 +47,7 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(path, line_no, "expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (line_no, value.strip())
     return values
 
 
@@ -55,14 +57,21 @@ _TRAIN_FIELDS = {
     "seed": int, "variant": str, "all_steps": lambda s: s.lower() in ("1", "true", "yes"),
     "clip_norm": float,
 }
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _effective_train_config(args) -> TrainConfig:
     cfg = TrainConfig()
     if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key in _TRAIN_FIELDS:
-                setattr(cfg, key, _TRAIN_FIELDS[key](raw))
+        for key, (line_no, raw) in _read_config_file(args.config).items():
+            if key not in _TRAIN_FIELDS:
+                continue
+            convert = _TRAIN_FIELDS[key]
+            try:
+                setattr(cfg, key, convert(raw))
+            except ValueError:
+                raise ParseError(args.config, line_no, f"{key} = {raw!r}: expected "
+                                 f"{_TYPE_NAMES[convert]}") from None
     env_seed = os.environ.get("TEA_SEED")
     if env_seed is not None:
         cfg.seed = int(env_seed)
@@ -72,6 +81,24 @@ def _effective_train_config(args) -> TrainConfig:
             setattr(cfg, key, flag)
     cfg.validate()   # before any output directory is made
     return cfg
+
+
+def _int_list(flag: str, text: str, minimum: int | None = None) -> list[int]:
+    """The integers of a comma-separated flag value, at least one of them."""
+    parts = [x for x in text.split(",") if x.strip()]
+    try:
+        values = [int(x) for x in parts]
+    except ValueError:
+        values = []
+    if not values or (minimum is not None and min(values) < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{flag} takes comma-separated integers{bound}, got {text!r}")
+    return values
+
+
+def _check_n_neg(n_neg: int) -> None:
+    if n_neg < 1:
+        raise ValueError(f"--n-neg must be at least 1, got {n_neg}")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -179,6 +206,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ks = tuple(_int_list("--k", args.k, minimum=1))
+    _check_n_neg(args.n_neg)
     _require_file(os.path.join(args.data, "dataset.json"))
     _require_file(args.checkpoint)
     ds = PreparedDataset.load(args.data)
@@ -187,7 +216,6 @@ def cmd_eval(args) -> int:
         raise IncompatibleCheckpointError(
             f"checkpoint is for {params.n_users} users x {params.n_items} items, "
             f"dataset has {ds.n_users} x {ds.n_items}")
-    ks = tuple(int(x) for x in str(args.k).split(",") if x)
     seed = args.seed if args.seed is not None else int(train_config.get("seed", 0))
     cfg = EvalConfig(ks=ks, n_neg=args.n_neg, seed=seed)
     report = evaluate_all(params, ds, args.split, cfg)
@@ -209,21 +237,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    variants = [v for v in args.variants.split(",") if v]
+    seeds = _int_list("--seeds", args.seeds)
+    _check_n_neg(args.n_neg)
+    if not variants or any(v not in VARIANTS for v in variants):
+        raise ValueError(f"--variants takes names from {sorted(VARIANTS)}, "
+                         f"got {args.variants!r}")
+    base = _effective_train_config(args)   # before any output directory is made
     _require_file(os.path.join(args.data, "dataset.json"))
     ds = PreparedDataset.load(args.data)
-    variants = [v for v in args.variants.split(",") if v]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
     os.makedirs(args.out, exist_ok=True)
     ks = (5, 10, 20)
     rows = []
     for variant in variants:
         for seed in seeds:
-            config = _effective_train_config(args)
-            config.variant = variant
-            config.seed = seed
+            config = replace(base, variant=variant, seed=seed)
             result = train(ds, config)
             report = evaluate_all(result.params, ds, args.split,
                                   EvalConfig(ks=ks, n_neg=args.n_neg, seed=seed))
@@ -237,7 +265,7 @@ def cmd_ablate(args) -> int:
     metric_cols = [f"{m}@{k}" for k in ks for m in ("HR", "NDCG")]
     table_path = os.path.join(args.out, "ablate.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        echo = _effective_train_config(args).to_dict()
+        echo = base.to_dict()
         for key in sorted(echo):
             if key in ("variant", "seed"):
                 continue

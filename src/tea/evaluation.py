@@ -75,18 +75,22 @@ def _histogram(ranks: dict[int, int]) -> dict[str, int]:
 
 
 def build_candidates(truth: int, n_items: int, n_neg: int,
-                     rng: np.random.Generator) -> list[int]:
+                     rng: np.random.Generator, out: np.ndarray | None = None):
     """The truth plus up to n_neg distinct negatives, truth first.
 
     Negatives are drawn without replacement from the item set minus the
     truth; a pool smaller than n_neg is used whole (the reduced size shows
-    up in the report).
+    up in the report). Returns a list of ints, or fills `out`, an int row
+    of 1 + min(n_neg, n_items - 1) entries, and returns it.
     """
     if n_items < 2:
         raise ValueError(f"need at least 2 items to build candidates, have {n_items}")
-    pool = min(n_neg, n_items - 1)
-    draws = rng.choice(n_items - 1, size=pool, replace=False)
-    return [truth] + (draws + (draws >= truth)).tolist()
+    draws = rng.choice(n_items - 1, size=min(n_neg, n_items - 1), replace=False)
+    if out is None:
+        return [truth] + (draws + (draws >= truth)).tolist()
+    out[0] = truth
+    np.add(draws, draws >= truth, out=out[1:])
+    return out
 
 
 def rank(scores: np.ndarray, truth_index: int = 0) -> int | np.ndarray:
@@ -113,12 +117,6 @@ def ndcg_at_k(rank_value: int, k: int) -> float:
     return 1.0 / np.log2(rank_value + 1.0)
 
 
-def _eval_rng(seed: int, split: str, user: int) -> np.random.Generator:
-    tag = 0xE1 if split == "val" else 0xE2
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, tag, user]))
-
-
 def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
                     users: range) -> np.ndarray:
     """The `split` candidates of `users`, one int row each, truth first.
@@ -126,13 +124,17 @@ def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
     User u's row comes from (cfg.seed, split, u) only, so it is the same
     for any parameters and every epoch.
     """
-    rows = []
-    for user in users:
+    out = np.empty((len(users), 1 + max(0, min(cfg.n_neg, ds.n_items - 1))), dtype=np.intp)
+    # (seed, split tag, user): one key array, its last word set per user
+    key = np.array([cfg.seed & 0xFFFFFFFF, 0xE1 if split == "val" else 0xE2, 0],
+                   dtype=np.uint32)
+    for row, user in zip(out, users):
         rec = ds.users[user]
-        truth = rec.val_item if split == "val" else rec.test_item
-        rows.append(build_candidates(truth, ds.n_items, cfg.n_neg,
-                                     _eval_rng(cfg.seed, split, user)))
-    return np.array(rows, dtype=np.intp)
+        key[2] = user
+        build_candidates(rec.val_item if split == "val" else rec.test_item, ds.n_items,
+                         cfg.n_neg, np.random.default_rng(np.random.SeedSequence(key)),
+                         out=row)
+    return out
 
 
 def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,

@@ -126,11 +126,14 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     val_cfg = EvalConfig(ks=(10,), n_neg=100, seed=config.seed)
     # keyed on (seed, split, user) only: drawn once, not every epoch
     val_cands = eval_candidates(ds, "val", val_cfg, range(ds.n_users))
+    # (seed, 0xA1, epoch, user): one key array, its last two words set per stream
+    stream_key = np.array([config.seed & 0xFFFFFFFF, 0xA1, 0, 0], dtype=np.uint32)
 
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0xE9, epoch]))
         order = shuffle_rng.permutation(len(user_steps))
+        stream_key[2] = epoch
         # Users fill a batch until it holds at least batch_size steps.
         batches: list[list[int]] = [[]]
         filled = 0
@@ -152,8 +155,8 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
                 user, steps, positives = user_steps[i]
                 # The user's stream draws its negatives here, then both masks
                 # in score_user_steps.
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0xA1, epoch, user]))
+                stream_key[3] = user
+                rng = np.random.default_rng(np.random.SeedSequence(stream_key))
                 negatives = sample_negatives(positives, ds.n_items, config.n_s, rng)
                 ctxs.append(user_context(ds, user, "train"))
                 step_lists.append(steps)

@@ -248,6 +248,49 @@ def _head(t, widths, keep=None, p_drop=0.0):
                              widths=widths, keep=keep, p_drop=p_drop)
 
 
+def _per_row_scores(t, widths, keep=None, p_drop=0.0):
+    """candidate_head's formula row by row and candidate by candidate."""
+    data = {k: v.data for k, v in t.items() if k != "rows"}
+    n_rows, n_cands, d = data["cands"].shape
+    if keep is None:            # no dropout: p_drop plays no part
+        keep, p_drop = np.ones((n_rows, n_cands, d), dtype=bool), 0.0
+    out = np.empty((n_rows, n_cands))
+    for i, b in enumerate(t["rows"].ids):
+        n = widths[i]
+        for c in range(n_cands):
+            e = data["cands"][i, c]
+            logits = data["keys"][b, :n] @ (e + data["pos"][i])
+            a = np.exp(logits - logits.max())
+            r = np.maximum((a / a.sum()) @ data["values"][b, :n], 0.0)
+            h = (data["w2"] @ r + data["bias2"][i, 0]) * keep[i, c] / (1.0 - p_drop)
+            out[i, c] = (data["w3"] @ h + data["shared3"][i, 0]) @ e
+    return out
+
+
+# Row layouts for the head's pieces: rows per user, and HEAD_BLOCK in cells
+# (rows x C x max(T, d) = rows x 4 x 5 below), None for the default.
+_PIECE_LAYOUTS = {
+    "one-row-users-beside-multi-row-users": ((1, 3, 1, 1, 2), None),
+    "equal-count-run": ((2, 2, 2, 3), None),
+    "equal-count-run-cut-by-the-budget": ((2, 2, 2, 3), 4 * 20),
+    "users-without-rows": ((2, 0, 3, 0), None),
+    "user-split-across-pieces": ((5, 1, 1), 2 * 20),
+}
+
+
+def _layout(monkeypatch, name, seed):
+    """Head inputs for a layout; user 0's rows see at most 2 of the 5 positions,
+    so its pieces are narrower than the batch."""
+    counts, cells = _PIECE_LAYOUTS[name]
+    if cells is not None:
+        monkeypatch.setattr(ad, "HEAD_BLOCK", cells)
+    rng = np.random.default_rng(seed)
+    t = _head_inputs(rng, counts=counts, n_cands=4, d=3, width=5)
+    widths = rng.integers(1, 6, size=sum(counts))
+    widths[:counts[0]] = np.minimum(widths[:counts[0]], 2)
+    return t, widths, rng
+
+
 class TestCandidateHead:
     def test_matches_per_row_loop(self):
         rng = np.random.default_rng(61)
@@ -255,17 +298,54 @@ class TestCandidateHead:
         widths = np.array([1, 3, 4, 2])
         keep = rng.random((4, 4, 3)) >= 0.3
         got = _head(t, widths, keep, 0.3).data
-        data = {k: v.data for k, v in t.items() if k != "rows"}
-        for i, b in enumerate(t["rows"].ids):
-            n = widths[i]
-            for c in range(4):
-                e = data["cands"][i, c]
-                logits = data["keys"][b, :n] @ (e + data["pos"][i])
-                a = np.exp(logits - logits.max())
-                r = np.maximum((a / a.sum()) @ data["values"][b, :n], 0.0)
-                h = (data["w2"] @ r + data["bias2"][i, 0]) * keep[i, c] / 0.7
-                want = (data["w3"] @ h + data["shared3"][i, 0]) @ e
-                np.testing.assert_allclose(got[i, c], want, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(got, _per_row_scores(t, widths, keep, 0.3),
+                                   atol=1e-12, rtol=0)
+
+    def test_pieces(self):
+        """Equal-count users group up to the budget, a user with more rows is
+        cut into runs, and users without rows belong to no piece."""
+        assert ad._pieces([2, 2, 2, 0, 5, 1, 1], 4) == [
+            (0, 2, 0, 2), (2, 1, 4, 2), (4, 1, 6, 4), (4, 1, 10, 1), (5, 2, 11, 1)]
+        assert ad._pieces([1] * 5, 2) == [(0, 2, 0, 1), (2, 2, 2, 1), (4, 1, 4, 1)]
+        assert ad._pieces([0, 0], 3) == []
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("layout", sorted(_PIECE_LAYOUTS))
+    def test_pieces_match_per_row_loop(self, monkeypatch, layout, train):
+        t, widths, rng = _layout(monkeypatch, layout, 68)
+        keep = rng.random(t["cands"].data.shape) >= 0.5 if train else None
+        want = _per_row_scores(t, widths, keep, 0.5)
+        np.testing.assert_allclose(_head(t, widths, keep, 0.5).data, want,
+                                   atol=1e-12, rtol=0)
+        with ad.Tape():             # the route that keeps its pieces for a backward
+            taped = _head(t, widths, keep, 0.5).data
+        np.testing.assert_allclose(taped, want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("layout", sorted(_PIECE_LAYOUTS))
+    def test_pieces_match_finite_differences(self, monkeypatch, layout, train):
+        t, widths, rng = _layout(monkeypatch, layout, 69)
+        keep = rng.random(t["cands"].data.shape) >= 0.5 if train else None
+        weights = ad.Tensor(rng.normal(size=(len(widths), 4)))
+        assert_gradients_match(
+            lambda: ad.total_sum(ad.mul(_head(t, widths, keep, 0.5), weights)),
+            [(k, v) for k, v in t.items() if k != "rows"])
+
+    def test_positions_past_a_piece_are_never_read(self):
+        """Each user is its own piece here; NaN keys and values past the
+        widest row of a piece leave every score finite."""
+        rng = np.random.default_rng(70)
+        t = _head_inputs(rng, counts=(2, 3), width=6)
+        widths = np.array([1, 2, 1, 3, 2])
+        want = _per_row_scores(t, widths)
+        for b, stop in ((0, 2), (1, 3)):
+            t["keys"].data[b, stop:] = np.nan
+            t["values"].data[b, stop:] = np.nan
+        for keep in (None, rng.random((5, 4, 3)) >= 0.5):
+            got = _head(t, widths, keep).data
+            assert np.isfinite(got).all()
+            if keep is None:
+                np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_padded_positions_do_not_matter(self):
         rng = np.random.default_rng(62)
@@ -329,6 +409,12 @@ class TestCandidateHead:
         t = _head_inputs(np.random.default_rng(66))
         with pytest.raises(ad.ShapeError, match="candidate-head"):
             _head(t, np.array([1, 2, 5, 3]))
+
+    def test_row_users_must_match_the_history_users(self):
+        t = _head_inputs(np.random.default_rng(66))
+        t["rows"] = ad.Segments([3, 1, 0])          # three users, two histories
+        with pytest.raises(ad.ShapeError, match="candidate-head"):
+            _head(t, np.array([1, 2, 3, 3]))
 
 
 class TestBackward:
@@ -559,6 +645,27 @@ def _three_gathers(table, gamma, rng):
 
 class TestRowGradients:
     """Row gradients merged by backward equal the dense sums, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_starts_equal_the_concatenated_mask(self, seed):
+        """gather_rows' backward finds its runs as `np.r_[True, ids[1:] != ids[:-1]]`
+        did: the same ids and sums, byte for byte."""
+        rng = np.random.default_rng(400 + seed)
+        table = _rand(rng, 9, 2, 3)
+        for shape in [(1,), (6,), (4, 5), (3, 2, 7)]:
+            idx = rng.integers(0, 9 if seed % 2 else 3, size=shape)
+            g = rng.normal(size=shape + (2, 3))
+            with ad.Tape() as tape:
+                ad.gather_rows(table, idx)
+            got, = tape.records[-1].backward(g)
+            flat = idx.reshape(-1)
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            want = np.add.reduceat(g.reshape((-1, 2, 3))[order], starts, axis=0)
+            assert got.ids.tobytes() == ids[starts].tobytes()
+            assert got.values.tobytes() == want.tobytes()
+
 
     @pytest.mark.parametrize("gamma", [0.0, 5e-4])
     def test_leaf_table_gathered_three_times(self, gamma):

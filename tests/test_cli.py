@@ -339,6 +339,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert "non-finite" in err and "val ranking of user 0" in err
 
+    @pytest.mark.parametrize("flag, value", [("--n-neg", "0"), ("--n-neg", "-1"),
+                                             ("--k", "0,-3"), ("--k", ""), ("--k", "5,x")])
+    def test_meaningless_count_exit_2(self, data_dir, trained_dir, tmp_path, capsys,
+                                      flag, value):
+        out = tmp_path / "ev"
+        code = main(["eval", "--data", data_dir,
+                     "--checkpoint", os.path.join(trained_dir, "checkpoint.tea"),
+                     "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_json_identical_modulo_wall_clock(self, data_dir, trained_dir, tmp_path):
         reports = []
         for name in ("r1", "r2"):
@@ -377,6 +390,18 @@ class TestAblate:
         assert lines[0] == "tea-rs,std," + ",".join(["0.000000"] * 6)
 
 
+    @pytest.mark.parametrize("flag, value", [("--seeds", ""), ("--seeds", "1,x"),
+                                             ("--n-neg", "0"), ("--variants", "")])
+    def test_meaningless_grid_exit_2(self, data_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "ab"
+        code = main(["ablate", "--data", data_dir, "--out", str(out), flag, value]
+                    + _FAST)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err and captured.out == ""
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_file_env_flag_order(self, data_dir, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -395,3 +420,20 @@ class TestConfigPrecedence:
         monkeypatch.setenv("TEA_SEED", "7")
         assert run([], "o2") == 7                      # env beats file
         assert run(["--seed", "9"], "o3") == 9         # flag beats env
+
+    @pytest.mark.parametrize("line, expected", [("d = abc", "an integer"),
+                                                ("d = 8.0", "an integer"),
+                                                ("lr = fast", "a number")])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_value_that_does_not_parse_names_file_line_and_key(self, data_dir, tmp_path,
+                                                               capsys, line, expected,
+                                                               command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nseed = 5\n{line}\n")
+        out = tmp_path / "o"
+        code = main([command, "--data", data_dir, "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        key, _, raw = line.partition(" = ")
+        assert f"{cfg}:3:" in err and key in err and repr(raw) in err and expected in err
+        assert not out.exists()

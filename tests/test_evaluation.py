@@ -46,6 +46,27 @@ class TestBuildCandidates:
             assert all(type(x) is int for x in got)
 
 
+class TestEvalCandidates:
+    @pytest.mark.parametrize("n_items, n_neg", [(300, 100), (40, 100), (2, 5)])
+    @pytest.mark.parametrize("split", ["val", "test"])
+    @pytest.mark.parametrize("seed", [0, 11, -3])
+    def test_equals_the_list_built_rows(self, split, seed, n_items, n_neg):
+        """One row per user, drawn from SeedSequence([seed, tag, user]) built
+        from a list, exactly as build_candidates returns it; a pool smaller
+        than n_neg is used whole."""
+        ds = synthetic_dataset(n_users=9, n_items=n_items, seq_len=4, seed=5, l_s=4)
+        cfg = EvalConfig(ks=(10,), n_neg=n_neg, seed=seed)
+        tag = 0xE1 if split == "val" else 0xE2
+        want = np.array([build_candidates(
+            ds.users[u].val_item if split == "val" else ds.users[u].test_item,
+            n_items, n_neg,
+            np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, tag, u])))
+            for u in range(2, 9)], dtype=np.intp)
+        got = evaluation.eval_candidates(ds, split, cfg, range(2, 9))
+        assert got.dtype == want.dtype and got.shape == (7, 1 + min(n_neg, n_items - 1))
+        assert got.tobytes() == want.tobytes()
+
+
 def _rank_sort_oracle(scores, truth_index):
     """Independent route: sort with ties ordered against the truth."""
     order = sorted(range(len(scores)),

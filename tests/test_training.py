@@ -216,6 +216,34 @@ class TestRandomStreams:
                 cands[:, 0], np.take(toy_dataset.users[user].seq_items, steps))
 
 
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    def test_streams_equal_the_list_keyed_generators(self, toy_dataset, monkeypatch, seed):
+        """Each user's negatives in epochs 1 and 2 are the first draws of
+        SeedSequence([seed, 0xA1, epoch, user]) built from a list."""
+        seen = []
+
+        def spy(params, ctxs, steps, cands, **kwargs):
+            seen.append((ctxs, steps, cands))
+            return score_user_steps(params, ctxs, steps, cands, **kwargs)
+
+        monkeypatch.setattr(training, "score_user_steps", spy)
+        config = _toy_config(max_epochs=2, p_drop=0.3, batch_size=10_000, seed=seed)
+        train(toy_dataset, config)
+        assert len(seen) == 2               # one batch per epoch
+        users = 0
+        for epoch, (ctxs, steps, cands) in enumerate(seen, start=1):
+            first = 0
+            for ctx, st in zip(ctxs, steps):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [seed & 0xFFFFFFFF, 0xA1, epoch, ctx.user]))
+                positives = np.take(toy_dataset.users[ctx.user].seq_items, st)
+                want = sample_negatives(positives, toy_dataset.n_items, config.n_s, rng)
+                np.testing.assert_array_equal(cands[first:first + len(st), 1:], want)
+                first += len(st)
+                users += 1
+        assert users == 2 * toy_dataset.n_users
+
+
 class TestRepeatedBatch:
     def test_loss_mostly_non_increasing_over_fifty_steps(self, toy_dataset):
         """One fixed batch, 50 Adam steps: >= 45 of them must not increase."""
