@@ -74,7 +74,10 @@ def _effective_train_config(args) -> TrainConfig:
                                  f"{_TYPE_NAMES[convert]}") from None
     env_seed = os.environ.get("TEA_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"TEA_SEED = {env_seed!r}: expected an integer") from None
     for key in _TRAIN_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -83,22 +86,16 @@ def _effective_train_config(args) -> TrainConfig:
     return cfg
 
 
-def _int_list(flag: str, text: str, minimum: int | None = None) -> list[int]:
+def _int_list(flag: str, text: str) -> list[int]:
     """The integers of a comma-separated flag value, at least one of them."""
     parts = [x for x in text.split(",") if x.strip()]
     try:
         values = [int(x) for x in parts]
     except ValueError:
         values = []
-    if not values or (minimum is not None and min(values) < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{flag} takes comma-separated integers{bound}, got {text!r}")
+    if not values:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}")
     return values
-
-
-def _check_n_neg(n_neg: int) -> None:
-    if n_neg < 1:
-        raise ValueError(f"--n-neg must be at least 1, got {n_neg}")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -206,8 +203,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ks = tuple(_int_list("--k", args.k, minimum=1))
-    _check_n_neg(args.n_neg)
+    cfg = EvalConfig(ks=tuple(_int_list("--k", args.k)), n_neg=args.n_neg)
+    cfg.validate()   # before any file is read
     _require_file(os.path.join(args.data, "dataset.json"))
     _require_file(args.checkpoint)
     ds = PreparedDataset.load(args.data)
@@ -217,20 +214,20 @@ def cmd_eval(args) -> int:
             f"checkpoint is for {params.n_users} users x {params.n_items} items, "
             f"dataset has {ds.n_users} x {ds.n_items}")
     seed = args.seed if args.seed is not None else int(train_config.get("seed", 0))
-    cfg = EvalConfig(ks=ks, n_neg=args.n_neg, seed=seed)
+    cfg = replace(cfg, seed=seed)
     report = evaluate_all(params, ds, args.split, cfg)
     out_dir = args.out or args.data
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"report_{args.split}.json")
     csv_path = os.path.join(out_dir, f"ranks_{args.split}.csv")
     echo = {"train_config": train_config, "checkpoint_epoch": epoch,
-            "n_neg": args.n_neg, "seed": seed, "ks": list(ks)}
+            "n_neg": cfg.n_neg, "seed": seed, "ks": list(cfg.ks)}
     write_report(report, json_path, csv_path, config_echo=echo)
     timing_path = os.path.join(out_dir, f"timing_{args.split}.json")
     with open(timing_path, "w", encoding="utf-8") as fh:   # kept out of the report
         fh.write(json.dumps({"wall_clock_seconds": report.wall_clock_seconds}) + "\n")
     summary = " ".join(f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}"
-                       for k in ks)
+                       for k in cfg.ks)
     print(f"{args.split}: {summary}")
     print(f"wrote {json_path}")
     return EXIT_OK
@@ -239,7 +236,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     variants = [v for v in args.variants.split(",") if v]
     seeds = _int_list("--seeds", args.seeds)
-    _check_n_neg(args.n_neg)
+    eval_cfg = EvalConfig(ks=(5, 10, 20), n_neg=args.n_neg)
+    eval_cfg.validate()
     if not variants or any(v not in VARIANTS for v in variants):
         raise ValueError(f"--variants takes names from {sorted(VARIANTS)}, "
                          f"got {args.variants!r}")
@@ -247,14 +245,14 @@ def cmd_ablate(args) -> int:
     _require_file(os.path.join(args.data, "dataset.json"))
     ds = PreparedDataset.load(args.data)
     os.makedirs(args.out, exist_ok=True)
-    ks = (5, 10, 20)
+    ks = eval_cfg.ks
     rows = []
     for variant in variants:
         for seed in seeds:
             config = replace(base, variant=variant, seed=seed)
             result = train(ds, config)
             report = evaluate_all(result.params, ds, args.split,
-                                  EvalConfig(ks=ks, n_neg=args.n_neg, seed=seed))
+                                  replace(eval_cfg, seed=seed))
             row = {"variant": variant, "seed": seed}
             for k in ks:
                 row[f"HR@{k}"] = report.hr[k]

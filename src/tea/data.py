@@ -2,14 +2,13 @@
 
 Turns raw tab-separated event logs into the prepared corpus the trainer
 consumes: per-user behavior sequences, per-step neighbor-item buckets,
-time-restricted co-interaction walks, and a leave-one-out split.
+one has-walk bit per event, and a leave-one-out split.
 
-The walk sets of all users are built in one sliding-window sweep per item,
-so `prepare_dataset` is linear in the events plus the walk sets' size,
-not quadratic in an item's popularity. The only randomness is the
-subsample of a walk set above the cap, drawn from a stream keyed on
-(seed, user, step), so the output does not depend on the order of the
-work.
+The score reads one fact from an event's time-restricted co-interaction
+walks: whether there is any, that is whether another user has a training
+event on the same item within tau. So each event keeps that bit, and no
+walk set is built: the bits of all users come from sorted searches over
+the training events (`extract_time_restricted_walks`), with no randomness.
 """
 
 from __future__ import annotations
@@ -20,13 +19,15 @@ import logging
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86_400
+SNAPSHOT_FORMAT = "tea-dataset-2"
+_INT64_MAX = 2 ** 63 - 1
 
 
 class ParseError(ValueError):
@@ -263,76 +264,65 @@ def build_neighbor_item_buckets(seq: list[Interaction], val_ts: int, test_ts: in
 
 
 def extract_time_restricted_walks(queries: list[list[Interaction]],
-                                  item_events: dict[int, list[tuple[int, int]]],
-                                  tau_seconds: int, cap: int, seed: int
-                                  ) -> list[list[list[int]]]:
-    """Co-interactor walk sets of every query event, in one sweep per item.
+                                  train: list[Interaction], tau_seconds: int,
+                                  cap: int) -> list[list[int]]:
+    """Has-walk bit of every query event, in the queries' shape.
 
-    queries[k] lists one user's events; out[k][t] holds, sorted, the users
-    u' != that user with a training event on queries[k][t]'s item within
-    tau_seconds of it, both ends included. item_events maps an item to its
-    time-sorted (ts, user) training events, so held-out targets never leak
-    in. More than `cap` users are subsampled uniformly with a stream keyed
-    on (seed, user, t).
+    queries[k] lists one user's events; out[k][t] is 1 when a user other
+    than that one has an event in `train` on queries[k][t]'s item within
+    tau_seconds of it, both ends included, and cap >= 1; else 0. Only
+    `train` is searched, so held-out targets never count.
 
-    Each item's queries are visited in time order while two pointers slide
-    the window over its events: an event enters once its ts <= q + tau and
-    leaves once its ts < q - tau. The window is a count per co-user and the
-    sorted list of the distinct ones, so the cost is linear in events plus
-    queries x cap, plus one seeded draw per capped set.
+    The co-user events are the item's events in the window minus the
+    user's own: one searchsorted pair over the training events sorted by
+    (item, ts) and one over them sorted by (user, item, ts). The sort keys
+    are int64, a group's dense rank times the time span plus the time
+    offset; a corpus whose keys cannot be exact raises ValueError.
     """
-    users: list[int] = []
-    items: list[int] = []
-    stamps: list[int] = []
-    tags: list[int] = []
-    for events in queries:
-        tags.extend(range(len(events)))
-        for it in events:
-            users.append(it.user)
-            items.append(it.item)
-            stamps.append(it.ts)
-    order = np.lexsort((stamps, items))          # by item, then by ts
-    bounds = np.flatnonzero(np.diff(np.asarray(items)[order])) + 1
-    order = order.tolist()
-    bounds = [0, *bounds.tolist(), len(order)] if order else []
-    seed32 = seed & 0xFFFFFFFF
-    flat: list = [None] * len(order)
-    for a, b in zip(bounds, bounds[1:]):
-        events = item_events.get(items[order[a]], [])
-        count: dict[int, int] = {}
-        present: list[int] = []                  # distinct users in the window, sorted
-        lo = hi = 0
-        for k in order[a:b]:
-            ts = stamps[k]
-            while hi < len(events) and events[hi][0] <= ts + tau_seconds:
-                u = events[hi][1]
-                hi += 1
-                count[u] = count.get(u, 0) + 1
-                if count[u] == 1:
-                    bisect.insort(present, u)
-            while lo < hi and events[lo][0] < ts - tau_seconds:
-                u = events[lo][1]
-                lo += 1
-                count[u] -= 1
-                if not count[u]:
-                    del count[u]
-                    del present[bisect.bisect_left(present, u)]
-            user = users[k]
-            own = bisect.bisect_left(present, user) if user in count else len(present)
-            n_others = len(present) - (own < len(present))
-            if n_others <= cap:
-                flat[k] = present[:own] + present[own + 1:]
-                continue
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                np.array([seed32, 0x57, user, tags[k]], dtype=np.uint32))))
-            # Positions among the others, shifted past the user's own slot.
-            picks = sorted(rng.choice(n_others, size=cap, replace=False).tolist())
-            flat[k] = [present[i + (i >= own)] for i in picks]
-    out, offset = [], 0
-    for events in queries:
-        out.append(flat[offset:offset + len(events)])
-        offset += len(events)
-    return out
+    flat = [it for events in queries for it in events]
+    bits = np.zeros(len(flat), dtype=bool)
+    if cap >= 1 and flat and train:
+        events = train + flat                  # ranks shared by events and queries
+        try:
+            user = np.array([it.user for it in events], dtype=np.int64)
+            item = np.array([it.item for it in events], dtype=np.int64)
+            stamp = np.array([it.ts for it in events], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a timestamp does not fit int64") from None
+        first = int(stamp.min())
+        if int(stamp.max()) - first > _INT64_MAX:
+            raise ValueError("the timestamps span more than 2**63 - 1 seconds")
+        stamp = stamp - first                  # wraps, so exact: the true value fits
+        span = int(stamp[:len(train)].max()) + 1
+        user = np.unique(user, return_inverse=True)[1]
+        item = np.unique(item, return_inverse=True)[1]
+        n_users, n_items = int(user.max()) + 1, int(item.max()) + 1
+        if n_users * n_items > _INT64_MAX:
+            raise ValueError(f"{n_users} users x {n_items} items do not fit int64 keys")
+        pair = np.unique(user * n_items + item, return_inverse=True)[1]
+        if (int(pair.max()) + 1) * span > _INT64_MAX:
+            raise ValueError(f"{int(pair.max()) + 1} (user, item) pairs over a "
+                             f"{span}-second span do not fit int64 keys")
+        tau = min(tau_seconds, _INT64_MAX)
+        bits = (_window_counts(item, stamp, len(train), tau, span)
+                > _window_counts(pair, stamp, len(train), tau, span))
+    bits = iter(bits.astype(np.int64).tolist())
+    return [list(islice(bits, len(events))) for events in queries]
+
+
+def _window_counts(groups, stamps, n_events: int, tau: int, span: int) -> np.ndarray:
+    """For each entry past the first n_events, how many of the first n_events
+    share its group and have a stamp within tau of its own.
+
+    Event stamps lie in [0, span), query stamps are >= 0, and each key is
+    group * span + stamp. The window bounds are clipped to the group's
+    [0, span] before they are formed, so no intermediate leaves int64.
+    """
+    keys = np.sort(groups[:n_events] * span + stamps[:n_events])
+    q, base = stamps[n_events:], groups[n_events:] * span
+    lo = base + np.minimum(q - np.minimum(q, tau), span)
+    hi = base + q + np.minimum(tau, span - 1 - q)
+    return np.searchsorted(keys, hi, "right") - np.searchsorted(keys, lo, "left")
 
 
 def sample_negatives(positives, n_items: int, n_s: int,
@@ -362,8 +352,8 @@ class UserRecord:
     buckets: list[list[int]]      # len(seq) - 1, between consecutive own events
     bucket_val: list[int]         # [last train ts, val ts)
     bucket_gap: list[int]         # [val ts, test ts)
-    walks: list[list[int]]        # len(seq), co-interactors per own event
-    walks_val: list[int]          # co-interactors of the validation event
+    walks: list[int]              # len(seq), has-walk bit (0/1) per own event
+    walks_val: int                # has-walk bit of the validation event
 
 
 @dataclass
@@ -392,7 +382,7 @@ class PreparedDataset:
     def save(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
         head = {
-            "format": "tea-dataset-1",
+            "format": SNAPSHOT_FORMAT,
             "n_users": self.n_users,
             "n_items": self.n_items,
             "n_interactions": self.n_interactions,
@@ -427,8 +417,10 @@ class PreparedDataset:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise ValueError(f"{path}: not a JSON snapshot ({exc})") from None
-        if not isinstance(payload, dict) or payload.get("format") != "tea-dataset-1":
-            raise ValueError(f"unrecognized dataset snapshot in {out_dir}")
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if found != SNAPSHOT_FORMAT:
+            raise ValueError(f"{path}: snapshot format {found!r}, expected "
+                             f"{SNAPSHOT_FORMAT!r}; re-run `tea prepare` to rebuild it")
         try:
             users = [
                 UserRecord(
@@ -448,7 +440,10 @@ class PreparedDataset:
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed snapshot "
                              f"({type(exc).__name__}: {exc})") from None
-        _check_snapshot(path, n_users, n_items, l_s, users, social)
+        try:
+            _check_snapshot(path, n_users, n_items, l_s, users, social)
+        except TypeError as exc:     # a field of the wrong JSON type
+            raise ValueError(f"{path}: malformed snapshot (TypeError: {exc})") from None
         ids = {}
         for fname, n in (("user_ids.tsv", n_users), ("item_ids.tsv", n_items)):
             side_path = os.path.join(out_dir, fname)
@@ -480,7 +475,7 @@ def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
 
     Every item id must be below n_items and every user id below n_users;
     each user needs 1..l_s training events, one bucket fewer than events
-    and one walk set per event.
+    and one has-walk bit, 0 or 1, per event and for the validation event.
     """
     def ids_in_range(who: str, kind: str, ids, bound: int) -> None:
         for x in ids:
@@ -499,15 +494,19 @@ def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
         if n < 1 or (l_s is not None and n > l_s):
             raise ValueError(f"{path}: {who} has {n} training events, "
                              f"expected 1 to l_s={l_s}")
-        if len(rec.buckets) != n - 1 or len(rec.walks) != n:
-            raise ValueError(
-                f"{path}: {who} has {len(rec.buckets)} buckets and "
-                f"{len(rec.walks)} walk sets for {n} training events; "
-                f"expected {n - 1} and {n}")
+        if len(rec.buckets) != n - 1:
+            raise ValueError(f"{path}: {who} has {len(rec.buckets)} buckets for {n} "
+                             f"training events; expected {n - 1}")
+        if len(rec.walks) != n:
+            raise ValueError(f"{path}: {who} has {len(rec.walks)} walk bits for {n} "
+                             f"training events; expected {n}")
+        bits = rec.walks + [rec.walks_val]
+        if not {type(x) for x in bits} <= {int} or not set(bits) <= {0, 1}:
+            bad = next(x for x in bits if type(x) is not int or x not in (0, 1))
+            raise ValueError(f"{path}: {who} has walk bit {bad!r}, expected 0 or 1")
         ids_in_range(who, "item", chain(rec.seq_items, (rec.val_item, rec.test_item),
                                         rec.bucket_val, rec.bucket_gap,
                                         *rec.buckets), n_items)
-        ids_in_range(who, "user", chain(rec.walks_val, *rec.walks), n_users)
     for u, nbs in social.neighbors.items():
         ids_in_range("the social graph", "user", chain((u,), nbs), n_users)
 
@@ -541,24 +540,23 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
     split = leave_one_out_split(filtered.interactions)
     sequences = build_behavior_sequences(split.train, l_s)
 
-    # Indexes over training events only: per-user (ts, item) and per-item
-    # (ts, user), both time-sorted. Held-out targets never enter either.
+    # Per-user time-sorted (ts, item) index over training events only, so
+    # held-out targets never enter a bucket.
     by_user: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    by_item: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for it in split.train:
         by_user[it.user].append((it.ts, it.item))
-        by_item[it.item].append((it.ts, it.user))
     for events in by_user.values():
         events.sort()
-    for events in by_item.values():
-        events.sort()
 
-    # One walk query per training event in the sequence, tagged by its
-    # position, then one for the validation event, tagged len(seq).
+    # One has-walk bit per training event in the sequence, then one for the
+    # validation event; only training events count as co-interactions.
     n_users = len(user_ids)
-    walk_sets = extract_time_restricted_walks(
-        [sequences[user] + [split.val[user]] for user in range(n_users)],
-        by_item, tau_days * DAY_SECONDS, walk_cap, seed)
+    try:
+        walk_bits = extract_time_restricted_walks(
+            [sequences[user] + [split.val[user]] for user in range(n_users)],
+            split.train, tau_days * DAY_SECONDS, walk_cap)
+    except ValueError as exc:
+        raise ValueError(f"{interactions_path}: {exc}") from None
     users: list[UserRecord] = []
     for user in range(n_users):
         seq = sequences[user]
@@ -569,7 +567,7 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
         neighbor_events.sort()
         buckets, bucket_val, bucket_gap = build_neighbor_item_buckets(
             seq, val.ts, test.ts, neighbor_events, l_n)
-        walks = walk_sets[user]
+        walks = walk_bits[user]
         walks_val = walks.pop()
         users.append(UserRecord(
             seq_items=[it.item for it in seq], seq_ts=[it.ts for it in seq],

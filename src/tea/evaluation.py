@@ -32,6 +32,14 @@ class EvalConfig:
     n_neg: int = 100
     seed: int = 0
 
+    def validate(self) -> None:
+        """Reject counts that would make the metrics meaningless."""
+        positive = lambda x: isinstance(x, (int, np.integer)) and x >= 1
+        if not positive(self.n_neg):
+            raise ValueError(f"n_neg (--n-neg) must be an integer >= 1, got {self.n_neg!r}")
+        if not self.ks or not all(map(positive, self.ks)):
+            raise ValueError(f"ks (--k) must be one or more integers >= 1, got {self.ks!r}")
+
 
 @dataclass
 class EvalReport:
@@ -153,6 +161,7 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
+    cfg.validate()
     t0 = time.monotonic()
     ranks: dict[int, int] = {}
     n_cands = 1 + max(0, min(cfg.n_neg, ds.n_items - 1))

@@ -2,10 +2,10 @@
 
 A UserContext holds everything the scorers may look at for one user and
 split: the observed items, the neighbor-item buckets feeding the temporal
-GRU, the co-interactor walk set of each observed event, and the social
+GRU, the has-walk bit of each observed event, and the social
 neighborhood. Step s predicts the event after `items[:s]`; it sees
-`buckets[:s]`, the walk set `walks[s - 1]` anchored at `items[s - 1]`, and
-the neighbors. Contexts for held-out targets are built from pre-target
+`buckets[:s]`, the bit `walks[s - 1]` of the walk anchored at
+`items[s - 1]`, and the neighbors. Contexts for held-out targets are built from pre-target
 data only.
 
 `score_user_steps` is the only scorer: training passes a minibatch of
@@ -35,7 +35,7 @@ class UserContext:
     user: int
     items: list[int]            # observed item ids, chronological
     buckets: list[list[int]]    # buckets[t]: neighbor items after items[t]
-    walks: list[list[int]]      # walks[t]: co-interactors of items[t]
+    walks: list[int]            # walks[t]: 1 if items[t] has a co-interactor, else 0
     neighbors: list[int]
 
 

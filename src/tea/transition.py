@@ -102,8 +102,8 @@ def _walk_terms(params: TransitionParams, ctxs, p_user: Tensor, row_user, row_st
     zero state; the user and item outputs do not depend on the co-user, so
     the mean over a nonempty walk set equals any single walk and one unroll
     of the first two stages suffices: one batched cell over the users, one
-    over the rows in `walk_rows`, those whose walk set is nonempty. The
-    other rows get zeros.
+    over the rows in `walk_rows`, those whose anchor event's has-walk bit
+    is set. The other rows get zeros.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
@@ -114,7 +114,7 @@ def _walk_terms(params: TransitionParams, ctxs, p_user: Tensor, row_user, row_st
     h_wi = ad.gru_cell(ad.gather_rows(sh.item, anchors), h_wu, params.walk_gru)
     walk_part = ad.add(ad.linear(h_wu, ad.slice_cols(w3, d, 2 * d)),
                        ad.linear(h_wi, ad.slice_cols(w3, 2 * d, 3 * d)))
-    # Rows without a walk set read the zero row in front of the walk terms.
+    # Rows without a walk read the zero row in front of the walk terms.
     pick = np.zeros((len(row_user), 1), dtype=np.intp)
     pick[walk_rows, 0] = 1 + np.arange(walk_rows.size)
     return ad.gather_rows(ad.concat([ad.zeros(1, d), walk_part]), pick)

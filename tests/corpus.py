@@ -88,11 +88,13 @@ def synthetic_dataset(n_users: int, n_items: int, seq_len: int, seed: int,
         def items(k):
             return rng.integers(0, n_items, size=k).tolist()
 
-        def walkers():
+        def has_walk():
+            # A walk set of 0..max_walks co-users, drawn as before so the
+            # stream, and every later field, stays the same; the bit is
+            # whether it is nonempty.
             k = int(rng.integers(0, max_walks + 1))
             pool = [x for x in range(n_users) if x != u]
-            return sorted(rng.choice(pool, size=min(k, len(pool)),
-                                     replace=False).tolist())
+            return int(rng.choice(pool, size=min(k, len(pool)), replace=False).size > 0)
 
         seq_items = items(seq_len)
         seq_ts = [T0 + k * DAY for k in range(seq_len)]
@@ -105,8 +107,8 @@ def synthetic_dataset(n_users: int, n_items: int, seq_len: int, seed: int,
                      for _ in range(seq_len - 1)],
             bucket_val=items(int(rng.integers(0, max_bucket + 1))),
             bucket_gap=items(int(rng.integers(0, max_bucket + 1))),
-            walks=[walkers() for _ in range(seq_len)],
-            walks_val=walkers(),
+            walks=[has_walk() for _ in range(seq_len)],
+            walks_val=has_walk(),
         ))
     adjacency = {}
     for u in range(n_users):

@@ -22,8 +22,11 @@ step block by block, with the penalty's gradient and the clip inside.
 
 `co_interactors` is the brute-force walk set of one event: the distinct
 users of the item's whole +-tau window, capped by the keyed draw.
-`tea.data.extract_time_restricted_walks` builds every event's walk set in
-one sliding-window sweep per item, and the tests assert the two agree.
+`tea.data.extract_time_restricted_walks` keeps only whether that set is
+nonempty, one bit per event, and the tests assert the bit equals
+`bool(co_interactors(...))`. The bit is all the score needs: the walk
+GRU's user and item outputs do not depend on the co-user, so
+`walk_aggregate` over any nonempty set gives the single walk's values.
 """
 
 from __future__ import annotations
@@ -280,8 +283,10 @@ def score_candidates_single_route(params: ModelParams, ctx: UserContext, step: i
     l_s = params.l_s
     history = ctx.items[max(0, step - (l_s - 1)):step]
     if params.use_walks:
+        # A set bit stands for a nonempty walk set; no score reads the
+        # co-user, so one walk with any co-user represents the set.
         walk = walk_aggregate(params.transition, ctx.user, ctx.items[step - 1],
-                              ctx.walks[step - 1])
+                              [0] if ctx.walks[step - 1] else [])
     else:
         walk = WalkAggregate(ad.zeros(params.d), ad.zeros(params.d), [])
     h_temporal = aggregate_steps(params.unary, ctx.buckets[:step], ctx.items[:step],

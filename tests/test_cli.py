@@ -90,7 +90,7 @@ class TestPrepare:
                      "--tau-days", "0"])
         assert code == 0
         users = json.load(open(out / "dataset.json"))["users"]
-        assert all(w == [] for u in users for w in u["walks"] + [u["walks_val"]])
+        assert all(w == 0 for u in users for w in u["walks"] + [u["walks_val"]])
 
     def test_empty_output_exit_3(self, corpus_files, tmp_path):
         inter, social = corpus_files
@@ -119,6 +119,28 @@ class TestTrain:
                      "--out", out, "--seed", "0"] + _FAST)
         assert code == 0
         assert "walk aggregation: disabled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("found", ["tea-dataset-1", None])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_snapshot_of_another_format_exit_2(self, data_dir, tmp_path, capsys, found,
+                                               command):
+        """An older snapshot names the file and its format tag and asks for a
+        new `tea prepare`; nothing is written."""
+        snap = tmp_path / "snap"
+        shutil.copytree(data_dir, snap)
+        path = snap / "dataset.json"
+        payload = json.loads(path.read_text())
+        payload["format"] = found
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        args = (["--out", str(out)] if command == "train" else
+                ["--checkpoint", str(tmp_path / "none.tea"), "--out", str(out)])
+        (tmp_path / "none.tea").write_bytes(b"")
+        code = main([command, "--data", str(snap)] + args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert f"{path}: snapshot format {found!r}" in captured.err
+        assert "re-run `tea prepare`" in captured.err
 
     @pytest.mark.parametrize("field, flag, value", [("gamma", "--gamma", "nan"),
                                                     ("clip_norm", "--clip-norm", "-1")])
@@ -301,7 +323,8 @@ class TestEval:
         assert code == 5 and calls == []
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["seq_items", "buckets", "item_ids"])
+    @pytest.mark.parametrize("field", ["seq_items", "buckets", "item_ids", "walks",
+                                       "walks_val"])
     def test_corrupted_dataset_exit_2(self, data_dir, trained_dir, tmp_path,
                                       capsys, field):
         snap = tmp_path / "snap"
@@ -316,6 +339,10 @@ class TestEval:
             user = payload["users"][0]
             if field == "seq_items":
                 user["seq_items"][0] = 10**6
+            elif field == "walks":
+                user["walks"] = user["walks"][:-1]
+            elif field == "walks_val":
+                user["walks_val"] = [3]
             else:
                 user["buckets"] = user["buckets"][:2]
             path.write_text(json.dumps(payload))
@@ -420,6 +447,18 @@ class TestConfigPrecedence:
         monkeypatch.setenv("TEA_SEED", "7")
         assert run([], "o2") == 7                      # env beats file
         assert run(["--seed", "9"], "o3") == 9         # flag beats env
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_env_seed_that_does_not_parse_names_the_variable(self, data_dir, tmp_path,
+                                                             capsys, monkeypatch, value,
+                                                             command):
+        monkeypatch.setenv("TEA_SEED", value)
+        out = tmp_path / "o"
+        code = main([command, "--data", data_dir, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert f"TEA_SEED = {value!r}: expected an integer" in captured.err
 
     @pytest.mark.parametrize("line, expected", [("d = abc", "an integer"),
                                                 ("d = 8.0", "an integer"),

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -222,69 +223,59 @@ class TestBuckets:
         assert b_val == [5] and b_gap == [6]
 
 
-_UNTOUCHED = 10 ** 6
+def _train(item_events):
+    """Training events from an item -> time-sorted (ts, user) index."""
+    return [Interaction(u, item, ts) for item, events in item_events.items()
+            for ts, u in events]
 
 
-def _walk_set(user, item, ts, item_events, tau, cap, seed, tag):
-    """The sweep's walk set of one query event at position `tag` of the user's
-    list; the positions before it hold events on an item nobody touched."""
-    pad = [Interaction(user, _UNTOUCHED, ts)] * tag
-    out = extract_time_restricted_walks([pad + [Interaction(user, item, ts)]],
-                                        item_events, tau, cap, seed)
-    return out[0][tag]
+def _bit(user, item, ts, item_events, tau, cap=10):
+    """The has-walk bit of one query event."""
+    out = extract_time_restricted_walks([[Interaction(user, item, ts)]],
+                                        _train(item_events), tau, cap)
+    return out[0][0]
 
 
 class TestWalks:
     def test_within_window_included(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (30 * DAY_SECONDS, 9)]}
-        out = _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0)
-        assert out == [9]
+        assert _bit(0, 3, 0, events, tau) == 1
 
     def test_sixty_one_days_excluded(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (61 * DAY_SECONDS, 9)]}
-        assert _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == []
+        assert _bit(0, 3, 0, events, tau) == 0
 
     def test_boundary_inclusive(self):
         tau = 60 * DAY_SECONDS
         events = {3: [(0, 0), (60 * DAY_SECONDS, 9)]}
-        assert _walk_set(0, 3, 0, events, tau, cap=10, seed=0, tag=0) == [9]
+        assert _bit(0, 3, 0, events, tau) == 1
+        assert _bit(9, 3, 120 * DAY_SECONDS, events, tau) == 0
+        assert _bit(5, 3, -60 * DAY_SECONDS, events, tau) == 1
 
     def test_lonely_item_empty(self):
         seq = _events([(0, 3, 100)])
-        walks = extract_time_restricted_walks([seq], {3: [(100, 0)]},
-                                              tau_seconds=10, cap=10, seed=0)
-        assert walks == [[[]]]
+        walks = extract_time_restricted_walks([seq], _events([(0, 3, 100), (0, 3, 100)]),
+                                              tau_seconds=10, cap=10)
+        assert walks == [[0]]
 
-    def test_cap_is_seeded_and_uniform(self):
-        events = {1: [(t, u) for t, u in enumerate(range(1, 40))]}
-        a = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
-        b = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=5, tag=2)
-        c = _walk_set(0, 1, 20, events, 10 ** 9, cap=10, seed=6, tag=2)
-        assert a == b and len(a) == 10
-        assert a != c  # different seed, different subsample (w.h.p.)
-
-    def test_cap_draws_equal_choice_over_the_list(self):
-        """Positions drawn by rng.choice(len(others)) pick what rng.choice(others) picked."""
-        for seed, user, tag in [(0, 0, 0), (5, 3, 2), (2**33 + 7, 11, 40), (9, 250, 1)]:
-            for n_others in (11, 40, 257):
-                pool = [2 * u + 1 for u in range(n_others)]
-                events = {4: [(t, u) for t, u in enumerate(pool)]}
-                got = _walk_set(user, 4, 0, events, 10 ** 9, cap=10, seed=seed, tag=tag)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
-                others = sorted(u for u in pool if u != user)
-                assert got == sorted(rng.choice(others, size=10, replace=False).tolist())
+    def test_bits_are_python_ints_in_the_queries_shape(self):
+        events = {1: [(5, 2), (9, 0)], 4: [(1, 3)]}
+        queries = [[], _events([(0, 1, 5), (0, 4, 50)]), _events([(3, 4, 1)])]
+        got = extract_time_restricted_walks(queries, _train(events), 10, 1)
+        assert got == [[], [1, 0], [0]]
+        assert all(type(bit) is int for walks in got for bit in walks)
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 10])
     @pytest.mark.parametrize("corpus_seed", range(8))
     def test_sweep_equals_the_oracle(self, corpus_seed, cap):
-        """Every query of a seeded random corpus gets the brute-force walk set.
+        """Every query's bit is bool(brute-force walk set) of a seeded corpus.
 
         Timestamps are whole multiples of tau's unit, so events tie and land
         exactly at +-tau; (user, item) pairs repeat; each user queries its own
-        events, and validation-like events on items without training events.
+        events, and validation-like events, some on items without training
+        events. Those extra events are queries only: they must never count.
         """
         rng = np.random.default_rng(corpus_seed)
         n_users, n_items, unit = 24, 5, 7
@@ -304,31 +295,82 @@ class TestWalks:
                                  unit * int(rng.integers(-1, 13)) + int(rng.integers(2)))
                      for _ in range(3)]
             queries.append([own[i] for i in rng.permutation(len(own))] + extra)
-        got = extract_time_restricted_walks(queries, item_events, tau, cap,
-                                            seed=corpus_seed)
+        train = _train(item_events)
+        got = extract_time_restricted_walks(queries, [train[i] for i in
+                                                      rng.permutation(len(train))],
+                                            tau, cap)
         assert [len(w) for w in got] == [len(q) for q in queries]
-        drawn = 0
         for events, walks in zip(queries, got):
-            for tag, (it, walk) in enumerate(zip(events, walks)):
-                assert walk == co_interactors(it.user, it.item, it.ts, item_events,
-                                              tau, cap, corpus_seed, tag)
-                drawn += len(co_interactors(it.user, it.item, it.ts, item_events,
-                                            tau, n_users, 0, 0)) > cap
-        # A tau = 0 window holds one timestamp, too few users for a cap of 10.
-        assert drawn > 0 or (tau, cap) == (0, 10)
+            for tag, (it, bit) in enumerate(zip(events, walks)):
+                assert bit == bool(co_interactors(it.user, it.item, it.ts, item_events,
+                                                  tau, cap, corpus_seed, tag))
+        ones = sum(map(sum, got))
+        assert ones == 0 if cap == 0 else 0 < ones < sum(map(len, got))
+
+    def test_held_out_events_never_count(self, tmp_path):
+        """Other users' validation and test events on the query's item, inside
+        its window, leave the bit at 0; a training event sets it."""
+        rows = [("a", "X", 100), ("a", "Z", 200), ("a", "Y", 300), ("a", "W", 400),
+                ("b", "V", 50), ("b", "U", 60), ("b", "X", 150), ("b", "Y", 310),
+                ("c", "Z", 210), ("c", "U", 220), ("c", "V", 230), ("c", "T", 240)]
+        inter, social = write_corpus(str(tmp_path), rows, [])
+        ds = prepare_dataset(inter, social, min_actions=1, tau_days=1)
+        got = {ds.user_ids[u]: (rec.walks, rec.walks_val) for u, rec in enumerate(ds.users)}
+        assert got == {"a": ([0, 1], 0), "b": ([0, 1], 1), "c": ([1, 1], 1)}
+
+    @pytest.mark.parametrize("cap", [1, 3, 10])
+    def test_cap_and_seed_do_not_change_the_bits(self, tmp_path, cap):
+        """Any cap >= 1 and any seed give the same bits; cap 0 clears them."""
+        rows, pairs = follower_corpus()
+        inter, social = write_corpus(str(tmp_path), rows, pairs)
+        def bits(cap, seed):
+            ds = prepare_dataset(inter, social, tau_days=1, walk_cap=cap, seed=seed)
+            return [rec.walks + [rec.walks_val] for rec in ds.users]
+
+        want = bits(1, 0)
+        assert bits(cap, 9) == want
+        assert 0 < sum(map(sum, want)) < sum(map(len, want))
+        assert not any(map(any, bits(0, 0)))
+
+    @pytest.mark.parametrize("late", [10 ** 19, 2 ** 63 - 5])
+    def test_keys_out_of_int64_range_name_the_file(self, tmp_path, late):
+        """A stamp past int64, or training stamps too far apart for exact
+        keys, raise a ValueError naming the interactions file."""
+        rows = [(f"u{u}", f"v{i}", late * (u == 2) + i) for u in range(3) for i in range(5)]
+        inter, social = write_corpus(str(tmp_path), rows, [])
+        with pytest.raises(ValueError, match=r"interactions\.tsv: .*int64"):
+            prepare_dataset(inter, social, min_actions=1)
+
+    def test_keys_at_the_edge_of_int64_are_exact(self):
+        """Query stamps up to 2**63 - 1, a tau past int64 and windows clipped
+        at both ends of the training span still count exactly."""
+        top, s = 2 ** 63 - 1, 2 ** 61
+        train = _events([(0, 0, 0), (1, 0, s)])
+        queries = [_events([(2, 0, 0), (2, 0, s // 2), (2, 0, top)])]
+        walks = lambda tau: extract_time_restricted_walks(queries, train, tau, 1)[0]
+        assert walks(0) == [1, 0, 0]
+        assert walks(s // 2) == [1, 1, 0]
+        assert walks(top - s - 1) == [1, 1, 0]
+        assert walks(top - s) == [1, 1, 1]
+        assert walks(10 ** 30) == [1, 1, 1]
+        # Keys count from the earliest stamp, so late and negative stamps fit.
+        for first in (top - 5, -10):
+            train = _events([(0, 0, first), (1, 1, first + 5)])
+            queries = [_events([(2, 0, first + 2), (2, 1, first + 2)])]
+            assert extract_time_restricted_walks(queries, train, 2, 1) == [[1, 0]]
 
     @pytest.mark.parametrize("corpus, cap, digest", [
-        ("cycle", 10, "3a4d9bfdae6db13332dc65c6b6777e4934390bdef8a213c430a55a9768a41eff"),
-        ("cycle", 3, "078df15354231ab89c550b975e081fee38c1b4269dfcd9da2256cefab126976c"),
-        ("follower", 10, "067c7b1229b7c61ff614878938df92accd1e802272d46b14b3241b6c95418fa6"),
-        ("follower", 3, "9ac0687889c8750c134e0b1a93190792fa6d7677f38b04f50aee02ed6aefc448"),
+        ("cycle", 10, "e79a17d028d5cb27070b3217e70d150ecd4ab7b1033dff15ce36a7f3de845caa"),
+        ("cycle", 3, "799c9980e372fcaa6ce32bf8974166a8b606057cc70dfdd5a43b27fe068ada06"),
+        ("follower", 10, "e3a7f379e225a2392d092ecb0080e4c18ada85b61cb9c1260ebccb50c60bfb69"),
+        ("follower", 3, "2f9b42fad08745627c02c2d36ba5c534c9522d940c96bdb6c3907810cab2ec5b"),
     ])
     def test_snapshot_bytes_are_pinned(self, tmp_path, corpus, cap, digest):
-        """dataset.json of the test corpora, every walk set at the cap, stays byte for byte."""
+        """dataset.json of the test corpora, walk bits included, stays byte for byte."""
         rows, pairs = cycle_corpus() if corpus == "cycle" else follower_corpus()
         inter, social = write_corpus(str(tmp_path), rows, pairs)
         ds = prepare_dataset(inter, social, walk_cap=cap, seed=4)
-        assert sum(len(w) == cap for u in ds.users for w in u.walks) >= 1200
+        assert sum(sum(rec.walks) for rec in ds.users) >= 1200
         ds.save(str(tmp_path / "snap"))
         data = (tmp_path / "snap" / "dataset.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -418,20 +460,19 @@ class TestPreparedDataset:
                 assert len(bucket) <= 4
 
     def test_walks_exclude_held_out_events(self, prepared):
-        # No walk co-interactor list may rely on val/test events: rebuild the
-        # training event index and recheck every walk against it.
+        # No bit may rely on val/test events: rebuild the training event index
+        # (no sequence is truncated here) and recheck every bit against it.
         train_events = {}
         for u, rec in enumerate(prepared.users):
             for item, ts in zip(rec.seq_items, rec.seq_ts):
-                train_events.setdefault(item, set()).add((ts, u))
+                train_events.setdefault(item, []).append((ts, u))
+        for events in train_events.values():
+            events.sort()
         tau = prepared.config["tau_days"] * DAY_SECONDS
         for u, rec in enumerate(prepared.users):
-            for t, others in enumerate(rec.walks):
-                item, ts = rec.seq_items[t], rec.seq_ts[t]
-                for other in others:
-                    assert other != u
-                    assert any(abs(ts2 - ts) <= tau and u2 == other
-                               for ts2, u2 in train_events.get(item, ()))
+            queries = list(zip(rec.seq_items, rec.seq_ts)) + [(rec.val_item, rec.val_ts)]
+            for (item, ts), bit in zip(queries, rec.walks + [rec.walks_val]):
+                assert bit == bool(co_interactors(u, item, ts, train_events, tau, 1, 0, 0))
 
     def test_buckets_exclude_held_out_events(self, prepared):
         held_out = set()
@@ -499,7 +540,7 @@ class TestPreparedDataset:
 
     def test_load_rejects_out_of_range_user(self, prepared, tmp_path):
         def edit(payload):
-            payload["users"][0]["walks"][2] = [12]
+            payload["social"]["0"] = [1, 12]
         snap = self._corrupt_snapshot(prepared, tmp_path, edit)
         with pytest.raises(ValueError, match=r"dataset\.json.*user id 12"):
             PreparedDataset.load(snap)
@@ -515,7 +556,52 @@ class TestPreparedDataset:
         def edit(payload):
             payload["users"][5]["walks"].pop()
         snap = self._corrupt_snapshot(prepared, tmp_path, edit)
-        with pytest.raises(ValueError, match=r"dataset\.json.*5 walk sets"):
+        with pytest.raises(ValueError, match=r"dataset\.json.*user 5 has 5 walk bits"):
+            PreparedDataset.load(snap)
+
+    def test_load_rejects_long_walks(self, prepared, tmp_path):
+        def edit(payload):
+            payload["users"][2]["walks"] = [1] * 7
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json: user 2 has 7 walk bits for 6"):
+            PreparedDataset.load(snap)
+
+    @pytest.mark.parametrize("field, value", [
+        ("walks", {str(t): 1 for t in range(6)}), ("walks", "010101"), ("buckets", 5),
+        ("seq_items", 7), ("bucket_val", 3),
+    ])
+    def test_load_rejects_a_field_of_the_wrong_type(self, prepared, tmp_path, field, value):
+        """A field that is not a list names the file instead of a traceback."""
+        def edit(payload):
+            payload["users"][2][field] = value
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json: malformed snapshot \(TypeError"):
+            PreparedDataset.load(snap)
+
+    @pytest.mark.parametrize("field", ["walks", "walks_val"])
+    @pytest.mark.parametrize("bad", [2, -1, "1", True, 0.0, [3], None])
+    def test_load_rejects_walk_entry_not_a_bit(self, prepared, tmp_path, field, bad):
+        """A walk entry is the int 0 or 1; a co-user list of the old format is not."""
+        def edit(payload):
+            user = payload["users"][4]
+            if field == "walks":
+                user["walks"][3] = bad
+            else:
+                user["walks_val"] = bad
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json: user 4 has walk bit "
+                                             + re.escape(repr(bad))):
+            PreparedDataset.load(snap)
+
+    @pytest.mark.parametrize("found", ["tea-dataset-1", "tea-dataset-3", None])
+    def test_load_rejects_other_formats(self, prepared, tmp_path, found):
+        """A snapshot of another format names the file and the tag it holds,
+        and says how to rebuild it."""
+        def edit(payload):
+            payload["format"] = found
+        snap = self._corrupt_snapshot(prepared, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"dataset\.json: snapshot format "
+                           + re.escape(repr(found)) + r".*re-run `tea prepare`"):
             PreparedDataset.load(snap)
 
     @pytest.mark.parametrize("field", ["n_items", "walks"])

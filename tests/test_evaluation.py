@@ -147,6 +147,23 @@ class TestEvaluateAll:
                               EvalConfig(ks=(5, 10)), scorer=perfect)
         assert report.hr[5] == 1.0 and report.ndcg[5] == 1.0
 
+    @pytest.mark.parametrize("ks, n_neg, field", [
+        ((0, 10), 0, "n_neg"), ((5, 10), -1, "n_neg"), ((5, 10), 2.5, "n_neg"),
+        ((0, 10), 5, "ks"), ((), 5, "ks"), ((10, -3), 5, "ks"), ((5.0,), 5, "ks"),
+    ])
+    def test_meaningless_counts_raise_naming_the_field(self, toy_dataset, tiny_params,
+                                                       ks, n_neg, field):
+        """evaluate_all checks its config as the CLI does: before any scoring,
+        a count that would make HR/NDCG meaningless raises naming the field."""
+        cfg = EvalConfig(ks=ks, n_neg=n_neg)
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            cfg.validate()
+        calls = []
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            evaluate_all(tiny_params, toy_dataset, "test", cfg,
+                         scorer=lambda *args: calls.append(args))
+        assert calls == []
+
     def test_constant_scorer_with_pessimistic_ties(self, toy_dataset, tiny_params):
         def constant(params, ctx, cands):
             return np.zeros(len(cands))

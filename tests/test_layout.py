@@ -124,9 +124,14 @@ def test_training_streams_are_keyed_per_user():
 
 
 def test_walk_sets_come_from_one_sweep():
-    """prepare_dataset builds every walk set with one extract_time_restricted_walks
-    call; the per-event co_interactors lives in tests/oracles.py."""
+    """prepare_dataset builds every has-walk bit with one
+    extract_time_restricted_walks call; the per-event co_interactors lives in
+    tests/oracles.py, and data.py draws nothing: no seeded subsample, no
+    sorted co-user list."""
     modules = load_package(PACKAGE)
     refs = list(modules["data"].references("prepare_dataset"))
     assert refs.count((None, "extract_time_restricted_walks")) == 1
     assert not any("co_interactors" in module.defs for module in modules.values())
+    source = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    for name in ("SeedSequence", "PCG64", "insort", "choice("):
+        assert name not in source, name

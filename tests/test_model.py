@@ -24,7 +24,7 @@ class TestContexts:
     def test_training_context_shape(self, toy_dataset):
         ctx = user_context(toy_dataset, user=0, split="train")
         rec = toy_dataset.users[0]
-        # step 3 sees the first three events and the walk set of the third
+        # step 3 sees the first three events and the has-walk bit of the third
         assert ctx.items[:3] == rec.seq_items[:3]
         assert ctx.buckets[:3] == rec.buckets[:3]
         assert ctx.items[2] == rec.seq_items[2]
@@ -77,10 +77,10 @@ class TestContexts:
             user_context(toy_dataset, 0, "holdout")
 
 
-def _ctx(user=1, items=(0, 2, 3), walks=(2, 0)):
+def _ctx(user=1, items=(0, 2, 3), walks=(1, 0, 1)):
     return UserContext(user=user, items=list(items),
                        buckets=[[1, 2], [], [0, 4]],
-                       walks=[[1], [], list(walks)], neighbors=[0, 2])
+                       walks=list(walks), neighbors=[0, 2])
 
 
 def _score(params, ctx, cands, **kwargs):
@@ -131,7 +131,7 @@ class TestScoring:
             np.testing.assert_array_equal(t_f.data, t_r.data)
         ctx = _ctx()
         no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
-                                  [[] for _ in ctx.walks], ctx.neighbors)
+                                  [0 for _ in ctx.walks], ctx.neighbors)
         got_reduced = _score(reduced, ctx, [0, 1, 2]).data
         got_full_zeroed = _score(full, no_walk_ctx, [0, 1, 2]).data
         np.testing.assert_allclose(got_reduced, got_full_zeroed, atol=1e-15)
@@ -141,7 +141,7 @@ class TestScoring:
         reduced = init_params(3, 5, 4, 6, "tea-ra", seed=29)
         ctx = _ctx()
         no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
-                                  [[] for _ in ctx.walks], ctx.neighbors)
+                                  [0 for _ in ctx.walks], ctx.neighbors)
         np.testing.assert_allclose(
             _score(reduced, ctx, [1, 4]).data,
             _score(full, no_walk_ctx, [1, 4]).data, atol=1e-15)
@@ -269,7 +269,7 @@ class TestGroupedScoring:
 
 
 def _batch_contexts(l_s, seed=0, n_items=9):
-    """Users of different lengths with empty buckets, walk sets and neighbors.
+    """Users of different lengths with empty buckets, walks and neighbors.
 
     Returns (contexts, step lists): user 0 holds exactly l_s events and
     scores its training steps; users 1 and 2 score held-out steps l_s and
@@ -283,8 +283,13 @@ def _batch_contexts(l_s, seed=0, n_items=9):
         buckets = [[] if empty or rng.random() < 0.3
                    else rng.integers(0, n_items, size=rng.integers(1, 4)).tolist()
                    for _ in range(n)]
-        walks = [[] if empty or rng.random() < 0.4 else [int(rng.integers(0, 5))]
-                 for _ in range(n)]
+        def has_walk():
+            if empty or rng.random() < 0.4:
+                return 0
+            rng.integers(0, 5)   # the co-user's draw, kept so later contexts stay the same
+            return 1
+
+        walks = [has_walk() for _ in range(n)]
         return UserContext(user, items, buckets, walks, list(neighbors))
 
     ctxs = [ctx(0, l_s), ctx(1, l_s), ctx(2, l_s + 1),

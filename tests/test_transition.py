@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tea import autodiff as ad
+from tea import transition
 from tea.model import UserContext, score_user_steps
 from tea.params import init_params
 
@@ -168,6 +169,46 @@ class TestWalkAggregate:
         np.testing.assert_allclose(out.h_item.data, want_i, atol=1e-12)
         assert len(out.h_others) == 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_walk_set_gives_the_single_unroll(self, seed):
+        """For every nonempty co_interactors set of a seeded corpus,
+        walk_aggregate's user and item outputs, through w_g3's walk blocks,
+        equal the one unroll _walk_terms computes from the has-walk bit; rows
+        with an empty set get zeros. This is why one bit per event suffices."""
+        rng = np.random.default_rng(seed)
+        n_users, n_items, d, tau = 8, 4, 4, 2
+        p = init_params(n_users, n_items, d, l_s=4, variant="tea-s",
+                        seed=80 + seed).transition
+        item_events: dict[int, list[tuple[int, int]]] = {}
+        for _ in range(70):
+            item_events.setdefault(int(rng.integers(n_items)), []).append(
+                (int(rng.integers(30)), int(rng.integers(n_users))))
+        for events in item_events.values():
+            events.sort()
+        ctxs, row_user, row_step, walk_sets = [], [], [], []
+        for user in range(n_users):
+            own = sorted((ts, item) for item, events in item_events.items()
+                         for ts, u in events if u == user)
+            if not own:
+                continue
+            sets = [oracles.co_interactors(user, item, ts, item_events, tau, 10, seed, t)
+                    for t, (ts, item) in enumerate(own)]
+            ctxs.append(UserContext(user, [item for _, item in own], [[]] * len(own),
+                                    [int(bool(s)) for s in sets], []))
+            row_user += [len(ctxs) - 1] * len(own)
+            row_step += range(1, len(own) + 1)
+            walk_sets += sets
+        assert max(map(len, walk_sets)) >= 3 and min(map(len, walk_sets)) == 0
+        row_user, row_step = np.array(row_user), np.array(row_step)
+        walk_rows = np.flatnonzero([bool(s) for s in walk_sets])
+        p_user = ad.gather_rows(p.shared.user, [ctx.user for ctx in ctxs])
+        got = transition._walk_terms(p, ctxs, p_user, row_user, row_step, walk_rows).data
+        w3 = p.w_g3.data
+        for i, (b, s, walk_set) in enumerate(zip(row_user, row_step, walk_sets)):
+            walk = oracles.walk_aggregate(p, ctxs[b].user, ctxs[b].items[s - 1], walk_set)
+            want = w3[:, d:2 * d] @ walk.h_user.data + w3[:, 2 * d:3 * d] @ walk.h_item.data
+            np.testing.assert_allclose(got[i, 0], want, rtol=0, atol=1e-12)
+
     def test_walk_order_irrelevant(self):
         p = _params(seed=13)
         a = oracles.walk_aggregate(p, 0, 1, [1, 2, 0])
@@ -232,7 +273,7 @@ class TestBatchedRoute:
     def test_batched_equals_single(self):
         params = _g_only(seed=44)
         p = params.transition
-        ctx = UserContext(2, [1, 0, 3], [[], [], []], [[], [], [0, 1]], [])
+        ctx = UserContext(2, [1, 0, 3], [[], [], []], [0, 0, 1], [])
         walk = oracles.walk_aggregate(p, 2, 3, [0, 1])
         cands = [0, 1, 2, 3, 4]
         batched = score_steps(params, ctx, [3], [cands])[0].data
@@ -244,7 +285,7 @@ class TestBatchedRoute:
         # l_s = 1 leaves no position before the candidate: the window is empty
         params = _g_only(seed=45, l_s=1)
         p = params.transition
-        ctx = UserContext(1, [2], [[]], [[]], [])
+        ctx = UserContext(1, [2], [[]], [0], [])
         walk = oracles.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
         cands = [0, 4]
         batched = score_steps(params, ctx, [1], [cands])[0].data
@@ -256,7 +297,7 @@ class TestTransitionGradients:
     def test_every_leaf_matches_finite_differences(self):
         params = _g_only(seed=71)
         p = params.transition
-        ctx = UserContext(1, [0, 3, 2], [[], [], []], [[], [], [0, 2]], [])
+        ctx = UserContext(1, [0, 3, 2], [[], [], []], [0, 0, 1], [])
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
@@ -270,8 +311,8 @@ class TestTransitionGradients:
         row through one zero history position; dropout on."""
         params = _g_only(seed=72, l_s=1)
         p = params.transition
-        ctxs = [UserContext(1, [0, 3], [[], []], [[2], [0]], []),
-                UserContext(2, [4], [[]], [[]], [])]
+        ctxs = [UserContext(1, [0, 3], [[], []], [1, 1], []),
+                UserContext(2, [4], [[]], [0], [])]
         target = ad.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
 
         def build():

@@ -27,7 +27,7 @@ def _f_only(seed, variant="tea-s"):
 
 
 def _ctx(neighbors):
-    return UserContext(0, [0, 2, 3], [[0, 1], [], [2, 4, 1]], [[], [], []],
+    return UserContext(0, [0, 2, 3], [[0, 1], [], [2, 4, 1]], [0, 0, 0],
                        neighbors)
 
 
