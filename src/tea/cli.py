@@ -185,7 +185,6 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_file(os.path.join(args.data, "dataset.json"))
     ds = PreparedDataset.load(args.data)
     config = _effective_train_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -205,9 +204,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = EvalConfig(ks=tuple(_int_list("--k", args.k)), n_neg=args.n_neg)
     cfg.validate()   # before any file is read
-    _require_file(os.path.join(args.data, "dataset.json"))
-    _require_file(args.checkpoint)
     ds = PreparedDataset.load(args.data)
+    _require_file(args.checkpoint)
     params, train_config, epoch = load_checkpoint(args.checkpoint)
     if params.n_users != ds.n_users or params.n_items != ds.n_items:
         raise IncompatibleCheckpointError(
@@ -242,7 +240,6 @@ def cmd_ablate(args) -> int:
         raise ValueError(f"--variants takes names from {sorted(VARIANTS)}, "
                          f"got {args.variants!r}")
     base = _effective_train_config(args)   # before any output directory is made
-    _require_file(os.path.join(args.data, "dataset.json"))
     ds = PreparedDataset.load(args.data)
     os.makedirs(args.out, exist_ok=True)
     ks = eval_cfg.ks

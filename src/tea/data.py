@@ -2,31 +2,35 @@
 
 Turns raw tab-separated event logs into the prepared corpus the trainer
 consumes: per-user behavior sequences, per-step neighbor-item buckets,
-one has-walk bit per event, and a leave-one-out split.
+one has-walk bit per event (the score reads only whether an event has any
+time-restricted co-interaction walk), and a leave-one-out split.
 
-The score reads one fact from an event's time-restricted co-interaction
-walks: whether there is any, that is whether another user has a training
-event on the same item within tau. So each event keeps that bit, and no
-walk set is built: the bits of all users come from sorted searches over
-the training events (`extract_time_restricted_walks`), with no randomness.
+From parse to records every stage works on int64 event columns (`Events`),
+with no object per event: a bincount fixpoint filters, one stable sort by
+(user, ts) splits, and sorted searches cut every bucket window and count
+every walk. Only the `UserRecord`s handed to the trainer hold lists. The
+snapshot, `dataset.npz` (format `tea-dataset-3`), is an uncompressed numpy
+zip of flat arrays with per-user counts (`_ARRAYS`) and a JSON header; it
+is read with allow_pickle=False and checked array by array.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import logging
 import os
-from collections import Counter, defaultdict
+import zipfile
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86_400
-SNAPSHOT_FORMAT = "tea-dataset-2"
+SNAPSHOT_FORMAT = "tea-dataset-3"
+SNAPSHOT_FILE = "dataset.npz"
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -41,12 +45,16 @@ class EmptyDatasetError(ValueError):
     """Filtering removed every interaction."""
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user: int
-    item: int
-    ts: int
-    rating: float | None = None
+@dataclass
+class Events:
+    """Event columns: int64 user, item and unix seconds, one entry per event."""
+
+    user: np.ndarray
+    item: np.ndarray
+    ts: np.ndarray
+
+    def take(self, index) -> "Events":
+        return Events(self.user[index], self.item[index], self.ts[index])
 
 
 @dataclass
@@ -64,24 +72,26 @@ class SocialGraph:
 
 @dataclass
 class LoadResult:
-    interactions: list[Interaction]
+    events: Events        # in log order, dense ids
+    rating: np.ndarray    # float64; NaN where the row has none, -inf for a NaN rating
     user_ids: list[str]   # dense -> raw
     item_ids: list[str]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
 
 
 def load_interactions(path) -> LoadResult:
     """Parse tab-separated rows: user, item, unix seconds, optional rating.
 
     Raw ids are remapped to dense indices in first-appearance order; exact
-    duplicate rows are kept (the log is a multiset of events).
+    duplicate rows are kept (the log is a multiset of events). A rating
+    that reads NaN is stored as -inf: neither passes any threshold, and NaN
+    stays free to mean "no rating".
     """
-    interactions: list[Interaction] = []
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    user_ids: list[str] = []
-    item_ids: list[str] = []
+    users: list[int] = []
+    items: list[int] = []
+    stamps: list[int] = []
+    ratings: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -91,28 +101,29 @@ def load_interactions(path) -> LoadResult:
             if len(fields) not in (3, 4):
                 raise ParseError(path, line_no,
                                  f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            raw_u, raw_v, raw_ts = fields[0], fields[1], fields[2]
             try:
-                ts = int(raw_ts)
+                ts = int(fields[2])
             except ValueError:
-                raise ParseError(path, line_no, f"bad timestamp {raw_ts!r}") from None
+                raise ParseError(path, line_no, f"bad timestamp {fields[2]!r}") from None
             if ts < 0:
                 raise ParseError(path, line_no, f"negative timestamp {ts}")
-            rating = None
+            rating = np.nan
             if len(fields) == 4 and fields[3] != "":
                 try:
                     rating = float(fields[3])
                 except ValueError:
                     raise ParseError(path, line_no, f"bad rating {fields[3]!r}") from None
-            if raw_u not in user_index:
-                user_index[raw_u] = len(user_ids)
-                user_ids.append(raw_u)
-            if raw_v not in item_index:
-                item_index[raw_v] = len(item_ids)
-                item_ids.append(raw_v)
-            interactions.append(Interaction(user_index[raw_u], item_index[raw_v],
-                                            ts, rating))
-    return LoadResult(interactions, user_ids, item_ids, user_index, item_index)
+                if rating != rating:
+                    rating = -np.inf
+            users.append(user_index.setdefault(fields[0], len(user_index)))
+            items.append(item_index.setdefault(fields[1], len(item_index)))
+            stamps.append(ts)
+            ratings.append(rating)
+    try:
+        events = Events(*(np.array(col, dtype=np.int64) for col in (users, items, stamps)))
+    except OverflowError:
+        raise ValueError(f"{path}: a timestamp does not fit int64") from None
+    return LoadResult(events, np.array(ratings), list(user_index), list(item_index))
 
 
 def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
@@ -148,130 +159,102 @@ def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
 
 @dataclass
 class FilterResult:
-    interactions: list[Interaction]
-    user_remap: dict[int, int]   # old dense id -> new dense id
-    item_remap: dict[int, int]
+    events: Events       # surviving events in log order, re-compacted ids
+    users: np.ndarray    # new dense user id -> old dense id
+    items: np.ndarray
 
 
-def preprocess(interactions: list[Interaction], min_actions: int = 5,
+def preprocess(events: Events, rating: np.ndarray, min_actions: int = 5,
                rating_threshold: float = 3.0) -> FilterResult:
     """Binarize explicit feedback and drop sparse users/items to a fixpoint.
 
     Events with a rating present and <= rating_threshold are removed first
     (a rating strictly higher than the threshold counts as positive
-    feedback; unrated events are implicit positives). Users with fewer than
-    max(min_actions, 3) surviving events and items with fewer than
-    min_actions are then removed, iterating until both constraints hold
-    simultaneously: leave-one-out holds out two events per user and needs
-    at least one more to train on. Ids are re-compacted in first-appearance
-    order of the surviving events.
+    feedback; unrated events, NaN in `rating`, are implicit positives).
+    Users with fewer than max(min_actions, 3) surviving events and items
+    with fewer than min_actions are then removed, iterating until both
+    constraints hold simultaneously: leave-one-out holds out two events per
+    user and needs at least one more to train on. Ids are re-compacted in
+    first-appearance order of the surviving events.
     """
     min_user_actions = max(min_actions, 3)
-    kept = [it for it in interactions
-            if it.rating is None or it.rating > rating_threshold]
+    keep = np.isnan(rating) | (rating > rating_threshold)
     while True:
-        u_count = Counter(it.user for it in kept)
-        v_count = Counter(it.item for it in kept)
-        filtered = [it for it in kept
-                    if u_count[it.user] >= min_user_actions
-                    and v_count[it.item] >= min_actions]
-        if len(filtered) == len(kept):
+        sparse = keep & ((np.bincount(events.user, keep)[events.user] < min_user_actions)
+                         | (np.bincount(events.item, keep)[events.item] < min_actions))
+        if not sparse.any():
             break
-        kept = filtered
-    if not kept:
+        keep &= ~sparse
+    if not keep.any():
         raise EmptyDatasetError(
             f"no interactions survive filtering (min_actions={min_actions}, "
             f"rating_threshold={rating_threshold})")
-    user_remap: dict[int, int] = {}
-    item_remap: dict[int, int] = {}
-    out = []
-    for it in kept:
-        if it.user not in user_remap:
-            user_remap[it.user] = len(user_remap)
-        if it.item not in item_remap:
-            item_remap[it.item] = len(item_remap)
-        out.append(Interaction(user_remap[it.user], item_remap[it.item],
-                               it.ts, it.rating))
-    return FilterResult(out, user_remap, item_remap)
+    kept = events.take(keep)
+    user, users = _compact(kept.user)
+    item, items = _compact(kept.item)
+    return FilterResult(Events(user, item, kept.ts), users, items)
 
 
-@dataclass
-class Split:
-    train: list[Interaction]
-    val: dict[int, Interaction]
-    test: dict[int, Interaction]
+def _compact(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids renumbered 0.. in first-appearance order, and the old id of each new one."""
+    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], old[order]
 
 
-def leave_one_out_split(interactions: list[Interaction]) -> Split:
-    """Latest event per user -> test, second latest -> validation, rest -> train.
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[0] .. starts[0] + counts[0] - 1, then the same for each later run."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
 
-    Timestamp ties break by input order (stable sort), so the split is
-    deterministic for any log.
+
+def build_neighbor_item_buckets(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                                train: Events, social: SocialGraph, l_n: int
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor activity in windows: window k covers [lo[k], hi[k]) of user owner[k].
+
+    A window holds the items of the owner's neighbors' events in `train`
+    with lo <= ts < hi, in (ts, item) order, the newest l_n of them.
+    Returns each window's item count and the items of all windows, flat.
+
+    An event's rank is its place in `train` sorted by (ts, item). Every
+    neighbor event is expanded once per owner under the key
+    owner * len(train) + rank, so one searchsorted over the sorted keys
+    cuts every window. Keys stay below n_users * len(train), which is exact
+    in int64 for any log that fits in memory.
     """
-    per_user: dict[int, list[Interaction]] = defaultdict(list)
-    for it in interactions:
-        per_user[it.user].append(it)
-    train: list[Interaction] = []
-    val: dict[int, Interaction] = {}
-    test: dict[int, Interaction] = {}
-    for user, events in per_user.items():
-        events = sorted(events, key=lambda it: it.ts)  # stable
-        test[user] = events[-1]
-        val[user] = events[-2]
-        train.extend(events[:-2])
-    return Split(train, val, test)
+    n = len(train.ts)
+    by_time = np.lexsort((train.item, train.ts))
+    rank = np.argsort(by_time)
+    pair_owner = np.repeat(np.fromiter(social.neighbors, np.int64, len(social.neighbors)),
+                           [len(vs) for vs in social.neighbors.values()])
+    pair_nb = np.fromiter(chain.from_iterable(social.neighbors.values()), np.int64)
+    own_events = np.bincount(train.user, minlength=int(pair_nb.max(initial=-1)) + 1)
+    own_ranks = rank[np.argsort(train.user, kind="stable")]
+    pair_events = own_events[pair_nb]
+    keys = np.repeat(pair_owner * n, pair_events)
+    keys += own_ranks[_ragged_arange(np.cumsum(own_events)[pair_nb] - pair_events,
+                                     pair_events)]
+    keys.sort()
+
+    time_sorted = train.ts[by_time]
+    base = owner * n
+    stop = np.searchsorted(keys, base + np.searchsorted(time_sorted, hi))
+    start = np.maximum(np.searchsorted(keys, base + np.searchsorted(time_sorted, lo)),
+                       stop - l_n)
+    counts = stop - start
+    ranks = keys[_ragged_arange(start, counts)] - np.repeat(base, counts)
+    return counts, train.item[by_time[ranks]]
 
 
-def build_behavior_sequences(train: list[Interaction], l_s: int = 50
-                             ) -> dict[int, list[Interaction]]:
-    """Per-user time-ordered training events, truncated to the most recent l_s."""
-    per_user: dict[int, list[Interaction]] = defaultdict(list)
-    for it in train:
-        per_user[it.user].append(it)
-    out = {}
-    for user, events in per_user.items():
-        events = sorted(events, key=lambda it: it.ts)
-        out[user] = events[-l_s:]
-    return out
+def extract_time_restricted_walks(queries: Events, train: Events, tau_seconds: int,
+                                  cap: int) -> np.ndarray:
+    """Has-walk bit (uint8) of every query event.
 
-
-def bucket_items(neighbor_events: list[tuple[int, int]], lo: int, hi: int,
-                 l_n: int) -> list[int]:
-    """Items from a time-sorted (ts, item) list with ts in [lo, hi), newest l_n."""
-    i = bisect.bisect_left(neighbor_events, (lo, -1))
-    j = bisect.bisect_left(neighbor_events, (hi, -1))
-    window = neighbor_events[i:j]
-    return [item for _, item in window[-l_n:]]
-
-
-def build_neighbor_item_buckets(seq: list[Interaction], val_ts: int, test_ts: int,
-                                neighbor_events: list[tuple[int, int]], l_n: int
-                                ) -> tuple[list[list[int]], list[int], list[int]]:
-    """Neighbor activity bucketed between the user's consecutive timestamps.
-
-    buckets[t] covers [ts_t, ts_{t+1}); the final observed step gets one
-    bucket per held-out target, upper-bounded by that target's timestamp:
-    [ts_last, val_ts) when predicting the validation item and
-    [val_ts, test_ts) when predicting the test item (whose context already
-    contains the validation event).
-    """
-    ts = [it.ts for it in seq]
-    buckets = [bucket_items(neighbor_events, ts[t], ts[t + 1], l_n)
-               for t in range(len(ts) - 1)]
-    bucket_val = bucket_items(neighbor_events, ts[-1], val_ts, l_n)
-    bucket_gap = bucket_items(neighbor_events, val_ts, test_ts, l_n)
-    return buckets, bucket_val, bucket_gap
-
-
-def extract_time_restricted_walks(queries: list[list[Interaction]],
-                                  train: list[Interaction], tau_seconds: int,
-                                  cap: int) -> list[list[int]]:
-    """Has-walk bit of every query event, in the queries' shape.
-
-    queries[k] lists one user's events; out[k][t] is 1 when a user other
-    than that one has an event in `train` on queries[k][t]'s item within
-    tau_seconds of it, both ends included, and cap >= 1; else 0. Only
-    `train` is searched, so held-out targets never count.
+    Entry k is 1 when a user other than queries.user[k] has an event in
+    `train` on queries.item[k] within tau_seconds of queries.ts[k], both
+    ends included, and cap >= 1; else 0. Only `train` is searched, so
+    held-out targets never count.
 
     The co-user events are the item's events in the window minus the
     user's own: one searchsorted pair over the training events sorted by
@@ -279,35 +262,29 @@ def extract_time_restricted_walks(queries: list[list[Interaction]],
     are int64, a group's dense rank times the time span plus the time
     offset; a corpus whose keys cannot be exact raises ValueError.
     """
-    flat = [it for events in queries for it in events]
-    bits = np.zeros(len(flat), dtype=bool)
-    if cap >= 1 and flat and train:
-        events = train + flat                  # ranks shared by events and queries
-        try:
-            user = np.array([it.user for it in events], dtype=np.int64)
-            item = np.array([it.item for it in events], dtype=np.int64)
-            stamp = np.array([it.ts for it in events], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("a timestamp does not fit int64") from None
-        first = int(stamp.min())
-        if int(stamp.max()) - first > _INT64_MAX:
-            raise ValueError("the timestamps span more than 2**63 - 1 seconds")
-        stamp = stamp - first                  # wraps, so exact: the true value fits
-        span = int(stamp[:len(train)].max()) + 1
-        user = np.unique(user, return_inverse=True)[1]
-        item = np.unique(item, return_inverse=True)[1]
-        n_users, n_items = int(user.max()) + 1, int(item.max()) + 1
-        if n_users * n_items > _INT64_MAX:
-            raise ValueError(f"{n_users} users x {n_items} items do not fit int64 keys")
-        pair = np.unique(user * n_items + item, return_inverse=True)[1]
-        if (int(pair.max()) + 1) * span > _INT64_MAX:
-            raise ValueError(f"{int(pair.max()) + 1} (user, item) pairs over a "
-                             f"{span}-second span do not fit int64 keys")
-        tau = min(tau_seconds, _INT64_MAX)
-        bits = (_window_counts(item, stamp, len(train), tau, span)
-                > _window_counts(pair, stamp, len(train), tau, span))
-    bits = iter(bits.astype(np.int64).tolist())
-    return [list(islice(bits, len(events))) for events in queries]
+    n_train = len(train.ts)
+    if cap < 1 or not len(queries.ts) or not n_train:
+        return np.zeros(len(queries.ts), dtype=np.uint8)
+    user = np.concatenate([train.user, queries.user])   # ranks shared by both
+    item = np.concatenate([train.item, queries.item])
+    stamp = np.concatenate([train.ts, queries.ts])
+    first = int(stamp.min())
+    if int(stamp.max()) - first > _INT64_MAX:
+        raise ValueError("the timestamps span more than 2**63 - 1 seconds")
+    stamp = stamp - first                  # wraps, so exact: the true value fits
+    span = int(stamp[:n_train].max()) + 1
+    user = np.unique(user, return_inverse=True)[1]
+    item = np.unique(item, return_inverse=True)[1]
+    n_users, n_items = int(user.max()) + 1, int(item.max()) + 1
+    if n_users * n_items > _INT64_MAX:
+        raise ValueError(f"{n_users} users x {n_items} items do not fit int64 keys")
+    pair = np.unique(user * n_items + item, return_inverse=True)[1]
+    if (int(pair.max()) + 1) * span > _INT64_MAX:
+        raise ValueError(f"{int(pair.max()) + 1} (user, item) pairs over a "
+                         f"{span}-second span do not fit int64 keys")
+    tau = min(tau_seconds, _INT64_MAX)
+    return (_window_counts(item, stamp, n_train, tau, span)
+            > _window_counts(pair, stamp, n_train, tau, span)).astype(np.uint8)
 
 
 def _window_counts(groups, stamps, n_events: int, tau: int, span: int) -> np.ndarray:
@@ -356,6 +333,17 @@ class UserRecord:
     walks_val: int                # has-walk bit of the validation event
 
 
+# The snapshot's arrays and their dtypes. Per user, in user order: `seq_len`
+# holds its n training events; `items` and `ts` hold those n events, then
+# the validation and the test event; `walks` the n has-walk bits, then the
+# validation event's; `bucket_len` the sizes of its n - 1 step buckets, then
+# of the validation and the gap bucket, whose items `buckets` holds; and
+# `social_len` its neighbor count, whose user ids `social` holds.
+_ARRAYS = {"seq_len": np.int32, "items": np.int32, "ts": np.int64, "walks": np.uint8,
+           "bucket_len": np.int32, "buckets": np.int32, "social_len": np.int32,
+           "social": np.int32}
+
+
 @dataclass
 class PreparedDataset:
     n_users: int
@@ -380,70 +368,73 @@ class PreparedDataset:
         }
 
     def save(self, out_dir) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        head = {
-            "format": SNAPSHOT_FORMAT,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_interactions": self.n_interactions,
-            "config": self.config,
-            "social": {str(u): vs for u, vs in sorted(self.social.neighbors.items())},
+        """Write dataset.npz and the raw-id sidecars. The arrays pass `load`'s
+        checks before anything is written."""
+        path = os.path.join(out_dir, SNAPSHOT_FILE)
+        users = self.users
+        windows = [list(chain(u.buckets, (u.bucket_val, u.bucket_gap))) for u in users]
+        neighbors = [self.social.of(u) for u in range(self.n_users)]
+        columns = {
+            "seq_len": (len(u.seq_items) for u in users),
+            "items": chain.from_iterable(
+                chain(u.seq_items, (u.val_item, u.test_item)) for u in users),
+            "ts": chain.from_iterable(chain(u.seq_ts, (u.val_ts, u.test_ts)) for u in users),
+            "walks": chain.from_iterable(chain(u.walks, (u.walks_val,)) for u in users),
+            "bucket_len": (len(b) for w in windows for b in w),
+            "buckets": chain.from_iterable(chain.from_iterable(windows)),
+            "social_len": (len(vs) for vs in neighbors),
+            "social": chain.from_iterable(neighbors),
         }
-        # The bytes of json.dumps({**head, "users": [...]}, sort_keys=True):
-        # "users" sorts after every head key. Each user is encoded on its own,
-        # so the C encoder never holds the whole document's pieces at once.
-        with open(os.path.join(out_dir, "dataset.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(head, sort_keys=True)[:-1] + ', "users": [')
-            for i, u in enumerate(self.users):
-                fh.write((", " if i else "") + json.dumps({
-                    "seq_items": u.seq_items, "seq_ts": u.seq_ts,
-                    "val": [u.val_item, u.val_ts], "test": [u.test_item, u.test_ts],
-                    "buckets": u.buckets, "bucket_val": u.bucket_val,
-                    "bucket_gap": u.bucket_gap, "walks": u.walks,
-                    "walks_val": u.walks_val,
-                }, sort_keys=True))
-            fh.write("]}")
+        arrays = {name: np.fromiter(values, _ARRAYS[name]) for name, values in columns.items()}
+        head = {"format": SNAPSHOT_FORMAT, "n_users": self.n_users,
+                "n_items": self.n_items, "n_interactions": self.n_interactions,
+                "config": self.config}
+        _check_snapshot(path, head, arrays)
+        arrays["header"] = np.frombuffer(json.dumps(head, sort_keys=True).encode(), np.uint8)
+        os.makedirs(out_dir, exist_ok=True)
+        # Each entry keeps ZipInfo's fixed 1980 date; np.savez would stamp the
+        # clock time, and the same dataset would not always give the same bytes.
+        with zipfile.ZipFile(path, "w") as zf:
+            for name in sorted(arrays):
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, arrays[name], allow_pickle=False)
         for fname, ids in (("user_ids.tsv", self.user_ids),
                            ("item_ids.tsv", self.item_ids)):
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-                for dense, raw in enumerate(ids):
-                    fh.write(f"{raw}\t{dense}\n")
+                fh.write("".join(f"{raw}\t{dense}\n" for dense, raw in enumerate(ids)))
 
     @classmethod
     def load(cls, out_dir) -> "PreparedDataset":
-        path = os.path.join(out_dir, "dataset.json")
-        with open(path, "r", encoding="utf-8") as fh:
+        path = os.path.join(out_dir, SNAPSHOT_FILE)
+        old = os.path.join(out_dir, "dataset.json")     # tea-dataset-1 and -2
+        if not os.path.exists(path):
+            if os.path.exists(old):
+                raise ValueError(f"{old}: a JSON snapshot of an older format, not "
+                                 f"{SNAPSHOT_FORMAT}; re-run `tea prepare` to rebuild it")
+            raise FileNotFoundError(path)
+        arrays, where = {}, "the file"
+        with open(path, "rb") as fh:
             try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{path}: not a JSON snapshot ({exc})") from None
-        found = payload.get("format") if isinstance(payload, dict) else None
+                npz = np.load(fh, allow_pickle=False)
+                where = "the header"
+                head = json.loads(bytes(npz["header"]).decode("utf-8"))
+                found = head.get("format") if isinstance(head, dict) else None
+                for name in _ARRAYS if found == SNAPSHOT_FORMAT else ():
+                    where = f"array {name!r}"
+                    arrays[name] = npz[name]
+            except KeyError:
+                raise ValueError(f"{path}: {where} missing") from None
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{path}: {where} unreadable "
+                                 f"({type(exc).__name__}: {exc})") from None
         if found != SNAPSHOT_FORMAT:
             raise ValueError(f"{path}: snapshot format {found!r}, expected "
                              f"{SNAPSHOT_FORMAT!r}; re-run `tea prepare` to rebuild it")
-        try:
-            users = [
-                UserRecord(
-                    seq_items=u["seq_items"], seq_ts=u["seq_ts"],
-                    val_item=u["val"][0], val_ts=u["val"][1],
-                    test_item=u["test"][0], test_ts=u["test"][1],
-                    buckets=u["buckets"], bucket_val=u["bucket_val"],
-                    bucket_gap=u["bucket_gap"], walks=u["walks"],
-                    walks_val=u["walks_val"],
-                )
-                for u in payload["users"]
-            ]
-            social = SocialGraph({int(k): v for k, v in payload["social"].items()})
-            n_users, n_items = payload["n_users"], payload["n_items"]
-            config, n_interactions = payload["config"], payload["n_interactions"]
-            l_s = config.get("l_s")
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"{path}: malformed snapshot "
-                             f"({type(exc).__name__}: {exc})") from None
-        try:
-            _check_snapshot(path, n_users, n_items, l_s, users, social)
-        except TypeError as exc:     # a field of the wrong JSON type
-            raise ValueError(f"{path}: malformed snapshot (TypeError: {exc})") from None
+        _check_snapshot(path, head, arrays)
+        n_users, n_items = head["n_users"], head["n_items"]
+        ends = np.cumsum(arrays.pop("social_len")).tolist()
+        flat = arrays.pop("social").tolist()
+        social = {u: flat[a:b] for u, (a, b) in enumerate(zip([0] + ends, ends)) if b > a}
         ids = {}
         for fname, n in (("user_ids.tsv", n_users), ("item_ids.tsv", n_items)):
             side_path = os.path.join(out_dir, fname)
@@ -465,50 +456,77 @@ class PreparedDataset:
                 raise ValueError(f"{side_path}: dense id {raw_of.index(None)} missing "
                                  f"({n} ids expected)")
             ids[fname] = raw_of
-        return cls(n_users, n_items, users, social, config, ids["user_ids.tsv"],
-                   ids["item_ids.tsv"], n_interactions)
+        return cls(n_users, n_items, _user_records(n_items, **arrays), SocialGraph(social),
+                   head["config"], ids["user_ids.tsv"], ids["item_ids.tsv"],
+                   head["n_interactions"])
 
 
-def _check_snapshot(path, n_users: int, n_items: int, l_s: int | None,
-                    users: list[UserRecord], social: SocialGraph) -> None:
+def _check_snapshot(path, head: dict, arrays: dict) -> None:
     """Reject a snapshot the scorer would index out of range.
 
-    Every item id must be below n_items and every user id below n_users;
-    each user needs 1..l_s training events, one bucket fewer than events
-    and one has-walk bit, 0 or 1, per event and for the validation event.
+    Each array needs its dtype, one dimension and as many entries as the
+    counts give, and entries within bounds: item ids below n_items, user
+    ids below n_users, 1..l_s training events per user, walk bits 0 or 1
+    and no negative count. A bad entry names its user.
     """
-    def ids_in_range(who: str, kind: str, ids, bound: int) -> None:
-        for x in ids:
-            if type(x) is not int or not 0 <= x < bound:
-                raise ValueError(f"{path}: {who} has {kind} id {x!r} outside "
-                                 f"[0, {bound})")
+    config = head.get("config")
+    fields = {key: head.get(key) for key in ("n_users", "n_items", "n_interactions")}
+    fields["config l_s"] = config.get("l_s") if isinstance(config, dict) else None
+    for key, value in fields.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{path}: header field {key!r} is {value!r}, "
+                             "expected an integer >= 0")
+    n_users, n_items, l_s = fields["n_users"], fields["n_items"], fields["config l_s"]
 
-    for key, value in (("n_users", n_users), ("n_items", n_items)):
-        if type(value) is not int:
-            raise ValueError(f"{path}: {key} is {value!r}, expected an integer")
-    if len(users) != n_users:
-        raise ValueError(f"{path}: {len(users)} user records, n_users={n_users}")
-    for u, rec in enumerate(users):
-        who = f"user {u}"
-        n = len(rec.seq_items)
-        if n < 1 or (l_s is not None and n > l_s):
-            raise ValueError(f"{path}: {who} has {n} training events, "
-                             f"expected 1 to l_s={l_s}")
-        if len(rec.buckets) != n - 1:
-            raise ValueError(f"{path}: {who} has {len(rec.buckets)} buckets for {n} "
-                             f"training events; expected {n - 1}")
-        if len(rec.walks) != n:
-            raise ValueError(f"{path}: {who} has {len(rec.walks)} walk bits for {n} "
-                             f"training events; expected {n}")
-        bits = rec.walks + [rec.walks_val]
-        if not {type(x) for x in bits} <= {int} or not set(bits) <= {0, 1}:
-            bad = next(x for x in bits if type(x) is not int or x not in (0, 1))
-            raise ValueError(f"{path}: {who} has walk bit {bad!r}, expected 0 or 1")
-        ids_in_range(who, "item", chain(rec.seq_items, (rec.val_item, rec.test_item),
-                                        rec.bucket_val, rec.bucket_gap,
-                                        *rec.buckets), n_items)
-    for u, nbs in social.neighbors.items():
-        ids_in_range("the social graph", "user", chain((u,), nbs), n_users)
+    def check(name: str, per_user: np.ndarray, what: str, lo: float = 0,
+              hi: float = np.inf) -> np.ndarray:
+        """arrays[name], where user u owns per_user[u] entries in [lo, hi)."""
+        a, length = arrays[name], int(per_user.sum())
+        if a.dtype != _ARRAYS[name] or a.shape != (length,):
+            raise ValueError(f"{path}: array {name!r} is {a.dtype} of shape {a.shape}, "
+                             f"expected {np.dtype(_ARRAYS[name])} of shape ({length},)")
+        bad = (a < lo) | (a >= hi)
+        if bad.any():
+            k = int(bad.argmax())
+            user = int(np.searchsorted(np.cumsum(per_user), k, "right"))
+            raise ValueError(f"{path}: user {user} has {what} {a[k]}, outside [{lo}, {hi})")
+        return a.astype(np.int64)
+
+    one = np.ones(n_users, dtype=np.int64)
+    seq_len = check("seq_len", one, "training event count", 1, l_s + 1)
+    check("items", seq_len + 2, "item id", 0, n_items)
+    check("ts", seq_len + 2, "timestamp", -np.inf)
+    check("walks", seq_len + 1, "walk bit", 0, 2)
+    bucket_len = check("bucket_len", seq_len + 1, "bucket size")
+    check("buckets", np.add.reduceat(bucket_len, np.cumsum(seq_len + 1) - seq_len - 1),
+          "item id", 0, n_items)
+    social_len = check("social_len", one, "neighbor count")
+    check("social", social_len, "user id", 0, n_users)
+
+
+def _user_records(n_items: int, seq_len, items, ts, walks, bucket_len, buckets
+                  ) -> list[UserRecord]:
+    """The trainer's per-user lists from the snapshot's arrays.
+
+    Item ids come from one object array of the ints 0..n_items-1, so every
+    list shares those int objects instead of holding one per entry.
+    """
+    shared = np.arange(n_items).astype(object)
+    items, ts, walks = shared[items].tolist(), ts.tolist(), walks.tolist()
+    flat = shared[buckets].tolist()
+    ends = np.cumsum(bucket_len).tolist()
+    windows = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    records = []
+    e = w = 0
+    for n in seq_len.tolist():
+        v, b = e + n, w + n
+        records.append(UserRecord(
+            seq_items=items[e:v], seq_ts=ts[e:v], val_item=items[v], val_ts=ts[v],
+            test_item=items[v + 1], test_ts=ts[v + 1], buckets=windows[w:b - 1],
+            bucket_val=windows[b - 1], bucket_gap=windows[b], walks=walks[w:b],
+            walks_val=walks[b]))
+        e, w = v + 2, b + 1
+    return records
 
 
 def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
@@ -519,66 +537,46 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
 
     Window settings that would write a snapshot `train` rejects, or silently
     change what the windows hold, raise a ValueError naming the flag.
+
+    Each user's events sort stably by time (ties keep log order): the
+    latest is the test target, the one before it the validation target,
+    the rest train, and the newest l_s of those form the sequence.
     """
     for flag, value, least in (("--ls", l_s, 1), ("--ln", l_n, 1),
                                ("--walk-cap", walk_cap, 0), ("--tau-days", tau_days, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     loaded = load_interactions(interactions_path)
-    filtered = preprocess(loaded.interactions, min_actions, rating_threshold)
+    filtered = preprocess(loaded.events, loaded.rating, min_actions, rating_threshold)
+    user_ids = [loaded.user_ids[u] for u in filtered.users.tolist()]
+    item_ids = [loaded.item_ids[v] for v in filtered.items.tolist()]
+    social = load_social_edges(social_path, {raw: u for u, raw in enumerate(user_ids)})
 
-    # Compose raw -> filtered dense maps for the id sidecars.
-    user_ids = [""] * len(filtered.user_remap)
-    for old, new in filtered.user_remap.items():
-        user_ids[new] = loaded.user_ids[old]
-    item_ids = [""] * len(filtered.item_remap)
-    for old, new in filtered.item_remap.items():
-        item_ids[new] = loaded.item_ids[old]
-    user_index = {raw: dense for dense, raw in enumerate(user_ids)}
-
-    social = load_social_edges(social_path, user_index)
-    split = leave_one_out_split(filtered.interactions)
-    sequences = build_behavior_sequences(split.train, l_s)
-
-    # Per-user time-sorted (ts, item) index over training events only, so
-    # held-out targets never enter a bucket.
-    by_user: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for it in split.train:
-        by_user[it.user].append((it.ts, it.item))
-    for events in by_user.values():
-        events.sort()
-
+    events = filtered.events
+    order = np.lexsort((events.ts, events.user))
+    counts = np.bincount(events.user)
+    seq_len = np.minimum(counts - 2, l_s)
+    user = events.user[order]
+    back = np.cumsum(counts)[user] - np.arange(len(order))   # 1: test, 2: validation
+    in_record = back <= seq_len[user] + 2                    # sequence, val, test
+    record = events.take(order[in_record])
+    train = events.take(order[back > 2])
+    step = np.flatnonzero(in_record & (back > 1))            # sequence and val
+    queries = events.take(order[step])
+    # A user's bucket windows run from each of these events to its next one.
+    bucket_len, buckets = build_neighbor_item_buckets(
+        queries.user, queries.ts, events.ts[order[step + 1]], train, social, l_n)
     # One has-walk bit per training event in the sequence, then one for the
     # validation event; only training events count as co-interactions.
-    n_users = len(user_ids)
     try:
-        walk_bits = extract_time_restricted_walks(
-            [sequences[user] + [split.val[user]] for user in range(n_users)],
-            split.train, tau_days * DAY_SECONDS, walk_cap)
+        walks = extract_time_restricted_walks(queries, train, tau_days * DAY_SECONDS,
+                                              walk_cap)
     except ValueError as exc:
         raise ValueError(f"{interactions_path}: {exc}") from None
-    users: list[UserRecord] = []
-    for user in range(n_users):
-        seq = sequences[user]
-        val, test = split.val[user], split.test[user]
-        neighbor_events: list[tuple[int, int]] = []
-        for nb in social.of(user):
-            neighbor_events.extend(by_user.get(nb, []))
-        neighbor_events.sort()
-        buckets, bucket_val, bucket_gap = build_neighbor_item_buckets(
-            seq, val.ts, test.ts, neighbor_events, l_n)
-        walks = walk_bits[user]
-        walks_val = walks.pop()
-        users.append(UserRecord(
-            seq_items=[it.item for it in seq], seq_ts=[it.ts for it in seq],
-            val_item=val.item, val_ts=val.ts, test_item=test.item, test_ts=test.ts,
-            buckets=buckets, bucket_val=bucket_val, bucket_gap=bucket_gap,
-            walks=walks, walks_val=walks_val))
-
-    config = {
-        "min_actions": min_actions, "rating_threshold": rating_threshold,
-        "tau_days": tau_days, "l_s": l_s, "l_n": l_n, "walk_cap": walk_cap,
-        "seed": seed,
-    }
-    return PreparedDataset(n_users, len(item_ids), users, social, config,
-                           user_ids, item_ids, len(filtered.interactions))
+    users = _user_records(len(item_ids), seq_len, record.item, record.ts, walks,
+                          bucket_len, buckets)
+    config = {"min_actions": min_actions, "rating_threshold": rating_threshold,
+              "tau_days": tau_days, "l_s": l_s, "l_n": l_n, "walk_cap": walk_cap,
+              "seed": seed}
+    return PreparedDataset(len(user_ids), len(item_ids), users, social, config,
+                           user_ids, item_ids, len(events.ts))

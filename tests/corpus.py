@@ -16,6 +16,7 @@ Two generators with known structure:
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -142,3 +143,76 @@ def write_corpus(tmp_dir, rows, pairs, with_social: bool = True):
             for a, b in pairs:
                 fh.write(f"{a}\t{b}\n")
     return inter_path, social_path
+
+
+def edit_snapshot(snap_dir, edit):
+    """Rewrite snap_dir's dataset.npz after edit(head, arrays) changes the
+    decoded JSON header or the dict of arrays in place; an edit may also put
+    its own `header` array. Written by np.savez, which may pickle an object
+    array. Returns the file's path."""
+    from tea.data import SNAPSHOT_FILE
+
+    path = os.path.join(str(snap_dir), SNAPSHOT_FILE)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    head = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    edit(head, arrays)
+    arrays.setdefault("header", np.frombuffer(json.dumps(head).encode(), np.uint8))
+    np.savez(path, **arrays)
+    return path
+
+
+def _mark(marker):
+    with open(marker, "w", encoding="utf-8") as fh:
+        fh.write("unpickled\n")
+
+
+class _Armed:
+    """Pickles to a call that writes `marker`, so a test sees if it was unpickled."""
+
+    def __init__(self, marker) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return _mark, (self.marker,)
+
+
+def _rewrite(fn):
+    def corrupt(snap_dir):
+        path = os.path.join(str(snap_dir), "dataset.npz")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(fn(raw))
+    return corrupt
+
+
+def _edit(fn):
+    return lambda snap_dir: edit_snapshot(snap_dir, fn)
+
+
+# Damaged dataset.npz files, by what is wrong: each callable damages the
+# snapshot in the directory it is given. `load` must reject every one with a
+# ValueError naming the file, and the CLI must exit 2.
+SNAPSHOT_DEFECTS = {
+    "truncated": _rewrite(lambda raw: raw[:len(raw) // 2]),
+    "not-a-zip": _rewrite(lambda raw: b"seq_len\titems\n" + raw[:64]),
+    "missing-array": _edit(lambda head, arrays: arrays.pop("buckets")),
+    "empty-header": _edit(lambda head, arrays: arrays.update(header=np.zeros(0, np.uint8))),
+    "object-array": lambda snap_dir: edit_snapshot(snap_dir, lambda head, arrays: (
+        arrays.update(social=np.array(
+            [_Armed(os.path.join(str(snap_dir), "unpickled"))], dtype=object)))),
+    "float-array": _edit(lambda head, arrays: arrays.update(
+        items=arrays["items"].astype(np.float64))),
+    "wrong-shape": _edit(lambda head, arrays: arrays.update(
+        ts=arrays["ts"].reshape(-1, 1))),
+    "negative-count": _edit(lambda head, arrays: arrays["bucket_len"].__setitem__(
+        slice(0, 2), [-1, int(arrays["bucket_len"][:2].sum()) + 1])),
+    "counts-do-not-sum": _edit(lambda head, arrays: arrays.update(
+        social=arrays["social"][:-1])),
+    "out-of-range-id": _edit(lambda head, arrays: arrays["buckets"].__setitem__(
+        -1, head["n_items"])),
+    "bit-not-0-or-1": _edit(lambda head, arrays: arrays["walks"].__setitem__(
+        int(arrays["seq_len"][0]), 2)),                  # user 0's validation bit
+    "other-format": _edit(lambda head, arrays: head.update(format="tea-dataset-2")),
+}

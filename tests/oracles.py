@@ -20,6 +20,11 @@ one global-norm factor and `adam_update` applies the bias-corrected update
 as whole-array expressions. `tea.autodiff.adam_step` computes the same
 step block by block, with the penalty's gradient and the clip inside.
 
+`build_neighbor_item_buckets` is the per-user reference for the bucket
+windows: bisect over one user's neighbors' training events, sorted as
+(ts, item) tuples. `tea.data.build_neighbor_item_buckets` cuts every
+user's windows at once, and the tests assert the two agree.
+
 `co_interactors` is the brute-force walk set of one event: the distinct
 users of the item's whole +-tau window, capped by the keyed draw.
 `tea.data.extract_time_restricted_walks` keeps only whether that set is
@@ -366,3 +371,30 @@ def co_interactors(user: int, item: int, ts: int,
             np.random.SeedSequence([seed & 0xFFFFFFFF, 0x57, user, tag]))
         others = sorted(rng.choice(others, size=cap, replace=False).tolist())
     return others
+
+
+def bucket_items(neighbor_events: list[tuple[int, int]], lo: int, hi: int,
+                 l_n: int) -> list[int]:
+    """Items from a time-sorted (ts, item) list with ts in [lo, hi), newest l_n."""
+    i = bisect.bisect_left(neighbor_events, (lo, -1))
+    j = bisect.bisect_left(neighbor_events, (hi, -1))
+    window = neighbor_events[i:j]
+    return [item for _, item in window[-l_n:]]
+
+
+def build_neighbor_item_buckets(seq_ts: list[int], val_ts: int, test_ts: int,
+                                neighbor_events: list[tuple[int, int]], l_n: int
+                                ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Neighbor activity bucketed between the user's consecutive timestamps.
+
+    buckets[t] covers [ts_t, ts_{t+1}); the final observed step gets one
+    bucket per held-out target, upper-bounded by that target's timestamp:
+    [ts_last, val_ts) when predicting the validation item and
+    [val_ts, test_ts) when predicting the test item (whose context already
+    contains the validation event).
+    """
+    buckets = [bucket_items(neighbor_events, seq_ts[t], seq_ts[t + 1], l_n)
+               for t in range(len(seq_ts) - 1)]
+    bucket_val = bucket_items(neighbor_events, seq_ts[-1], val_ts, l_n)
+    bucket_gap = bucket_items(neighbor_events, val_ts, test_ts, l_n)
+    return buckets, bucket_val, bucket_gap

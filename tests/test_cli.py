@@ -14,7 +14,7 @@ from tea import params as tea_params
 from tea.cli import main
 from tea.params import load_checkpoint
 
-from corpus import cycle_corpus, write_corpus
+from corpus import SNAPSHOT_DEFECTS, cycle_corpus, edit_snapshot, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ _FAST = ["--d", "4", "--ns", "5", "--max-epochs", "2", "--patience", "5",
 
 class TestPrepare:
     def test_artifacts_and_stats(self, data_dir):
-        assert os.path.exists(os.path.join(data_dir, "dataset.json"))
+        assert os.path.exists(os.path.join(data_dir, "dataset.npz"))
         assert os.path.exists(os.path.join(data_dir, "user_ids.tsv"))
         assert os.path.exists(os.path.join(data_dir, "item_ids.tsv"))
         stats = json.load(open(os.path.join(data_dir, "stats.json")))
@@ -89,8 +89,8 @@ class TestPrepare:
                      "--out", str(out), "--ls", "16", "--walk-cap", "0",
                      "--tau-days", "0"])
         assert code == 0
-        users = json.load(open(out / "dataset.json"))["users"]
-        assert all(w == 0 for u in users for w in u["walks"] + [u["walks_val"]])
+        with np.load(out / "dataset.npz") as npz:
+            assert npz["walks"].size and not npz["walks"].any()
 
     def test_empty_output_exit_3(self, corpus_files, tmp_path):
         inter, social = corpus_files
@@ -128,10 +128,7 @@ class TestTrain:
         new `tea prepare`; nothing is written."""
         snap = tmp_path / "snap"
         shutil.copytree(data_dir, snap)
-        path = snap / "dataset.json"
-        payload = json.loads(path.read_text())
-        payload["format"] = found
-        path.write_text(json.dumps(payload))
+        path = edit_snapshot(snap, lambda head, arrays: head.update(format=found))
         out = tmp_path / "o"
         args = (["--out", str(out)] if command == "train" else
                 ["--checkpoint", str(tmp_path / "none.tea"), "--out", str(out)])
@@ -141,6 +138,35 @@ class TestTrain:
         assert code == 2 and captured.out == "" and not out.exists()
         assert f"{path}: snapshot format {found!r}" in captured.err
         assert "re-run `tea prepare`" in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_old_json_snapshot_exit_2(self, data_dir, tmp_path, capsys, command):
+        """A data directory holding only an older dataset.json names that file
+        and asks for a new `tea prepare`; nothing is written."""
+        snap = tmp_path / "snap"
+        shutil.copytree(data_dir, snap)
+        os.remove(snap / "dataset.npz")
+        (snap / "dataset.json").write_text('{"format": "tea-dataset-2", "users": []}')
+        out = tmp_path / "o"
+        args = {"train": ["--out", str(out)], "ablate": ["--out", str(out)],
+                "eval": ["--checkpoint", str(tmp_path / "none.tea"), "--out", str(out)]}
+        code = main([command, "--data", str(snap)] + args[command])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert f"{snap / 'dataset.json'}: " in captured.err
+        assert "re-run `tea prepare`" in captured.err
+
+    @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
+    def test_damaged_snapshot_exit_2(self, data_dir, tmp_path, capsys, defect):
+        snap = tmp_path / "snap"
+        shutil.copytree(data_dir, snap)
+        SNAPSHOT_DEFECTS[defect](snap)
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(snap), "--out", str(out)] + _FAST)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists()
+        assert f"error: {snap / 'dataset.npz'}: " in captured.err
+        assert not (snap / "unpickled").exists()
 
     @pytest.mark.parametrize("field, flag, value", [("gamma", "--gamma", "nan"),
                                                     ("clip_norm", "--clip-norm", "-1")])
@@ -175,9 +201,10 @@ class TestTrain:
             outs.append(open(os.path.join(out, "curve.csv"), "rb").read())
         assert outs[0] == outs[1]
 
-    def test_missing_dataset_exit_2(self, tmp_path):
+    def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")] + _FAST) == 2
+        assert str(tmp_path / "nope" / "dataset.npz") in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exit_4(self, data_dir, tmp_path, capsys):
@@ -334,18 +361,17 @@ class TestEval:
             rows = path.read_text().splitlines(keepends=True)
             path.write_text(rows[0] + "".join(rows))  # dense id 0 twice
         else:
-            path = snap / "dataset.json"
-            payload = json.loads(path.read_text())
-            user = payload["users"][0]
-            if field == "seq_items":
-                user["seq_items"][0] = 10**6
-            elif field == "walks":
-                user["walks"] = user["walks"][:-1]
-            elif field == "walks_val":
-                user["walks_val"] = [3]
-            else:
-                user["buckets"] = user["buckets"][:2]
-            path.write_text(json.dumps(payload))
+            def edit(head, arrays):
+                n = int(arrays["seq_len"][0])       # user 0's training events
+                if field == "seq_items":
+                    arrays["items"][0] = 10**6
+                elif field == "walks":
+                    arrays["walks"] = arrays["walks"][:-1]
+                elif field == "walks_val":
+                    arrays["walks"][n] = 3
+                else:
+                    arrays["bucket_len"] = arrays["bucket_len"][2:]
+            path = edit_snapshot(snap, edit)
         code = main(["eval", "--data", str(snap), "--checkpoint",
                      os.path.join(trained_dir, "checkpoint.tea"),
                      "--out", str(tmp_path / "ev")])

@@ -135,3 +135,32 @@ def test_walk_sets_come_from_one_sweep():
     source = (PACKAGE / "data.py").read_text(encoding="utf-8")
     for name in ("SeedSequence", "PCG64", "insort", "choice("):
         assert name not in source, name
+
+
+def _calls(node: ast.AST) -> set[str]:
+    """Names of the functions and methods called anywhere under node."""
+    return {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+            for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, (ast.Name, ast.Attribute))}
+
+
+def test_prepare_runs_on_arrays():
+    """data.py imports no bisect and defines no per-event class; the parse
+    loop appends ids, stamps and ratings to lists and builds no object per
+    event; every np.load and write_array refuses pickles."""
+    source = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    assert "bisect" not in source
+    assert "Interaction" not in load_package(PACKAGE)["data"].defs
+    parse = load_package(PACKAGE)["data"].defs["load_interactions"][0]
+    loop = next(node for node in ast.walk(parse) if isinstance(node, ast.For))
+    assert _calls(loop) <= {"enumerate", "rstrip", "startswith", "split", "len", "int",
+                            "float", "ParseError", "append", "setdefault"}, _calls(loop)
+    loads = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "write_array", "savez")
+             and ast.unparse(node.func.value) in ("np", "np.lib.format")]
+    assert {node.func.attr for node in loads} == {"load", "write_array"}
+    for node in loads:
+        flags = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
+        assert flags.get("allow_pickle") == "False", ast.unparse(node)
