@@ -420,23 +420,23 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather-rows", table.data.shape)
     idx = np.asarray(indices, dtype=np.intp)
     out = _wrap(table.data[idx])
+    return _emit(out, (table,), lambda g: (_row_grad(idx, g, table.data.shape),))
 
-    def back(g: Array):
-        # Sort the indices and sum each run of equal ones at once.
-        flat = idx.reshape(-1)
-        rows = g.reshape((flat.size,) + table.data.shape[1:])
-        if not flat.size:
-            return (RowGrad(flat, rows, table.data.shape),)
-        order = np.argsort(flat, kind="stable")
-        ids = flat[order]
-        first = np.empty(ids.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        return (RowGrad(ids[starts], np.add.reduceat(rows[order], starts, axis=0),
-                        table.data.shape),)
 
-    return _emit(out, (table,), back)
+def _row_grad(idx: Array, g: Array, shape: tuple[int, ...]) -> RowGrad:
+    """The gradient of table[idx] for the upstream g: the rows of g summed by
+    index. Sorting the indices sums each run of equal ones at once."""
+    flat = idx.reshape(-1)
+    rows = g.reshape((flat.size,) + shape[1:])
+    if not flat.size:
+        return RowGrad(flat, rows, shape)
+    order = np.argsort(flat, kind="stable")
+    ids = flat[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return RowGrad(ids[starts], np.add.reduceat(rows[order], starts, axis=0), shape)
 
 
 # Candidate cells (rows x candidates x max(T, d)) per piece of rows in
@@ -467,22 +467,23 @@ def _pieces(counts: list[int], budget: int) -> list[tuple[int, int, int, int]]:
     return pieces
 
 
-def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
+def candidate_head(table: Tensor, ids, values: Tensor, w2: Tensor, bias2: Tensor,
                    w3: Tensor, shared3: Tensor, *, keys: Tensor, pos: Tensor,
                    rows: Segments, widths, keep: Array | None = None,
                    p_drop: float = 0.0) -> Tensor:
     """Candidate-as-query attention, a relu MLP, dropout and a bilinear score.
 
     For row i of user b = rows.ids[i] with causal width n = widths[i] and
-    candidate c, with e = cands[i, c]:
+    candidate c, with e = table[ids[i, c]]:
 
         a_t = softmax over t < n of keys[b, t] . (e + pos[i])
         r = relu(sum_t a_t values[b, t])
         h = (w2 r + bias2[i]) * keep[i, c] / (1 - p_drop)
         out[i, c] = (w3 h + shared3[i]) . e
 
-    cands is (N, C, d), pos (N, d), keys and values (B, T, d) with each
-    user's rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Any
+    table is the (items, d) embedding table and ids the (N, C) int
+    candidate ids, pos (N, d), keys and values (B, T, d) with each user's
+    rows consecutive in `rows`, bias2 and shared3 (N, 1, d). Any
     score linear in e joins through shared3: the model adds f's user vector
     to g's shared terms there, so the head returns f + g. keep is the
     (N, C, d) bool keep-mask; without one (eval mode, or p_drop = 0) there
@@ -497,26 +498,34 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     backward d_keys and d_values one GEMM each per piece. w is the widest
     causal width of the piece's rows; positions at or past it are never
     computed. HEAD_BLOCK bounds a piece at about that many cells
-    (rows x C x max(T, d)). On a tape the forward keeps the softmax weights
-    of every piece, r, y = w3 h + shared3 and, with a keep-mask, h for the
-    backward.
+    (rows x C x max(T, d)). A piece's candidate embeddings are gathered
+    from the table when the piece runs, in the forward and again in the
+    backward, so no (N, C, d) embedding array exists whole; the table's
+    gradient is one RowGrad of the rows the candidates read. On a tape the
+    forward keeps the softmax weights of every piece, r, y = w3 h + shared3
+    and, with a keep-mask, h for the backward.
     """
-    e = cands.data
+    emb = table.data
+    idx = np.asarray(ids, dtype=np.intp)
     widths = np.asarray(widths, dtype=np.intp)
-    if (e.ndim != 3 or values.data.ndim != 3 or keys.data.shape != values.data.shape
-            or values.data.shape[2] != e.shape[2] or rows.size != e.shape[0]
-            or rows.n != keys.data.shape[0] or widths.shape != (e.shape[0],)
-            or widths.max() > keys.data.shape[1]):
-        raise ShapeError("candidate-head", e.shape, keys.data.shape, widths.shape)
+    if (idx.ndim != 2 or emb.ndim != 2 or values.data.ndim != 3
+            or keys.data.shape != values.data.shape or values.data.shape[2] != emb.shape[1]
+            or rows.size != idx.shape[0] or rows.n != keys.data.shape[0]
+            or widths.shape != (idx.shape[0],) or widths.max() > keys.data.shape[1]):
+        raise ShapeError("candidate-head", emb.shape, idx.shape, keys.data.shape,
+                         widths.shape)
     if widths.min() < 1:
         row = int(np.flatnonzero(widths < 1)[0])
         raise ValueError(f"candidate_head: row {row} sees no history position")
-    n_rows, n_cands, d = e.shape
+    n_rows, n_cands = idx.shape
+    d = emb.shape[1]
     width = keys.data.shape[1]
-    inputs = (cands, values, w2, bias2, w3, shared3, keys, pos)
+    inputs = (table, values, w2, bias2, w3, shared3, keys, pos)
     positions = np.arange(width)[None, :, None, None]
-    if keep is not None and keep.shape != e.shape:
-        raise ShapeError("candidate-head-keep", e.shape, keep.shape)
+    if keep is not None and keep.shape != idx.shape + (d,):
+        raise ShapeError("candidate-head-keep", idx.shape + (d,), keep.shape)
+    if idx.size and (idx.min() < 0 or idx.max() >= emb.shape[0]):
+        raise IndexError(f"candidate_head: candidate ids must lie in [0, {emb.shape[0]})")
     w2d, w3d = w2.data, w3.data
     if keep is None:
         w32 = w3d @ w2d                              # y = w32 r + b_y
@@ -538,11 +547,13 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
     a_all = np.empty(n_weights if kept else n_buf * width * n_cands)
     r_all, y_all = np.empty((n_buf, n_cands, d)), np.empty((n_buf, n_cands, d))
     h_all = None if keep is None else np.empty((n_buf, n_cands, d))
+    # one piece's candidate embeddings, gathered into the same rows each time
+    e_buf = np.empty((min(step, n_rows), n_cands, d))
     out_data = np.empty((n_rows, n_cands))
     for b, k, lo, per, w, at in pieces:
         hi = lo + k * per
         rs = slice(lo, hi) if kept else slice(0, hi - lo)
-        e_b = e[lo:hi]
+        e_b = np.take(emb, idx[lo:hi], axis=0, out=e_buf[:hi - lo], mode="clip")
         k_p = keys.data[b:b + k, :w]
         # Logits laid out (k, w, R C), so the softmax reduces over the middle
         # axis; k . (e + pos) is split so no query array is built.
@@ -577,7 +588,7 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         return out
 
     def back(g: Array):
-        d_e = np.empty_like(e)
+        d_e = np.empty((n_rows, n_cands, d))
         d_shared = np.empty((n_rows, 1, d))
         if keep is None:
             d_w32 = np.zeros_like(w32)
@@ -589,7 +600,8 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
         d_keys = np.zeros_like(keys.data)
         for b, k, lo, per, w, at in pieces:
             hi = lo + k * per
-            g_b, e_b, y = g[lo:hi, :, None], e[lo:hi], y_all[lo:hi]
+            g_b, y = g[lo:hi, :, None], y_all[lo:hi]
+            e_b = np.take(emb, idx[lo:hi], axis=0, out=e_buf[:hi - lo], mode="clip")
             gy = g_b * e_b                           # d out / d y
             d_shared[lo:hi] = gy.sum(axis=1, keepdims=True)
             gy = gy.reshape(-1, d)
@@ -627,7 +639,8 @@ def candidate_head(cands: Tensor, values: Tensor, w2: Tensor, bias2: Tensor,
             d_w2 = w3d.T @ d_w32
             d_w3 = d_w32 @ w2d.T + d_shared.reshape(-1, d).T @ bias2.data.reshape(-1, d)
             d_bias2 = d_shared @ w3d
-        return d_e, d_values, d_w2, d_bias2, d_w3, d_shared, d_keys, d_pos
+        return (_row_grad(idx, d_e, emb.shape), d_values, d_w2, d_bias2, d_w3, d_shared,
+                d_keys, d_pos)
 
     return _emit(out, inputs, back)
 

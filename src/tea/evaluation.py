@@ -20,10 +20,11 @@ from .model import score_user_steps, user_context
 from .objective import NonFiniteScoreError
 from .params import ModelParams
 
-# Users scored per call, at most EVAL_CHUNK and at most EVAL_CELLS
-# candidates in all: bounds the padded (users, candidates, d) arrays.
-EVAL_CHUNK = 64
-EVAL_CELLS = 64 * 101
+# d-wide rows per scoring call: each user counts the bucket steps and the
+# bucket items of its window, plus ceil(C / d) for its candidate row. Users
+# join a call in order while it stays within the budget; a user over it
+# alone gets a call of its own.
+EVAL_ROWS = 1 << 14
 
 
 @dataclass
@@ -115,16 +116,6 @@ def rank(scores: np.ndarray, truth_index: int = 0) -> int | np.ndarray:
     return int(ranks) if s.ndim == 1 else ranks
 
 
-def hr_at_k(rank_value: int, k: int) -> float:
-    return 1.0 if rank_value <= k else 0.0
-
-
-def ndcg_at_k(rank_value: int, k: int) -> float:
-    if rank_value > k:
-        return 0.0
-    return 1.0 / np.log2(rank_value + 1.0)
-
-
 def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
                     users: range) -> np.ndarray:
     """The `split` candidates of `users`, one int row each, truth first.
@@ -145,19 +136,41 @@ def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
     return out
 
 
+def _calls(ds: PreparedDataset, split: str, l_s: int, cand_rows: int):
+    """The users in order, cut into calls of at most EVAL_ROWS rows: yields
+    each call's users and their `split` contexts.
+
+    A user scored at step s counts the buckets[max(0, s - l_s):s] its
+    temporal GRU reads, their items, and `cand_rows` for its candidates.
+    """
+    first, ctxs, used = 0, [], 0
+    for user in range(ds.n_users):
+        ctx = user_context(ds, user, split)
+        s = len(ctx.items)
+        window = ctx.buckets[max(0, s - l_s):s]
+        size = len(window) + sum(map(len, window)) + cand_rows
+        if ctxs and used + size > EVAL_ROWS:
+            yield range(first, user), ctxs
+            first, ctxs, used = user, [], 0
+        ctxs.append(ctx)
+        used += size
+    if ctxs:
+        yield range(first, ds.n_users), ctxs
+
+
 def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
                  cfg: EvalConfig, scorer=None, *,
                  candidates: np.ndarray | None = None) -> EvalReport:
     """Rank every user's held-out item and average HR/NDCG over users.
 
     The default scores the held-out step `len(ctx.items)` with the trained
-    model in evaluation mode, at most EVAL_CHUNK users and EVAL_CELLS
-    candidate cells per call. A `scorer(params, ctx, candidates) -> array`
-    can be injected for tests; it is called once per user. A caller that
-    evaluates the same split repeatedly can pass `candidates`, every user's
-    rows from `eval_candidates`, built once; otherwise each chunk draws its
-    own. A NaN or infinite score raises NonFiniteScoreError naming the
-    split and the first such user.
+    model in evaluation mode, consecutive users per call within EVAL_ROWS
+    rows (`_calls`). A `scorer(params, ctx, candidates) -> array` can be
+    injected for tests; it is called once per user. A caller that evaluates
+    the same split repeatedly can pass `candidates`, every user's rows from
+    `eval_candidates`, built once; otherwise each call draws its own. A NaN
+    or infinite score raises NonFiniteScoreError naming the split and the
+    first such user. HR@K and NDCG@K are means over the users' ranks.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
@@ -165,12 +178,10 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
     t0 = time.monotonic()
     ranks: dict[int, int] = {}
     n_cands = 1 + max(0, min(cfg.n_neg, ds.n_items - 1))
-    per_call = min(EVAL_CHUNK, max(1, EVAL_CELLS // n_cands))
-    for first in range(0, ds.n_users, per_call):
-        users = range(first, min(first + per_call, ds.n_users))
-        ctxs = [user_context(ds, user, split) for user in users]
+    d = params.shared.item.data.shape[1]
+    for users, ctxs in _calls(ds, split, params.l_s, -(-n_cands // d)):
         cands = (eval_candidates(ds, split, cfg, users) if candidates is None
-                 else candidates[first:users.stop])
+                 else candidates[users.start:users.stop])
         if scorer is None:
             chunk = score_user_steps(params, ctxs, [[len(c.items)] for c in ctxs],
                                      cands).data
@@ -182,14 +193,30 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
             raise NonFiniteScoreError(f"non-finite score in the {split} ranking of "
                                       f"user {users[int(np.argmin(finite))]}")
         ranks.update(zip(users, rank(chunk, truth_index=0).tolist()))
-    hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks.values()])) for k in cfg.ks}
-    ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks.values()]))
-            for k in cfg.ks}
+    hr, ndcg = _metrics(np.fromiter(ranks.values(), dtype=np.intp, count=len(ranks)),
+                        cfg.ks)
     return EvalReport(split=split, ks=cfg.ks, hr=hr, ndcg=ndcg, ranks=ranks,
                       candidate_sizes=dict.fromkeys(ranks, n_cands), n_neg=cfg.n_neg,
                       seed=cfg.seed, variant=params.variant,
                       wall_clock_seconds=time.monotonic() - t0,
                       n_users=ds.n_users)
+
+
+def _metrics(ranks: np.ndarray, ks) -> tuple[dict[int, float], dict[int, float]]:
+    """HR@k and NDCG@k for each k, averaged over `ranks` (1-based).
+
+    A rank r <= k scores HR 1 and NDCG 1 / log2(r + 1), else 0. The gains
+    come from a table of one scalar log2 per rank up to the largest k that
+    any rank reaches, so each k is one pass over the ranks.
+    """
+    top = int(min(max(ks), ranks.max(initial=0)))
+    gain = np.array([0.0] + [1.0 / np.log2(r + 1.0) for r in range(1, top + 1)])
+    hr, ndcg = {}, {}
+    for k in ks:
+        hit = ranks <= k
+        hr[k] = float(np.mean(hit))
+        ndcg[k] = float(np.mean(gain[np.where(hit, ranks, 0)]))
+    return hr, ndcg
 
 
 def write_report(report: EvalReport, json_path, csv_path,

@@ -114,6 +114,5 @@ def score_user_steps(params: ModelParams, ctxs: list[UserContext],
             keep_f[a:a + n] = rng.random((n, d)) >= p_drop
     h_f = unary.user_vectors(params.unary, ctxs, rows, row_step, lo_gru, s_max,
                              keep_f, p_drop)
-    cand_embs = ad.gather_rows(params.shared.item, cands)
     return transition.transition_scores(params.transition, ctxs, rows, row_step, lo, s_max,
-                                        cand_embs, h_f, keep_g, p_drop)
+                                        cands, h_f, keep_g, p_drop)

@@ -20,12 +20,12 @@ from .params import TransitionParams
 
 def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
                       row_step: np.ndarray, lo: np.ndarray, s_max: np.ndarray,
-                      cand_embs: Tensor, h_f: Tensor, keep, p_drop: float) -> Tensor:
+                      cands: np.ndarray, h_f: Tensor, keep, p_drop: float) -> Tensor:
     """f + g for every (user, step) row of a minibatch, shape (N, C).
 
     Row i belongs to user `rows.ids[i]` and predicts step `row_step[i]`;
-    `cand_embs` (N, C, d) holds each row's candidate item embeddings and
-    h_f (N, d) f's user vectors (`unary.user_vectors`). Attention for user
+    `cands` (N, C) holds each row's candidate item ids and h_f (N, d) f's
+    user vectors (`unary.user_vectors`). Attention for user
     b's step s runs over `ctxs[b].items[lo[b]:s]` with positions counted
     from 0; the candidate takes position s - lo[b]. The hidden state is
     h = p_user + w_g2 relu(w_g1 z + b_g1) + b_g2 with z the attention
@@ -35,7 +35,7 @@ def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
     part of the head's vector that all of a row's candidates share.
     Dropout hits h only where `keep`, the (N, C, d) keep-mask, is given.
     Everything from the attention to the score is one `ad.candidate_head`
-    record.
+    record, which reads the candidates' embeddings from the item table.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
@@ -57,10 +57,10 @@ def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
     keys, values = _history(params, ctxs, lo, s_max)
     # l_s = 1 leaves every window empty: one zero position stands in, whose
     # value is exactly b_g1 under a softmax weight of exactly 1.
-    return ad.candidate_head(cand_embs, values, params.w_g2, bias, ad.slice_cols(w3, 0, d),
-                             shared_part, keys=keys, pos=ad.gather_rows(sh.position, row_n),
-                             rows=rows, widths=np.maximum(row_n, 1), keep=keep,
-                             p_drop=p_drop)
+    return ad.candidate_head(sh.item, cands, values, params.w_g2, bias,
+                             ad.slice_cols(w3, 0, d), shared_part, keys=keys,
+                             pos=ad.gather_rows(sh.position, row_n), rows=rows,
+                             widths=np.maximum(row_n, 1), keep=keep, p_drop=p_drop)
 
 
 def _history(params: TransitionParams, ctxs, lo: np.ndarray, s_max: np.ndarray

@@ -12,7 +12,9 @@ its candidate head or its GRU over whole sequences: the temporal GRU runs
 `gru_step`, a plain numpy GRU step. Each softmax is a one-segment
 `segment_softmax`.
 `exact_conditional` enumerates the per-step softmax over a small item set,
-and `predict_probability` is sigmoid(f + g).
+and `predict_probability` is sigmoid(f + g). `hr_at_k` and `ndcg_at_k`
+score one user's rank; `tea.evaluation.evaluate_all` averages them over
+all users' ranks at once, and the tests assert the two agree.
 
 The optimizer's reference route is the whole-array one: `total_loss` tapes
 the L2 penalty from `mul` and `total_sum`, `clip` scales every gradient by
@@ -303,6 +305,18 @@ def score_candidates_single_route(params: ModelParams, ctx: UserContext, step: i
         f = unary_score(params.unary, h_temporal, h_social, cand)
         out.append(g.item() + f.item())
     return np.asarray(out)
+
+
+def hr_at_k(rank_value: int, k: int) -> float:
+    """1 if the truth ranks within the top k, else 0."""
+    return 1.0 if rank_value <= k else 0.0
+
+
+def ndcg_at_k(rank_value: int, k: int) -> float:
+    """1 / log2(rank + 1) within the top k, else 0 (one relevant item)."""
+    if rank_value > k:
+        return 0.0
+    return 1.0 / np.log2(rank_value + 1.0)
 
 
 def exact_conditional(scores: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from tea import autodiff as ad
 from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
-from tea.evaluation import (EvalConfig, evaluate_all, hr_at_k, ndcg_at_k, rank)
+from tea.evaluation import EvalConfig, evaluate_all, rank
 from tea.model import score_user_steps, user_context
 from tea.objective import sequence_loss
 from tea.params import init_params
@@ -24,7 +24,8 @@ from tea.training import TrainConfig, train
 from corpus import (cycle_corpus, follower_corpus, synthetic_dataset,
                     write_corpus)
 from gradcheck import max_mismatch, numeric_gradient
-from oracles import exact_conditional, score_candidates_single_route, total_loss
+from oracles import (exact_conditional, hr_at_k, ndcg_at_k, score_candidates_single_route,
+                     total_loss)
 from test_autodiff import _primitive_cases
 
 

@@ -233,32 +233,48 @@ class TestGruSequence:
                 ad.gru_sequence(x, p, n_steps)
 
 
-def _head_inputs(rng, counts=(3, 1), n_cands=4, d=3, width=4):
-    """Tensors for candidate_head: users with `counts` rows over a history of `width`."""
+def _head_inputs(rng, counts=(3, 1), n_cands=4, d=3, width=4, n_items=7):
+    """Tensors for candidate_head: users with `counts` rows over a history of
+    `width`, and candidate ids into a table of `n_items` rows. Every row's
+    last candidate is row 0's first, so an id repeats within row 0 and in
+    every piece; no candidate reads the table's last row."""
     n = sum(counts)
-    return dict(cands=_rand(rng, n, n_cands, d), values=_rand(rng, len(counts), width, d),
+    ids = rng.integers(0, n_items - 1, size=(n, n_cands))
+    ids[:, -1] = ids[0, 0]
+    return dict(table=_rand(rng, n_items, d), ids=ids,
+                values=_rand(rng, len(counts), width, d),
                 w2=_rand(rng, d, d), bias2=_rand(rng, n, 1, d), w3=_rand(rng, d, d),
                 shared3=_rand(rng, n, 1, d), keys=_rand(rng, len(counts), width, d),
                 pos=_rand(rng, n, d), rows=ad.Segments(list(counts)))
 
 
+def _named(t):
+    """The head's input tensors, by name."""
+    return [(k, v) for k, v in t.items() if k not in ("rows", "ids")]
+
+
+def _keep(rng, t, p_drop):
+    return rng.random(t["ids"].shape + t["table"].data.shape[1:]) >= p_drop
+
+
 def _head(t, widths, keep=None, p_drop=0.0):
-    return ad.candidate_head(t["cands"], t["values"], t["w2"], t["bias2"], t["w3"],
-                             t["shared3"], keys=t["keys"], pos=t["pos"], rows=t["rows"],
-                             widths=widths, keep=keep, p_drop=p_drop)
+    return ad.candidate_head(t["table"], t["ids"], t["values"], t["w2"], t["bias2"],
+                             t["w3"], t["shared3"], keys=t["keys"], pos=t["pos"],
+                             rows=t["rows"], widths=widths, keep=keep, p_drop=p_drop)
 
 
 def _per_row_scores(t, widths, keep=None, p_drop=0.0):
     """candidate_head's formula row by row and candidate by candidate."""
-    data = {k: v.data for k, v in t.items() if k != "rows"}
-    n_rows, n_cands, d = data["cands"].shape
+    data = {k: v.data for k, v in _named(t)}
+    n_rows, n_cands = t["ids"].shape
+    d = data["table"].shape[1]
     if keep is None:            # no dropout: p_drop plays no part
         keep, p_drop = np.ones((n_rows, n_cands, d), dtype=bool), 0.0
     out = np.empty((n_rows, n_cands))
     for i, b in enumerate(t["rows"].ids):
         n = widths[i]
         for c in range(n_cands):
-            e = data["cands"][i, c]
+            e = data["table"][t["ids"][i, c]]
             logits = data["keys"][b, :n] @ (e + data["pos"][i])
             a = np.exp(logits - logits.max())
             r = np.maximum((a / a.sum()) @ data["values"][b, :n], 0.0)
@@ -296,7 +312,7 @@ class TestCandidateHead:
         rng = np.random.default_rng(61)
         t = _head_inputs(rng)
         widths = np.array([1, 3, 4, 2])
-        keep = rng.random((4, 4, 3)) >= 0.3
+        keep = _keep(rng, t, 0.3)
         got = _head(t, widths, keep, 0.3).data
         np.testing.assert_allclose(got, _per_row_scores(t, widths, keep, 0.3),
                                    atol=1e-12, rtol=0)
@@ -313,7 +329,7 @@ class TestCandidateHead:
     @pytest.mark.parametrize("layout", sorted(_PIECE_LAYOUTS))
     def test_pieces_match_per_row_loop(self, monkeypatch, layout, train):
         t, widths, rng = _layout(monkeypatch, layout, 68)
-        keep = rng.random(t["cands"].data.shape) >= 0.5 if train else None
+        keep = _keep(rng, t, 0.5) if train else None
         want = _per_row_scores(t, widths, keep, 0.5)
         np.testing.assert_allclose(_head(t, widths, keep, 0.5).data, want,
                                    atol=1e-12, rtol=0)
@@ -325,11 +341,29 @@ class TestCandidateHead:
     @pytest.mark.parametrize("layout", sorted(_PIECE_LAYOUTS))
     def test_pieces_match_finite_differences(self, monkeypatch, layout, train):
         t, widths, rng = _layout(monkeypatch, layout, 69)
-        keep = rng.random(t["cands"].data.shape) >= 0.5 if train else None
+        keep = _keep(rng, t, 0.5) if train else None
         weights = ad.Tensor(rng.normal(size=(len(widths), 4)))
         assert_gradients_match(
-            lambda: ad.total_sum(ad.mul(_head(t, widths, keep, 0.5), weights)),
-            [(k, v) for k, v in t.items() if k != "rows"])
+            lambda: ad.total_sum(ad.mul(_head(t, widths, keep, 0.5), weights)), _named(t))
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("layout", sorted(_PIECE_LAYOUTS))
+    def test_table_gradient_is_one_row_gradient(self, monkeypatch, layout, train):
+        """The table's gradient is one RowGrad over the distinct ids the
+        candidates read, each summed over every piece that read it (the
+        finite differences above check the values); the table row that no
+        candidate reads is exactly 0."""
+        t, widths, rng = _layout(monkeypatch, layout, 71)
+        keep = _keep(rng, t, 0.5) if train else None
+        with ad.Tape() as tape:
+            out = _head(t, widths, keep, 0.5)
+        (rec,) = tape.records
+        d_table = rec.backward(rng.normal(size=out.data.shape))[0]
+        assert isinstance(d_table, ad.RowGrad)
+        assert d_table.shape == t["table"].data.shape
+        np.testing.assert_array_equal(d_table.ids, np.unique(t["ids"]))
+        assert t["table"].data.shape[0] - 1 not in d_table.ids
+        assert not d_table.dense()[-1].any()
 
     def test_positions_past_a_piece_are_never_read(self):
         """Each user is its own piece here; NaN keys and values past the
@@ -341,7 +375,7 @@ class TestCandidateHead:
         for b, stop in ((0, 2), (1, 3)):
             t["keys"].data[b, stop:] = np.nan
             t["values"].data[b, stop:] = np.nan
-        for keep in (None, rng.random((5, 4, 3)) >= 0.5):
+        for keep in (None, _keep(rng, t, 0.5)):
             got = _head(t, widths, keep).data
             assert np.isfinite(got).all()
             if keep is None:
@@ -361,7 +395,7 @@ class TestCandidateHead:
         rng = np.random.default_rng(63)
         t = _head_inputs(rng)
         widths = np.array([2, 4, 1, 3])
-        named = [(k, v) for k, v in t.items() if k != "rows"]
+        named = _named(t)
         runs = []
         for keep in (None, np.ones((4, 4, 3), dtype=bool)):
             with ad.Tape() as tape:
@@ -379,8 +413,8 @@ class TestCandidateHead:
         rng = np.random.default_rng(67)
         t = _head_inputs(rng)
         widths = np.array([2, 4, 1, 3])
-        keep = rng.random((4, 4, 3)) >= 0.5 if train else None
-        named = [(k, v) for k, v in t.items() if k != "rows"]
+        keep = _keep(rng, t, 0.5) if train else None
+        named = _named(t)
         weights = ad.Tensor(rng.normal(size=(4, 4)))
         runs = []
         for cells in (ad.HEAD_BLOCK, 4 * 4, 2 * 4 * 4):     # all rows, 1 row, 2 rows
@@ -404,6 +438,14 @@ class TestCandidateHead:
         t = _head_inputs(np.random.default_rng(65))
         with pytest.raises(ValueError, match="row 2 sees no history position"):
             _head(t, np.array([1, 2, 0, 3]))
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_candidate_ids_outside_the_table_raise(self, bad):
+        """Ids index the 7-row table as given: none wraps around or clips."""
+        t = _head_inputs(np.random.default_rng(66))
+        t["ids"][2, 1] = bad
+        with pytest.raises(IndexError, match=r"candidate ids must lie in \[0, 7\)"):
+            _head(t, np.array([1, 2, 3, 3]))
 
     def test_width_beyond_history_rejected(self):
         t = _head_inputs(np.random.default_rng(66))
@@ -525,17 +567,20 @@ def _primitive_cases(rng):
     seg = ad.Segments([2, 0, 3, 1, 1])
     # f's dropout: a mul by the keep-mask scaled by 1 / (1 - p_drop)
     f_keep = ad.Tensor((np.random.default_rng(900).random((3, 4)) >= 0.5) / 0.5)
-    # g's head: two users with 2 and 1 rows, causal widths 1, 2 and 3 of T = 3.
-    hc, hp, hk, hv = _rand(rng, 3, 2, 2), _rand(rng, 3, 2), _rand(rng, 2, 3, 2), \
+    # g's head: two users with 2 and 1 rows, causal widths 1, 2 and 3 of T = 3;
+    # candidates from a 4-row table, item 2 read twice by row 1 and once by
+    # row 0, item 3 never read.
+    ht, hp, hk, hv = _rand(rng, 4, 2), _rand(rng, 3, 2), _rand(rng, 2, 3, 2), \
         _rand(rng, 2, 3, 2)
+    h_ids = np.array([[0, 2], [2, 2], [1, 0]])
     hw2, hb2, hw3, hs3 = _rand(rng, 2, 2), _rand(rng, 3, 1, 2), _rand(rng, 2, 2), \
         _rand(rng, 3, 1, 2)
     h_keep, w_head = rng.random((3, 2, 2)) >= 0.5, c(3, 2)
-    h_named = [("cands", hc), ("values", hv), ("keys", hk), ("pos", hp), ("w2", hw2),
+    h_named = [("table", ht), ("values", hv), ("keys", hk), ("pos", hp), ("w2", hw2),
                ("bias2", hb2), ("w3", hw3), ("shared3", hs3)]
 
     def head(keep):
-        out = ad.candidate_head(hc, hv, hw2, hb2, hw3, hs3, keys=hk, pos=hp,
+        out = ad.candidate_head(ht, h_ids, hv, hw2, hb2, hw3, hs3, keys=hk, pos=hp,
                                 rows=ad.Segments([2, 1]), widths=np.array([1, 2, 3]),
                                 keep=keep, p_drop=0.5)
         return ad.total_sum(ad.mul(out, w_head))

@@ -1,16 +1,18 @@
 """Ranking metrics and the sampled-negative evaluation loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tea import evaluation
-from tea.evaluation import (EvalConfig, build_candidates, evaluate_all,
-                            hr_at_k, ndcg_at_k, rank)
+from tea.evaluation import EvalConfig, build_candidates, evaluate_all, rank
 from tea.model import score_user_steps
 from tea.objective import NonFiniteScoreError
 from tea.params import init_params
 
 from corpus import synthetic_dataset
+from oracles import hr_at_k, ndcg_at_k
 
 
 class TestBuildCandidates:
@@ -136,6 +138,31 @@ class TestHrNdcg:
             assert hrs == sorted(hrs) and nds == sorted(nds)
 
 
+def _alone(p, ctx, cands):
+    return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
+
+
+def _spy_calls(monkeypatch) -> list:
+    """Record each scoring call's users and candidate shape."""
+    calls = []
+
+    def spy(p, ctxs, steps, cands, *args, **kwargs):
+        calls.append(([ctx.user for ctx in ctxs], np.shape(cands)))
+        return score_user_steps(p, ctxs, steps, cands, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_user_steps", spy)
+    return calls
+
+
+def _user_rows(ds, split, user, l_s, cand_rows):
+    """A user's eval rows from its record: the last l_s buckets before its
+    held-out step and their items, plus its candidate rows."""
+    rec = ds.users[user]
+    buckets = rec.buckets + [rec.bucket_val] + ([rec.bucket_gap] if split == "test" else [])
+    window = buckets[-l_s:]
+    return len(window) + sum(len(b) for b in window) + cand_rows
+
+
 class TestEvaluateAll:
     def test_perfect_scorer(self, toy_dataset, tiny_params):
         def perfect(params, ctx, cands):
@@ -225,37 +252,88 @@ class TestEvaluateAll:
 
     def test_chunked_default_equals_scoring_each_user_alone(self, toy_dataset,
                                                             monkeypatch):
+        """Ranks, HR and NDCG are the same with one user per call (EVAL_ROWS
+        of 1), a few per call, the default budget, and all users in one."""
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
                              l_s=toy_dataset.config["l_s"], variant="tea-a", seed=12)
-
-        def alone(p, ctx, cands):
-            return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
-
         cfg = EvalConfig(ks=(5, 10), n_neg=15, seed=4)
-        want = evaluate_all(params, toy_dataset, "val", cfg, scorer=alone)
-        monkeypatch.setattr(evaluation, "EVAL_CHUNK", 3)  # 10 users: 4 chunks
-        got = evaluate_all(params, toy_dataset, "val", cfg)
-        assert got.ranks == want.ranks
-        assert (got.hr, got.ndcg) == (want.hr, want.ndcg)
+        want = evaluate_all(params, toy_dataset, "val", cfg, scorer=_alone)
+        for rows in (1, 50, evaluation.EVAL_ROWS, 1 << 62):
+            monkeypatch.setattr(evaluation, "EVAL_ROWS", rows)
+            got = evaluate_all(params, toy_dataset, "val", cfg)
+            assert got.ranks == want.ranks, rows
+            assert (got.hr, got.ndcg) == (want.hr, want.ndcg), rows
 
-    def test_chunks_hold_at_most_eval_cells_candidates(self, monkeypatch):
-        ds = synthetic_dataset(n_users=14, n_items=1200, seq_len=4, seed=21, l_s=4)
+    def test_calls_hold_at_most_eval_rows(self, monkeypatch):
+        """Calls take the users once and in order, each filled while its rows
+        stay within EVAL_ROWS; a user over the budget alone gets a call of its
+        own. Ranks, HR and NDCG equal scoring each user alone."""
+        ds = synthetic_dataset(n_users=14, n_items=60, seq_len=6, seed=21, l_s=4,
+                               max_bucket=5)
         params = init_params(ds.n_users, ds.n_items, d=4, l_s=4, variant="tea-s", seed=13)
+        cfg = EvalConfig(ks=(10,), n_neg=15, seed=3)       # 16 candidates: 4 rows of d
+        default = evaluation.EVAL_ROWS
+        for split in ("val", "test"):
+            want = evaluate_all(params, ds, split, cfg, scorer=_alone)
+            sizes = [_user_rows(ds, split, user, l_s=4, cand_rows=4)
+                     for user in range(ds.n_users)]
+            for budget in (1, 24, 60, default):
+                monkeypatch.setattr(evaluation, "EVAL_ROWS", budget)
+                calls = _spy_calls(monkeypatch)
+                got = evaluate_all(params, ds, split, cfg)
+                assert [u for users, _ in calls for u in users] == list(range(ds.n_users))
+                for (users, shape), after in zip(calls, calls[1:] + [None]):
+                    assert shape == (len(users), 16)
+                    used = sum(sizes[u] for u in users)
+                    assert used <= budget or len(users) == 1, (budget, users)
+                    if after is not None:              # the next user did not fit
+                        assert used + sizes[after[0][0]] > budget, (budget, users)
+                if budget == 24:                       # user 0 alone is over 24 rows
+                    assert sizes[0] > budget and calls[0][0] == [0]
+                if budget == 60:
+                    assert any(len(users) > 1 for users, _ in calls)
+                assert got.ranks == want.ranks
+                assert (got.hr, got.ndcg) == (want.hr, want.ndcg)
+                monkeypatch.undo()
 
-        def alone(p, ctx, cands):
-            return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
-
-        cells = []
-
-        def counting(p, ctxs, steps, cands, *args, **kwargs):
-            cells.append(np.asarray(cands).size)
-            return score_user_steps(p, ctxs, steps, cands, *args, **kwargs)
-
+    def test_one_call_peaks_below_one_candidate_embedding_array(self, monkeypatch):
+        """At n_neg = 1000 a call never holds its users' whole (users, C, d)
+        candidate embeddings: the head gathers them piece by piece."""
+        ds = synthetic_dataset(n_users=6, n_items=1200, seq_len=4, seed=21, l_s=4)
+        d = 32
+        params = init_params(ds.n_users, ds.n_items, d=d, l_s=4, variant="tea-s", seed=13)
         cfg = EvalConfig(ks=(10,), n_neg=1000, seed=3)
-        want = evaluate_all(params, ds, "test", cfg, scorer=alone)
-        monkeypatch.setattr(evaluation, "score_user_steps", counting)
-        got = evaluate_all(params, ds, "test", cfg)
-        assert cells == [6 * 1001, 6 * 1001, 2 * 1001]
-        assert max(cells) <= evaluation.EVAL_CELLS == 6464
-        assert got.ranks == want.ranks
-        assert set(got.candidate_sizes.values()) == {1001}
+        calls = _spy_calls(monkeypatch)
+        evaluate_all(params, ds, "test", cfg)
+        assert len(calls) == 1                  # every user in one call
+        tracemalloc.start()
+        try:
+            report = evaluate_all(params, ds, "test", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(report.candidate_sizes.values()) == {1001}
+        embeddings = ds.n_users * 1001 * d * 8
+        assert peak < embeddings, f"peak {peak / embeddings:.2f} embedding arrays"
+
+    def test_metrics_equal_the_per_user_means(self, toy_dataset, tiny_params):
+        """HR@k and NDCG@k come from one pass over all users' ranks per k and
+        equal the means of hr_at_k and ndcg_at_k over the users bit for bit:
+        ranks repeat across users, reach 1, pass the largest k, and come from
+        tied scores as well as greater ones."""
+        wanted = [1, 1, 3, 3, 16, 11, 2, 5, 5, 16]             # 16 candidates
+
+        def scorer(params, ctx, cands):
+            r = wanted[ctx.user]
+            scores = np.zeros(len(cands))
+            scores[0] = 0.5
+            scores[1:r] = 0.5 if ctx.user % 2 else 1.0          # tied, or above
+            return scores
+
+        ks = (1, 5, 10, 50)
+        report = evaluate_all(tiny_params, toy_dataset, "test",
+                              EvalConfig(ks=ks, n_neg=15), scorer=scorer)
+        assert report.ranks == dict(enumerate(wanted))
+        for k in ks:
+            assert report.hr[k] == np.mean([hr_at_k(r, k) for r in wanted])
+            assert report.ndcg[k] == np.mean([ndcg_at_k(r, k) for r in wanted])

@@ -164,3 +164,15 @@ def test_prepare_runs_on_arrays():
     for node in loads:
         flags = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
         assert flags.get("allow_pickle") == "False", ast.unparse(node)
+
+
+def test_the_head_gathers_its_own_candidates():
+    """score_user_steps gathers no candidate embeddings: the head reads them
+    from the item table piece by piece. One row budget, EVAL_ROWS, sizes the
+    evaluation calls; the per-user and per-cell caps are gone."""
+    modules = load_package(PACKAGE)
+    assert ("autodiff", "gather_rows") not in set(
+        modules["model"].references("score_user_steps"))
+    assert "EVAL_ROWS" in modules["evaluation"].defs
+    for name in ("EVAL_CHUNK", "EVAL_CELLS"):
+        assert not any(name in module.defs for module in modules.values()), name
