@@ -6,8 +6,10 @@ Bucket aggregation is composed from these primitives over whole
 minibatches; the GRU (one step, or many lockstep steps) and the candidate
 head (g's attention, MLP and dropout, and the bilinear score of f + g) are
 fused primitives with hand-written backwards. A single backward sweep over
-the tape differentiates the whole model, and the interpreter's cost scales
-with the number of records, not with the size of the arrays they hold.
+the tape differentiates the whole model and writes each leaf's gradient
+straight into a buffer the caller hands it (training passes each
+parameter's slice of one flat vector); the interpreter's cost scales with
+the number of records, not with the size of the arrays they hold.
 
 Tape recording is process-global and meant for one training step at a
 time; scoring without an active tape is a plain (and faster) forward pass.
@@ -129,8 +131,9 @@ class RowGrad:
     """A table gradient that is zero outside a few rows.
 
     Row `ids[i]` (sorted, distinct) holds `values[i]`; `shape` is the
-    table's. `gather_rows` hands these to `backward`, which merges them into
-    one dense buffer per table instead of adding table-sized zeros.
+    table's. `gather_rows` hands these to `backward`, which writes them into
+    a leaf's buffer, or merges them into one dense buffer per non-leaf
+    table, instead of adding table-sized zeros.
     """
 
     __slots__ = ("ids", "values", "shape")
@@ -146,41 +149,15 @@ class RowGrad:
         return full
 
 
-class Gradients:
-    """Gradient map over the leaves reached by a backward sweep.
+def backward(loss: Tensor, tape: Tape, into: Sequence[tuple[Tensor, Array]]) -> None:
+    """Reverse sweep: the scalar loss's gradient w.r.t. each leaf in `into`.
 
-    Every gradient reads as a dense array of its tensor's shape; leaves
-    never touched by the loss read as zeros, so optimizer code does not
-    have to special-case unused parameters.
-    """
-
-    def __init__(self, entries: dict[int, Array | RowGrad]) -> None:
-        self._entries = entries
-
-    def of(self, t: Tensor, out: Array | None = None) -> Array:
-        """t's gradient, written into `out` (t's shape) when one is given; a
-        row gradient is scattered into it, with no table-sized temporary."""
-        g = self._entries.get(id(t))
-        if out is None:
-            if g is not None and not isinstance(g, RowGrad):
-                return g
-            out = self._entries[id(t)] = np.empty_like(t.data)
-        if isinstance(g, RowGrad):
-            out.fill(0.0)
-            out[g.ids] = g.values
-        else:
-            out[...] = 0.0 if g is None else g
-        return out
-
-
-def backward(loss: Tensor, tape: Tape) -> Gradients:
-    """Reverse sweep: gradients of a scalar loss w.r.t. every reachable leaf.
-
-    Row gradients stay rows until a record consumes them or a second
-    gradient for the same tensor arrives; from then on the tensor owns one
-    dense buffer that later row gradients are scattered into. Each element
-    receives its contributions in arrival order, as repeated dense sums
-    would add them.
+    `into` pairs leaves (tensors that no record outputs) with buffers of their
+    shapes. Each buffer is zero-filled; the first gradient to reach its leaf
+    is assigned (a row gradient only into its own rows) and later ones are
+    added in place, in arrival order, as repeated dense sums would add them.
+    Other tensors' row gradients stay rows until a record consumes them or a
+    second gradient arrives; from then on the tensor owns one dense buffer.
 
     The sweep pops each record off the tape once it has run its backward,
     so a record's arrays are freed for the rest of the sweep and the tape
@@ -189,6 +166,13 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
     if loss.data.size != 1:
         raise NonScalarLossError(
             f"loss must be scalar, got shape {loss.data.shape}")
+    leaves: dict[int, Array] = {}
+    for t, buf in into:
+        buf.fill(0.0)
+        leaves[id(t)] = buf
+    if id(loss) in leaves:           # a leaf loss: d loss / d loss = 1
+        leaves[id(loss)][...] = 1.0
+    written: set[int] = set()  # leaves whose buffer holds an arrival
     grads: dict[int, Array | RowGrad] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()   # buffers this sweep allocated and may add into
     records = tape.records
@@ -203,6 +187,20 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
             if g_in is None or not inp.requires_grad:
                 continue
             key = id(inp)
+            buf = leaves.get(key)
+            if buf is not None:
+                first = key not in written
+                written.add(key)
+                if isinstance(g_in, RowGrad):
+                    if first:
+                        buf[g_in.ids] = g_in.values
+                    else:
+                        buf[g_in.ids] += g_in.values
+                elif first:
+                    buf[...] = g_in
+                else:
+                    buf += g_in
+                continue
             acc = grads.get(key)
             if acc is None:
                 grads[key] = g_in
@@ -223,8 +221,6 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
                 acc[g_in.ids] += g_in.values
             else:
                 acc += g_in
-    # Each record pops its output's gradient, so only the leaves are left.
-    return Gradients(grads)
 
 
 # ---------------------------------------------------------------------------

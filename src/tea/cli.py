@@ -246,8 +246,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in variants:
         for seed in seeds:
-            config = replace(base, variant=variant, seed=seed)
-            result = train(ds, config)
+            result = train(ds, replace(base, variant=variant, seed=seed))
             report = evaluate_all(result.params, ds, args.split,
                                   replace(eval_cfg, seed=seed))
             row = {"variant": variant, "seed": seed}
@@ -260,7 +259,7 @@ def cmd_ablate(args) -> int:
     metric_cols = [f"{m}@{k}" for k in ks for m in ("HR", "NDCG")]
     table_path = os.path.join(args.out, "ablate.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        echo = base.to_dict()
+        echo = result.config.to_dict()   # as train ran it, with the dataset's l_s
         for key in sorted(echo):
             if key in ("variant", "seed"):
                 continue

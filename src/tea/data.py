@@ -442,7 +442,8 @@ class PreparedDataset:
             with open(side_path, "r", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     fields = line.rstrip("\n").split("\t")
-                    if len(fields) != 2 or not fields[1].isdigit():
+                    if len(fields) != 2 or not (fields[1].isascii()
+                                                and fields[1].isdigit()):
                         raise ParseError(side_path, line_no,
                                          "expected 'raw_id<TAB>dense_id'")
                     dense = int(fields[1])

@@ -120,10 +120,6 @@ class ModelParams:
             view[...] = t.data
             t.data = view
 
-    @property
-    def use_walks(self) -> bool:
-        return VARIANTS[self.variant][1]
-
     def trainable(self) -> list[tuple[str, Tensor]]:
         return self.shared.named() + self.transition.named() + self.unary.named()
 

@@ -6,10 +6,10 @@ the negatives of all the user's steps, then g's and f's dropout masks
 whole users, so two runs with the same seed produce bit-identical curves
 and parameters regardless of batching. Validation NDCG@10 drives early
 stopping; the returned parameters are the best-validation snapshot.
-Only the sequence loss is taped: each batch's gradients are written into
-one vector laid out like `ModelParams.flat`, and `adam_step` adds the L2
-term's gradient, clips the global gradient norm and returns what the
-logged loss and the per-epoch clip counts need.
+Only the sequence loss is taped: the backward sweep writes each batch's
+gradients straight into one vector laid out like `ModelParams.flat`, and
+`adam_step` adds the L2 term's gradient, clips the global gradient norm
+and returns what the logged loss and the per-epoch clip counts need.
 """
 
 from __future__ import annotations
@@ -175,17 +175,13 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
             crf_value = loss.item()
             if not np.isfinite(crf_value):
                 raise NumericalError(epoch, batch_idx, np.linalg.norm(params.flat))
-            grads = backward(loss, tape)
-            for t, view in grad_views:
-                grads.of(t, out=view)
+            backward(loss, tape, grad_views)
             sq_theta, grad_norm = adam_step(params.flat, grad, state, config.gamma,
                                             config.clip_norm)
             grad_norm_max = max(grad_norm_max, grad_norm)
             n_clipped += 0 < config.clip_norm < grad_norm
             loss_sum += (crf_value + config.gamma * sq_theta) * len(keys)
             n_steps += len(keys)
-            # Free the batch's arrays before the next batch or the validation pass.
-            del tape, grads
 
         train_loss = loss_sum / max(n_steps, 1)
         val = evaluate_all(params, ds, "val", val_cfg, candidates=val_cands)

@@ -289,7 +289,7 @@ def score_candidates_single_route(params: ModelParams, ctx: UserContext, step: i
     """
     l_s = params.l_s
     history = ctx.items[max(0, step - (l_s - 1)):step]
-    if params.use_walks:
+    if params.transition.walk_gru is not None:
         # A set bit stands for a nonempty walk set; no score reads the
         # co-user, so one walk with any co-user represents the set.
         walk = walk_aggregate(params.transition, ctx.user, ctx.items[step - 1],

@@ -7,8 +7,8 @@ import pytest
 
 from tea import autodiff as ad
 
-from gradcheck import (assert_gradients_match, dense_backward, numeric_gradient,
-                       max_mismatch)
+from gradcheck import (assert_gradients_match, dense_backward, gradients,
+                       max_mismatch, numeric_gradient)
 from oracles import adam_update, clip, gru_step, total_loss
 
 
@@ -153,8 +153,7 @@ class TestGruSequence:
             with ad.Tape() as tape:
                 states = route(x, p, n_steps)
                 loss = ad.total_sum(ad.mul(states, target))
-            grads = ad.backward(loss, tape)
-            runs.append([states.data] + [grads.of(t) for _, t in named])
+            runs.append([states.data] + gradients(loss, tape, [t for _, t in named]))
         for (name, _), got, want in zip([("states", None)] + named, *runs):
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0, err_msg=name)
 
@@ -199,8 +198,8 @@ class TestGruSequence:
             with ad.Tape() as tape:
                 states = ad.gru_sequence(x, p, n_steps)
                 loss = ad.total_sum(ad.mul(states, target))
-            grads = ad.backward(loss, tape)
-            runs.append([evaluated, states.data] + [grads.of(t) for _, t in named])
+            grads = gradients(loss, tape, [t for _, t in named])
+            runs.append([evaluated, states.data] + grads)
         for got, want in zip(*runs):
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -401,8 +400,7 @@ class TestCandidateHead:
             with ad.Tape() as tape:
                 out = _head(t, widths, keep)
                 loss = ad.total_sum(ad.mul(out, ad.Tensor(np.arange(16.0).reshape(4, 4))))
-            grads = ad.backward(loss, tape)
-            runs.append([out.data] + [grads.of(v) for _, v in named])
+            runs.append([out.data] + gradients(loss, tape, [v for _, v in named]))
         for folded, unfolded in zip(*runs):
             np.testing.assert_allclose(folded, unfolded, atol=1e-12, rtol=0)
 
@@ -422,8 +420,7 @@ class TestCandidateHead:
             with ad.Tape() as tape:
                 out = _head(t, widths, keep, 0.5)
                 loss = ad.total_sum(ad.mul(out, weights))
-            grads = ad.backward(loss, tape)
-            runs.append([out.data] + [grads.of(v) for _, v in named])
+            runs.append([out.data] + gradients(loss, tape, [v for _, v in named]))
         for whole, *blocked in zip(*runs):
             for got in blocked:
                 np.testing.assert_allclose(got, whole, atol=1e-12, rtol=0)
@@ -465,24 +462,24 @@ class TestBackward:
         y = ad.Tensor([3.0], requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.total_sum(ad.mul(x, y))
-        grads = ad.backward(loss, tape)
-        assert grads.of(x)[0] == 3.0
-        assert grads.of(y)[0] == 2.0
+        g_x, g_y = gradients(loss, tape, [x, y])
+        assert g_x[0] == 3.0
+        assert g_y[0] == 2.0
 
     def test_constant_loss_zero_gradients(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.Tape() as tape:
             ad.relu(x)  # on tape but unconnected to the loss
             loss = ad.total_sum(ad.Tensor([7.0]))
-        grads = ad.backward(loss, tape)
-        np.testing.assert_array_equal(grads.of(x), [0.0, 0.0])
+        g_x, = gradients(loss, tape, [x])
+        np.testing.assert_array_equal(g_x, [0.0, 0.0])
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.Tape() as tape:
             out = ad.relu(x)
         with pytest.raises(ad.NonScalarLossError):
-            ad.backward(out, tape)
+            ad.backward(out, tape, [])
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(31)
@@ -497,22 +494,22 @@ class TestBackward:
 
         with ad.Tape() as t1:
             l1 = loss_a()
-        g1 = ad.backward(l1, t1)
+        g1 = gradients(l1, t1, [w, x])
         with ad.Tape() as t2:
             l2 = loss_b()
-        g2 = ad.backward(l2, t2)
+        g2 = gradients(l2, t2, [w, x])
         with ad.Tape() as t3:
             l3 = ad.add(loss_a(), loss_b())
-        g3 = ad.backward(l3, t3)
-        for t in (w, x):
-            np.testing.assert_allclose(g3.of(t), g1.of(t) + g2.of(t), atol=1e-12)
+        g3 = gradients(l3, t3, [w, x])
+        for a, b, c in zip(g1, g2, g3):
+            np.testing.assert_allclose(c, a + b, atol=1e-12)
 
     def test_sweep_empties_the_tape(self):
         x = ad.Tensor([1.0, -2.0], requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.total_sum(ad.softplus(ad.mul(x, x)))
         assert len(tape) == 3
-        ad.backward(loss, tape)
+        gradients(loss, tape, [x])
         assert len(tape) == 0
 
     def test_many_dense_gradients_merge_in_arrival_order(self):
@@ -528,16 +525,22 @@ class TestBackward:
                 total = ad.add(total, part)
             loss = ad.total_sum(ad.mul(total, total))
         want = dense_backward(loss, tape)
-        got = ad.backward(loss, tape)
-        for t in (x, w):
-            assert got.of(t).tobytes() == want[id(t)].tobytes()
+        for t, got in zip((x, w), gradients(loss, tape, [x, w])):
+            assert got.tobytes() == want[id(t)].tobytes()
+
+    def test_leaf_loss_has_unit_gradient(self):
+        x = ad.Tensor([2.0], requires_grad=True)
+        with ad.Tape() as tape:
+            pass
+        g_x, = gradients(x, tape, [x])
+        np.testing.assert_array_equal(g_x, [1.0])
 
     def test_reused_operand_accumulates(self):
         x = ad.Tensor([1.5], requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.total_sum(ad.mul(x, x))
-        grads = ad.backward(loss, tape)
-        np.testing.assert_allclose(grads.of(x), [3.0])
+        g_x, = gradients(loss, tape, [x])
+        np.testing.assert_allclose(g_x, [3.0])
 
 
 def _primitive_cases(rng):
@@ -719,8 +722,8 @@ class TestRowGradients:
         with ad.Tape() as tape:
             loss = _three_gathers(table, gamma, rng)
         want = dense_backward(loss, tape)[id(table)]
-        got = ad.backward(loss, tape).of(table)
-        assert np.array_equal(got, want)
+        got, = gradients(loss, tape, [table])
+        assert got.tobytes() == want.tobytes()
         assert np.count_nonzero(got.any(axis=1)) == (30 if gamma else 9)
 
     @pytest.mark.parametrize("gamma", [0.0, 5e-4])
@@ -732,24 +735,21 @@ class TestRowGradients:
             loss = total_loss(_three_gathers(table, 0.0, rng),
                               [("base", base), ("w", w)], gamma)
         want = dense_backward(loss, tape)
-        grads = ad.backward(loss, tape)
-        for t in (base, w):
-            assert np.array_equal(grads.of(t), want[id(t)])
+        for t, got in zip((base, w), gradients(loss, tape, [base, w])):
+            assert got.tobytes() == want[id(t)].tobytes()
 
     def test_single_gather_reads_dense(self):
         rng = np.random.default_rng(43)
         table = _rand(rng, 5, 2)
         with ad.Tape() as tape:
             loss = ad.total_sum(ad.gather_rows(table, [3, 1, 3]))
-        grads = ad.backward(loss, tape)
-        np.testing.assert_array_equal(grads.of(table),
-                                      [[0, 0], [1, 1], [0, 0], [2, 2], [0, 0]])
-        assert grads.of(table) is grads.of(table)
+        got, = gradients(loss, tape, [table])
+        np.testing.assert_array_equal(got, [[0, 0], [1, 1], [0, 0], [2, 2], [0, 0]])
 
     @pytest.mark.parametrize("gathers", [0, 1, 3])
     def test_written_into_a_buffer_as_read_dense(self, gathers):
-        """`of(t, out=buf)` overwrites buf with what `of(t)` reads: untouched,
-        row and merged dense gradients alike."""
+        """backward overwrites every entry of a NaN-filled buffer with the dense
+        reference's bits: untouched, row and merged gradients alike."""
         rng = np.random.default_rng(50)
         table, other = _rand(rng, 30, 4), _rand(rng, 2)
         with ad.Tape() as tape:
@@ -757,46 +757,65 @@ class TestRowGradients:
             for _ in range(gathers):
                 idx = rng.integers(0, 9, size=5)
                 loss = ad.add(loss, ad.total_sum(ad.gather_rows(table, idx)))
-        grads = ad.backward(loss, tape)
+        want = dense_backward(loss, tape).get(id(table), np.zeros((30, 4)))
         buf = np.full((30, 4), np.nan)
-        assert grads.of(table, out=buf) is buf
-        assert np.array_equal(buf, grads.of(table))
+        assert ad.backward(loss, tape, [(table, buf)]) is None
+        assert buf.tobytes() == want.tobytes()
+
+    def test_first_arrival_is_assigned_with_its_signed_zeros(self):
+        """A dense and a row gradient of -0.0 read -0.0, as the dense reference
+        has them; adding them to the zero-filled buffer would read +0.0."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        table = ad.Tensor(np.ones((4, 2)), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.add(ad.total_sum(ad.mul(x, ad.Tensor([-0.0, 1.0]))),
+                          ad.total_sum(ad.mul(ad.gather_rows(table, [2]),
+                                              ad.Tensor([[-0.0, -0.0]]))))
+        want = dense_backward(loss, tape)
+        g_x, g_table = gradients(loss, tape, [x, table])
+        assert np.signbit(g_x).tolist() == [True, False]
+        assert np.signbit(g_table).any(axis=1).tolist() == [False, False, True, False]
+        assert g_x.tobytes() == want[id(x)].tobytes()
+        assert g_table.tobytes() == want[id(table)].tobytes()
 
     def test_row_gradient_into_a_buffer_makes_no_table_sized_temporary(self):
         table = ad.Tensor(np.zeros((200_000, 8)), requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.total_sum(ad.gather_rows(table, np.arange(0, 200_000, 400)))
-        grads = ad.backward(loss, tape)
         buf = np.ones_like(table.data)
         tracemalloc.start()
         try:
-            grads.of(table, out=buf)
+            ad.backward(loss, tape, [(table, buf)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table.data.nbytes // 10, f"of(out=) peaked at {peak} bytes"
+        assert peak < table.data.nbytes // 10, f"backward peaked at {peak} bytes"
         want = np.zeros_like(buf)
         want[::400] = 1.0
         assert np.array_equal(buf, want)
 
-    def test_backward_of_three_gathers_stays_below_two_tables(self):
-        """The parent's dense table per gather needed three tables at once."""
+    def test_three_gathers_into_a_buffer_peak_below_a_tenth_of_the_table(self):
+        """A dense table per gather needed three tables at once, and one merged
+        dense buffer per table still needed one."""
         rng = np.random.default_rng(44)
         table = ad.Tensor(np.zeros((200_000, 8)), requires_grad=True)
+        want = np.zeros_like(table.data)
         with ad.Tape() as tape:
             loss = None
             for _ in range(3):
                 idx = rng.integers(0, 200_000, size=500)
+                np.add.at(want, idx, 1.0)
                 term = ad.total_sum(ad.gather_rows(table, idx))
                 loss = term if loss is None else ad.add(loss, term)
+        buf = np.full_like(table.data, np.nan)
         tracemalloc.start()
         try:
-            grads = ad.backward(loss, tape)
-            grads.of(table)
+            ad.backward(loss, tape, [(table, buf)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * table.data.nbytes, f"backward peaked at {peak} bytes"
+        assert peak < table.data.nbytes // 10, f"backward peaked at {peak} bytes"
+        assert np.array_equal(buf, want)
 
 
 def _adam_setup(rng):

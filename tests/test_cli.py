@@ -443,6 +443,26 @@ class TestAblate:
         assert lines[0] == "tea-rs,std," + ",".join(["0.000000"] * 6)
 
 
+    def test_echo_is_the_config_train_ran(self, corpus_files, tmp_path):
+        """A snapshot prepared with --ls 7 trains at l_s 7: ablate.csv echoes
+        the config `tea train` echoes in curve.csv, not the default 50."""
+        inter, social = corpus_files
+        data = str(tmp_path / "data")
+        assert main(["prepare", "--interactions", inter, "--social", social,
+                     "--out", data, "--ls", "7", "--ln", "5", "--seed", "0"]) == 0
+        args = ["--data", data, "--variant", "tea-s", "--seed", "0"] + _FAST
+        assert main(["train", "--out", str(tmp_path / "tr")] + args) == 0
+        assert main(["ablate", "--out", str(tmp_path / "ab"), "--variants", "tea-s",
+                     "--seeds", "0", "--data", data] + _FAST) == 0
+
+        def echo(path):
+            return [line for line in path.read_text().splitlines() if line.startswith("# ")
+                    and line.split()[1] not in ("variant", "seed", "best_epoch")]
+
+        ablate = echo(tmp_path / "ab" / "ablate.csv")
+        assert "# l_s = 7" in ablate
+        assert ablate == echo(tmp_path / "tr" / "curve.csv")
+
     @pytest.mark.parametrize("flag, value", [("--seeds", ""), ("--seeds", "1,x"),
                                              ("--n-neg", "0"), ("--variants", "")])
     def test_meaningless_grid_exit_2(self, data_dir, tmp_path, capsys, flag, value):

@@ -789,6 +789,19 @@ class TestPreparedDataset:
         with pytest.raises(ValueError, match=r"item_ids\.tsv:2"):
             PreparedDataset.load(snap)
 
+    @pytest.mark.parametrize("dense", ["\u00b2", "\u0663", "+1", " 1", ""],
+                             ids=["superscript", "arabic-indic", "sign", "space", "empty"])
+    def test_load_rejects_sidecar_dense_id_not_in_ascii_digits(self, prepared, tmp_path,
+                                                              dense):
+        """'²' and '٣' pass str.isdigit, and int() takes '٣': each names the line."""
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        path = snap / "item_ids.tsv"
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text(rows[0] + f"x\t{dense}\n" + "".join(rows[2:]))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: expected")):
+            PreparedDataset.load(snap)
+
     @pytest.mark.parametrize("sidecar, edit", [
         ("item_ids.tsv", lambda rows: rows[:1] + rows[:1] + rows[2:]),   # duplicate id
         ("item_ids.tsv", lambda rows: rows[:3] + rows[4:]),              # missing id

@@ -176,3 +176,16 @@ def test_the_head_gathers_its_own_candidates():
     assert "EVAL_ROWS" in modules["evaluation"].defs
     for name in ("EVAL_CHUNK", "EVAL_CELLS"):
         assert not any(name in module.defs for module in modules.values()), name
+
+
+def test_backward_writes_into_the_gradient_vector():
+    """train hands autodiff.backward its views of the flat gradient vector;
+    no module defines a Gradients map, and train calls no per-tensor `.of`."""
+    modules = load_package(PACKAGE)
+    assert not any("Gradients" in module.defs for module in modules.values())
+    train = modules["training"].defs["train"][0]
+    assert "of" not in _calls(train)
+    calls = [ast.unparse(sub) for sub in ast.walk(train) if isinstance(sub, ast.Call)
+             and isinstance(sub.func, ast.Name) and sub.func.id == "backward"]
+    assert calls == ["backward(loss, tape, grad_views)"]
+    assert modules["training"].names["backward"] == ("autodiff", "backward")

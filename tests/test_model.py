@@ -14,7 +14,7 @@ from tea.params import init_params
 
 from corpus import cycle_corpus, synthetic_dataset, write_corpus
 from oracles import score_candidates_single_route, total_loss
-from gradcheck import assert_gradients_match, dense_backward
+from gradcheck import assert_gradients_match, dense_backward, gradients
 from scoring import score_steps
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
@@ -409,9 +409,8 @@ class TestComposedGradients:
             keys = [(0, row) for row in range(n_rows)]
             loss = total_loss(sequence_loss(scores, keys, n_s), named, gamma)
         want = dense_backward(loss, tape)
-        grads = ad.backward(loss, tape)
-        for name, t in named:
-            assert np.array_equal(grads.of(t), want.get(id(t), np.zeros_like(t.data))), name
+        for (name, t), got in zip(named, gradients(loss, tape, [t for _, t in named])):
+            assert np.array_equal(got, want.get(id(t), np.zeros_like(t.data))), name
 
 
 class TestTapeLength:
@@ -473,8 +472,7 @@ class TestCandidateHeadInTheModel:
                                           rngs=None, p_drop=0.0)
                 loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named,
                                   5e-4)
-            grads = ad.backward(loss, tape)
-            runs.append([scores.data] + [grads.of(t) for _, t in named])
+            runs.append([scores.data] + gradients(loss, tape, [t for _, t in named]))
         for evaluated, trained in zip(*runs):
             np.testing.assert_allclose(evaluated, trained, atol=1e-12, rtol=0)
 
@@ -553,13 +551,16 @@ class TestCandidateHeadInTheModel:
         cands = np.random.default_rng(0).integers(0, 300, size=(n_rows, n_cands))
         keys = [(0, row) for row in range(n_rows)]
 
+        grad = np.empty_like(params.flat)
+        grad_views = list(zip((t for _, t in params.trainable()), params.views(grad)))
+
         def batch():
             rngs = [np.random.default_rng([17, user]) for user in range(n_users)]
             with ad.Tape() as tape:
                 scores = score_user_steps(params, ctxs, steps, cands, training=True,
                                           rngs=rngs, p_drop=0.5)
                 loss = sequence_loss(scores, keys, n_cands - 1)
-            return ad.backward(loss, tape)
+            ad.backward(loss, tape, grad_views)
 
         batch()
         tracemalloc.start()

@@ -11,7 +11,7 @@ import pytest
 from tea import autodiff as ad
 from tea import params as tea_params
 from tea import training
-from tea.autodiff import AdamState, Tape, adam_step, backward
+from tea.autodiff import AdamState, Tape, adam_step
 from tea.data import sample_negatives
 from tea.model import score_user_steps, user_context
 from tea.objective import NonFiniteScoreError, sequence_loss
@@ -21,6 +21,7 @@ from tea.training import (NumericalError, TrainConfig, early_stop, train,
                           write_curve_csv)
 
 import oracles
+from gradcheck import gradients
 
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
 
@@ -268,8 +269,8 @@ class TestRepeatedBatch:
                     [[pos] + negs for _, _, pos, negs in fixed])
                 keys = [(user, step) for user, step, _, _ in fixed]
                 loss = sequence_loss(scores, keys, config.n_s)
-            grads = backward(loss, tape)
-            grad = np.concatenate([grads.of(t).ravel() for _, t in named])
+            grads = gradients(loss, tape, [t for _, t in named])
+            grad = np.concatenate([g.ravel() for g in grads])
             sq_theta, _ = adam_step(params.flat, grad, state, config.gamma)
             losses.append(loss.item() + config.gamma * sq_theta)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
@@ -306,8 +307,8 @@ class TestOptimizerRoute:
                           p_drop=config.p_drop)
             loss = oracles.total_loss(sequence_loss(scores, keys, config.n_s), named,
                                       config.gamma)
-        grads = backward(loss, tape)
-        flat, norm = oracles.clip({name: grads.of(t) for name, t in named}, clip_norm)
+        grads = gradients(loss, tape, [t for _, t in named])
+        flat, norm = oracles.clip(dict(zip([n for n, _ in named], grads)), clip_norm)
         assert (0 < clip_norm < norm) == fires
         for name, t in named:
             oracles.adam_update(t.data, np.zeros_like(t.data), np.zeros_like(t.data),
