@@ -240,6 +240,17 @@ def cmd_ablate(args) -> int:
         raise ValueError(f"--variants takes names from {sorted(VARIANTS)}, "
                          f"got {args.variants!r}")
     base = _effective_train_config(args)   # before any output directory is made
+    # The grid sets each run's seed and variant; a single one given elsewhere
+    # would be overwritten without a word.
+    in_file = _read_config_file(args.config) if args.config else {}
+    for key, grid in (("seed", "--seeds"), ("variant", "--variants")):
+        if key in in_file:
+            raise ParseError(args.config, in_file[key][0],
+                             f"{key}: ablate takes its {key}s from {grid}")
+    for setting, given in (("--seed", args.seed is not None),
+                           ("TEA_SEED", "TEA_SEED" in os.environ)):
+        if given:
+            raise ValueError(f"{setting}: ablate takes its seeds from --seeds")
     ds = PreparedDataset.load(args.data)
     os.makedirs(args.out, exist_ok=True)
     ks = eval_cfg.ks

@@ -5,13 +5,12 @@ consumes: per-user behavior sequences, per-step neighbor-item buckets,
 one has-walk bit per event (the score reads only whether an event has any
 time-restricted co-interaction walk), and a leave-one-out split.
 
-From parse to records every stage works on int64 event columns (`Events`),
-with no object per event: a bincount fixpoint filters, one stable sort by
-(user, ts) splits, and sorted searches cut every bucket window and count
-every walk. Only the `UserRecord`s handed to the trainer hold lists. The
+Every stage works on int64 event columns (`Events`), with no object per
+event: a bincount fixpoint filters, one stable sort by (user, ts) splits,
+and sorted searches cut every bucket window and count every walk. The
 snapshot, `dataset.npz` (format `tea-dataset-3`), is an uncompressed numpy
-zip of flat arrays with per-user counts (`_ARRAYS`) and a JSON header; it
-is read with allow_pickle=False and checked array by array.
+zip of the prepared corpus's flat arrays (`PreparedDataset`) and a JSON
+header, read with allow_pickle=False and checked array by array.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import os
 import zipfile
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -333,27 +333,63 @@ class UserRecord:
     walks_val: int                # has-walk bit of the validation event
 
 
-# The snapshot's arrays and their dtypes. Per user, in user order: `seq_len`
-# holds its n training events; `items` and `ts` hold those n events, then
-# the validation and the test event; `walks` the n has-walk bits, then the
-# validation event's; `bucket_len` the sizes of its n - 1 step buckets, then
-# of the validation and the gap bucket, whose items `buckets` holds; and
-# `social_len` its neighbor count, whose user ids `social` holds.
+def _user_records(ds: PreparedDataset) -> list[UserRecord]:
+    """`ds.users`; its lists share the int objects of one array of item ids."""
+    shared = np.arange(ds.n_items).astype(object)
+    items, ts, walks = shared[ds.items].tolist(), ds.ts.tolist(), ds.walks.tolist()
+    flat, ends = shared[ds.buckets].tolist(), ds.bucket_start.tolist()
+    windows = [flat[a:b] for a, b in zip(ends, ends[1:])]
+    starts = zip(ds.item_start.tolist(), ds.step_start.tolist(), ds.seq_len.tolist())
+    return [UserRecord(
+        seq_items=items[e:e + n], seq_ts=ts[e:e + n], val_item=items[e + n], val_ts=ts[e + n],
+        test_item=items[e + n + 1], test_ts=ts[e + n + 1], buckets=windows[w:w + n - 1],
+        bucket_val=windows[w + n - 1], bucket_gap=windows[w + n], walks=walks[w:w + n],
+        walks_val=walks[w + n]) for e, w, n in starts]
+
+
+# The snapshot's arrays and their dtypes; `social_len` and `social` hold the adjacency.
 _ARRAYS = {"seq_len": np.int32, "items": np.int32, "ts": np.int64, "walks": np.uint8,
            "bucket_len": np.int32, "buckets": np.int32, "social_len": np.int32,
            "social": np.int32}
 
 
-@dataclass
+@dataclass(eq=False)
 class PreparedDataset:
+    """The prepared corpus: the snapshot's arrays (`_ARRAYS`), social aside.
+
+    User u's items and times (`items`, `ts`) start at item_start[u]: its
+    n = seq_len[u] training events, then the validation and the test event.
+    Its walk bits and bucket sizes (`walks`, `bucket_len`) start at
+    step_start[u]: a bit per training event, then the validation event's,
+    and the n - 1 step buckets, then the validation and the gap bucket;
+    bucket k's items start at buckets[bucket_start[k]]. Step s reads the
+    first s items and buckets and walk bit s - 1, so a split is a prefix:
+    training steps run to n - 1, validation to n and test to n + 1.
+    """
+
     n_users: int
     n_items: int
-    users: list[UserRecord]
+    seq_len: np.ndarray
+    items: np.ndarray
+    ts: np.ndarray
+    walks: np.ndarray
+    bucket_len: np.ndarray
+    buckets: np.ndarray
     social: SocialGraph
     config: dict
     user_ids: list[str]
     item_ids: list[str]
     n_interactions: int
+
+    def __post_init__(self) -> None:
+        for name in _ARRAYS.keys() - {"social_len", "social"}:
+            setattr(self, name, np.asarray(getattr(self, name), _ARRAYS[name]))
+        steps = self.seq_len.astype(np.intp) + 1       # walk bits and buckets per user
+        self.step_start = np.cumsum(steps) - steps
+        self.item_start = self.step_start + np.arange(self.n_users)   # one more item each
+        self.bucket_start = np.concatenate([[0], np.cumsum(self.bucket_len, dtype=np.intp)])
+
+    users = cached_property(_user_records)   # per-user lists, for readers outside tea
 
     def stats(self) -> dict:
         n, m = self.n_users, self.n_items
@@ -371,21 +407,11 @@ class PreparedDataset:
         """Write dataset.npz and the raw-id sidecars. The arrays pass `load`'s
         checks before anything is written."""
         path = os.path.join(out_dir, SNAPSHOT_FILE)
-        users = self.users
-        windows = [list(chain(u.buckets, (u.bucket_val, u.bucket_gap))) for u in users]
         neighbors = [self.social.of(u) for u in range(self.n_users)]
-        columns = {
-            "seq_len": (len(u.seq_items) for u in users),
-            "items": chain.from_iterable(
-                chain(u.seq_items, (u.val_item, u.test_item)) for u in users),
-            "ts": chain.from_iterable(chain(u.seq_ts, (u.val_ts, u.test_ts)) for u in users),
-            "walks": chain.from_iterable(chain(u.walks, (u.walks_val,)) for u in users),
-            "bucket_len": (len(b) for w in windows for b in w),
-            "buckets": chain.from_iterable(chain.from_iterable(windows)),
-            "social_len": (len(vs) for vs in neighbors),
-            "social": chain.from_iterable(neighbors),
-        }
-        arrays = {name: np.fromiter(values, _ARRAYS[name]) for name, values in columns.items()}
+        arrays = {name: getattr(self, name)
+                  for name in _ARRAYS.keys() - {"social_len", "social"}}
+        arrays["social_len"] = np.fromiter(map(len, neighbors), _ARRAYS["social_len"])
+        arrays["social"] = np.fromiter(chain.from_iterable(neighbors), _ARRAYS["social"])
         head = {"format": SNAPSHOT_FORMAT, "n_users": self.n_users,
                 "n_items": self.n_items, "n_interactions": self.n_interactions,
                 "config": self.config}
@@ -457,9 +483,9 @@ class PreparedDataset:
                 raise ValueError(f"{side_path}: dense id {raw_of.index(None)} missing "
                                  f"({n} ids expected)")
             ids[fname] = raw_of
-        return cls(n_users, n_items, _user_records(n_items, **arrays), SocialGraph(social),
-                   head["config"], ids["user_ids.tsv"], ids["item_ids.tsv"],
-                   head["n_interactions"])
+        return cls(n_users, n_items, **arrays, social=SocialGraph(social),
+                   config=head["config"], user_ids=ids["user_ids.tsv"],
+                   item_ids=ids["item_ids.tsv"], n_interactions=head["n_interactions"])
 
 
 def _check_snapshot(path, head: dict, arrays: dict) -> None:
@@ -505,31 +531,6 @@ def _check_snapshot(path, head: dict, arrays: dict) -> None:
     check("social", social_len, "user id", 0, n_users)
 
 
-def _user_records(n_items: int, seq_len, items, ts, walks, bucket_len, buckets
-                  ) -> list[UserRecord]:
-    """The trainer's per-user lists from the snapshot's arrays.
-
-    Item ids come from one object array of the ints 0..n_items-1, so every
-    list shares those int objects instead of holding one per entry.
-    """
-    shared = np.arange(n_items).astype(object)
-    items, ts, walks = shared[items].tolist(), ts.tolist(), walks.tolist()
-    flat = shared[buckets].tolist()
-    ends = np.cumsum(bucket_len).tolist()
-    windows = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    records = []
-    e = w = 0
-    for n in seq_len.tolist():
-        v, b = e + n, w + n
-        records.append(UserRecord(
-            seq_items=items[e:v], seq_ts=ts[e:v], val_item=items[v], val_ts=ts[v],
-            test_item=items[v + 1], test_ts=ts[v + 1], buckets=windows[w:b - 1],
-            bucket_val=windows[b - 1], bucket_gap=windows[b], walks=walks[w:b],
-            walks_val=walks[b]))
-        e, w = v + 2, b + 1
-    return records
-
-
 def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
                     rating_threshold: float = 3.0, tau_days: int = 60,
                     l_s: int = 50, l_n: int = 20, walk_cap: int = 10,
@@ -559,10 +560,10 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
     seq_len = np.minimum(counts - 2, l_s)
     user = events.user[order]
     back = np.cumsum(counts)[user] - np.arange(len(order))   # 1: test, 2: validation
-    in_record = back <= seq_len[user] + 2                    # sequence, val, test
-    record = events.take(order[in_record])
+    in_segment = back <= seq_len[user] + 2                   # sequence, val, test
+    segment = events.take(order[in_segment])
     train = events.take(order[back > 2])
-    step = np.flatnonzero(in_record & (back > 1))            # sequence and val
+    step = np.flatnonzero(in_segment & (back > 1))           # sequence and val
     queries = events.take(order[step])
     # A user's bucket windows run from each of these events to its next one.
     bucket_len, buckets = build_neighbor_item_buckets(
@@ -574,10 +575,9 @@ def prepare_dataset(interactions_path, social_path, min_actions: int = 5,
                                               walk_cap)
     except ValueError as exc:
         raise ValueError(f"{interactions_path}: {exc}") from None
-    users = _user_records(len(item_ids), seq_len, record.item, record.ts, walks,
-                          bucket_len, buckets)
     config = {"min_actions": min_actions, "rating_threshold": rating_threshold,
               "tau_days": tau_days, "l_s": l_s, "l_n": l_n, "walk_cap": walk_cap,
               "seed": seed}
-    return PreparedDataset(len(user_ids), len(item_ids), users, social, config,
-                           user_ids, item_ids, len(events.ts))
+    return PreparedDataset(len(user_ids), len(item_ids), seq_len, segment.item, segment.ts,
+                           walks, bucket_len, buckets, social, config, user_ids, item_ids,
+                           len(events.ts))

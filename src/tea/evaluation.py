@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreparedDataset
-from .model import score_user_steps, user_context
+from .model import last_steps, score_user_steps
 from .objective import NonFiniteScoreError
 from .params import ModelParams
 
@@ -83,37 +83,29 @@ def _histogram(ranks: dict[int, int]) -> dict[str, int]:
     return dict(sorted(hist.items(), key=lambda kv: int(kv[0])))
 
 
-def build_candidates(truth: int, n_items: int, n_neg: int,
-                     rng: np.random.Generator, out: np.ndarray | None = None):
-    """The truth plus up to n_neg distinct negatives, truth first.
+def build_candidates(truth: int, n_items: int, n_neg: int, rng: np.random.Generator,
+                     out: np.ndarray) -> None:
+    """Fill `out`, an int row of 1 + min(n_neg, n_items - 1) entries, with the
+    truth and then that many distinct negatives.
 
     Negatives are drawn without replacement from the item set minus the
     truth; a pool smaller than n_neg is used whole (the reduced size shows
-    up in the report). Returns a list of ints, or fills `out`, an int row
-    of 1 + min(n_neg, n_items - 1) entries, and returns it.
+    up in the report).
     """
     if n_items < 2:
         raise ValueError(f"need at least 2 items to build candidates, have {n_items}")
     draws = rng.choice(n_items - 1, size=min(n_neg, n_items - 1), replace=False)
-    if out is None:
-        return [truth] + (draws + (draws >= truth)).tolist()
     out[0] = truth
     np.add(draws, draws >= truth, out=out[1:])
-    return out
 
 
-def rank(scores: np.ndarray, truth_index: int = 0) -> int | np.ndarray:
-    """1-based rank of the truth; ties count against it.
-
-    A 1-D score vector gives an int; a (U, C) matrix gives each row's rank
-    as an int array, the truth in column `truth_index` of every row.
-    """
+def rank(scores: np.ndarray, truth_index: int = 0) -> np.ndarray:
+    """1-based rank of the truth in each row of a (U, C) score matrix, the
+    truth in column `truth_index` of every row; ties count against it."""
     s = np.asarray(scores, dtype=np.float64)
-    truth = s[..., truth_index, None]
-    greater = (s > truth).sum(axis=-1)
-    tied = (s == truth).sum(axis=-1) - 1  # excluding the truth itself
-    ranks = 1 + greater + tied
-    return int(ranks) if s.ndim == 1 else ranks
+    truth = s[:, truth_index, None]
+    tied = (s == truth).sum(axis=1) - 1  # excluding the truth itself
+    return 1 + (s > truth).sum(axis=1) + tied
 
 
 def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
@@ -124,38 +116,35 @@ def eval_candidates(ds: PreparedDataset, split: str, cfg: EvalConfig,
     for any parameters and every epoch.
     """
     out = np.empty((len(users), 1 + max(0, min(cfg.n_neg, ds.n_items - 1))), dtype=np.intp)
+    truth = ds.items[ds.item_start[users] + last_steps(ds, split)[users]]
     # (seed, split tag, user): one key array, its last word set per user
     key = np.array([cfg.seed & 0xFFFFFFFF, 0xE1 if split == "val" else 0xE2, 0],
                    dtype=np.uint32)
-    for row, user in zip(out, users):
-        rec = ds.users[user]
+    for row, user, item in zip(out, users, truth.tolist()):
         key[2] = user
-        build_candidates(rec.val_item if split == "val" else rec.test_item, ds.n_items,
-                         cfg.n_neg, np.random.default_rng(np.random.SeedSequence(key)),
-                         out=row)
+        build_candidates(item, ds.n_items, cfg.n_neg,
+                         np.random.default_rng(np.random.SeedSequence(key)), out=row)
     return out
 
 
 def _calls(ds: PreparedDataset, split: str, l_s: int, cand_rows: int):
     """The users in order, cut into calls of at most EVAL_ROWS rows: yields
-    each call's users and their `split` contexts.
+    each call's users.
 
-    A user scored at step s counts the buckets[max(0, s - l_s):s] its
+    A user scored at step s counts the buckets [max(0, s - l_s), s) its
     temporal GRU reads, their items, and `cand_rows` for its candidates.
     """
-    first, ctxs, used = 0, [], 0
-    for user in range(ds.n_users):
-        ctx = user_context(ds, user, split)
-        s = len(ctx.items)
-        window = ctx.buckets[max(0, s - l_s):s]
-        size = len(window) + sum(map(len, window)) + cand_rows
-        if ctxs and used + size > EVAL_ROWS:
-            yield range(first, user), ctxs
-            first, ctxs, used = user, [], 0
-        ctxs.append(ctx)
+    s = last_steps(ds, split)
+    lo, hi = ds.step_start + np.maximum(0, s - l_s), ds.step_start + s
+    sizes = hi - lo + ds.bucket_start[hi] - ds.bucket_start[lo] + cand_rows
+    first, used = 0, 0
+    for user, size in enumerate(sizes.tolist()):
+        if user > first and used + size > EVAL_ROWS:
+            yield range(first, user)
+            first, used = user, 0
         used += size
-    if ctxs:
-        yield range(first, ds.n_users), ctxs
+    if ds.n_users:
+        yield range(first, ds.n_users)
 
 
 def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
@@ -163,11 +152,12 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
                  candidates: np.ndarray | None = None) -> EvalReport:
     """Rank every user's held-out item and average HR/NDCG over users.
 
-    The default scores the held-out step `len(ctx.items)` with the trained
-    model in evaluation mode, consecutive users per call within EVAL_ROWS
-    rows (`_calls`). A `scorer(params, ctx, candidates) -> array` can be
-    injected for tests; it is called once per user. A caller that evaluates
-    the same split repeatedly can pass `candidates`, every user's rows from
+    The default scores each user's held-out step, n for validation and
+    n + 1 for test, with the trained model in evaluation mode, consecutive
+    users per call within EVAL_ROWS rows (`_calls`). A `scorer(params,
+    user, candidates) -> array` can be injected for tests; it is called once
+    per user with the user's id. A caller that evaluates the same split
+    repeatedly can pass `candidates`, every user's rows from
     `eval_candidates`, built once; otherwise each call draws its own. A NaN
     or infinite score raises NonFiniteScoreError naming the split and the
     first such user. HR@K and NDCG@K are means over the users' ranks.
@@ -179,14 +169,15 @@ def evaluate_all(params: ModelParams, ds: PreparedDataset, split: str,
     ranks: dict[int, int] = {}
     n_cands = 1 + max(0, min(cfg.n_neg, ds.n_items - 1))
     d = params.shared.item.data.shape[1]
-    for users, ctxs in _calls(ds, split, params.l_s, -(-n_cands // d)):
+    steps = last_steps(ds, split)[:, None]
+    for users in _calls(ds, split, params.l_s, -(-n_cands // d)):
         cands = (eval_candidates(ds, split, cfg, users) if candidates is None
                  else candidates[users.start:users.stop])
         if scorer is None:
-            chunk = score_user_steps(params, ctxs, [[len(c.items)] for c in ctxs],
-                                     cands).data
+            chunk = score_user_steps(params, ds, split, users,
+                                     steps[users.start:users.stop], cands).data
         else:
-            chunk = np.array([scorer(params, ctx, row) for ctx, row in zip(ctxs, cands)],
+            chunk = np.array([scorer(params, user, row) for user, row in zip(users, cands)],
                              dtype=np.float64)
         finite = np.isfinite(chunk).all(axis=1)
         if not finite.all():

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import AdamState, Tape, adam_step, backward
-from .data import PreparedDataset, sample_negatives
+from .data import PreparedDataset, _ragged_arange, sample_negatives
 from .evaluation import EvalConfig, eval_candidates, evaluate_all
-from .model import score_user_steps, user_context
+from .model import score_user_steps
 from .objective import NonFiniteScoreError, sequence_loss
 from .params import VARIANTS, ModelParams, init_params
 
@@ -107,17 +107,17 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     grad = np.empty_like(params.flat)
     grad_views = list(zip((t for _, t in params.trainable()), params.views(grad)))
 
-    # One entry per user (its steps and their positives); a batch scores all
-    # steps of its users in one call.
-    user_steps: list[tuple[int, list[int], np.ndarray]] = []
-    for user in range(ds.n_users):
-        items = ds.users[user].seq_items
-        if config.all_steps:
-            steps = list(range(1, len(items)))
-        else:
-            steps = [len(items) - 1] if len(items) >= 2 else []
-        if steps:
-            user_steps.append((user, steps, np.take(items, steps)))
+    # The trained users, each with its steps (all of 1..n-1, or n-1 alone)
+    # and their positives, one user after another; a batch scores all steps
+    # of its users in one call.
+    n = ds.seq_len.astype(np.intp)
+    counts = n - 1 if config.all_steps else (n >= 2).astype(np.intp)
+    users = np.flatnonzero(counts)
+    counts = counts[users]
+    first = np.ones_like(counts) if config.all_steps else n[users] - 1
+    starts = np.cumsum(counts) - counts
+    steps = _ragged_arange(first, counts)
+    positives = ds.items[ds.item_start[users].repeat(counts) + steps]
 
     curve: list[dict] = []
     ndcg_history: list[float] = []
@@ -132,14 +132,14 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0xE9, epoch]))
-        order = shuffle_rng.permutation(len(user_steps))
+        order = shuffle_rng.permutation(users.size)
         stream_key[2] = epoch
         # Users fill a batch until it holds at least batch_size steps.
         batches: list[list[int]] = [[]]
         filled = 0
         for i in order:
             batches[-1].append(int(i))
-            filled += len(user_steps[i][1])
+            filled += counts[i]
             if filled >= config.batch_size:
                 batches.append([])
                 filled = 0
@@ -150,21 +150,20 @@ def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
         grad_norm_max = 0.0
         n_clipped = 0
         for batch_idx, batch in enumerate(batches):
-            ctxs, step_lists, cand_rows, rngs, keys = [], [], [], [], []
+            step_lists, cand_rows, rngs, keys = [], [], [], []
             for i in batch:
-                user, steps, positives = user_steps[i]
+                user, mine = int(users[i]), slice(starts[i], starts[i] + counts[i])
                 # The user's stream draws its negatives here, then both masks
                 # in score_user_steps.
                 stream_key[3] = user
                 rng = np.random.default_rng(np.random.SeedSequence(stream_key))
-                negatives = sample_negatives(positives, ds.n_items, config.n_s, rng)
-                ctxs.append(user_context(ds, user, "train"))
-                step_lists.append(steps)
-                cand_rows.append(np.column_stack([positives, negatives]))
+                negatives = sample_negatives(positives[mine], ds.n_items, config.n_s, rng)
+                step_lists.append(steps[mine])
+                cand_rows.append(np.column_stack([positives[mine], negatives]))
                 rngs.append(rng)
-                keys.extend((user, step) for step in steps)
+                keys.extend((user, step) for step in steps[mine].tolist())
             with Tape() as tape:
-                scores = score_user_steps(params, ctxs, step_lists,
+                scores = score_user_steps(params, ds, "train", users[batch], step_lists,
                                           np.concatenate(cand_rows), training=True,
                                           rngs=rngs, p_drop=config.p_drop)
                 try:

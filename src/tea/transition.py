@@ -15,19 +15,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import PreparedDataset
 from .params import TransitionParams
 
 
-def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
-                      row_step: np.ndarray, lo: np.ndarray, s_max: np.ndarray,
-                      cands: np.ndarray, h_f: Tensor, keep, p_drop: float) -> Tensor:
+def transition_scores(params: TransitionParams, ds: PreparedDataset, users: np.ndarray,
+                      rows: ad.Segments, row_step: np.ndarray, lo: np.ndarray,
+                      s_max: np.ndarray, cands: np.ndarray, h_f: Tensor, keep,
+                      p_drop: float) -> Tensor:
     """f + g for every (user, step) row of a minibatch, shape (N, C).
 
-    Row i belongs to user `rows.ids[i]` and predicts step `row_step[i]`;
-    `cands` (N, C) holds each row's candidate item ids and h_f (N, d) f's
-    user vectors (`unary.user_vectors`). Attention for user
-    b's step s runs over `ctxs[b].items[lo[b]:s]` with positions counted
-    from 0; the candidate takes position s - lo[b]. The hidden state is
+    Row i belongs to user `users[rows.ids[i]]` and predicts step
+    `row_step[i]`; `cands` (N, C) holds each row's candidate item ids and h_f
+    (N, d) f's user vectors (`unary.user_vectors`). Attention for user b's
+    step s runs over its items [lo[b], s) with positions counted from 0; the
+    candidate takes position s - lo[b]. The hidden state is
     h = p_user + w_g2 relu(w_g1 z + b_g1) + b_g2 with z the attention
     aggregate (zero for an empty window, the cold-start convention); g is
     (w_g3 [h (+) h_walk_user (+) h_walk_item (+) p_user]) . q_candidate.
@@ -40,21 +42,23 @@ def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
     sh = params.shared
     d = sh.item.data.shape[1]
     row_user = rows.ids
-    p_user = ad.gather_rows(sh.user, [ctx.user for ctx in ctxs])         # (B, d)
+    p_user = ad.gather_rows(sh.user, users)                             # (B, d)
     bias = ad.add(ad.gather_rows(p_user, row_user[:, None]), params.b_g2)  # (N, 1, d)
 
     w3 = params.w_g3
     shared_part = ad.gather_rows(ad.linear(p_user, ad.slice_cols(w3, 3 * d, 4 * d)),
                                  row_user[:, None])                      # (N, 1, d)
     if params.walk_gru is not None:
-        walk_rows = np.flatnonzero([bool(ctxs[b].walks[s - 1])
-                                    for b, s in zip(row_user, row_step)])
+        # A row's walk is anchored on the user's event at step - 1.
+        event = row_step - 1
+        walk_rows = np.flatnonzero(ds.walks[ds.step_start[users][row_user] + event])
         if walk_rows.size:
-            walk_part = _walk_terms(params, ctxs, p_user, row_user, row_step, walk_rows)
+            anchors = ds.items[ds.item_start[users][row_user[walk_rows]] + event[walk_rows]]
+            walk_part = _walk_terms(params, p_user, row_user, anchors, walk_rows)
             shared_part = ad.add(walk_part, shared_part)
     shared_part = ad.add(shared_part, ad.reshape(h_f, (row_user.size, 1, d)))
     row_n = row_step - lo[row_user]
-    keys, values = _history(params, ctxs, lo, s_max)
+    keys, values = _history(params, ds, users, lo, s_max)
     # l_s = 1 leaves every window empty: one zero position stands in, whose
     # value is exactly b_g1 under a softmax weight of exactly 1.
     return ad.candidate_head(sh.item, cands, values, params.w_g2, bias,
@@ -63,11 +67,11 @@ def transition_scores(params: TransitionParams, ctxs, rows: ad.Segments,
                              widths=np.maximum(row_n, 1), keep=keep, p_drop=p_drop)
 
 
-def _history(params: TransitionParams, ctxs, lo: np.ndarray, s_max: np.ndarray
-             ) -> tuple[Tensor, Tensor]:
+def _history(params: TransitionParams, ds: PreparedDataset, users: np.ndarray,
+             lo: np.ndarray, s_max: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attention keys and values of every user's history window, each (B, T, d).
 
-    User b's window is `ctxs[b].items[lo[b]:s_max[b]]`. Each window is padded
+    User b's window is its items [lo[b], s_max[b]). Each window is padded
     at the end to T, the batch's widest; the head's per-row causal width
     hides the padding. When every window is empty, T = 1 and the one
     position's embedding is zero.
@@ -76,12 +80,12 @@ def _history(params: TransitionParams, ctxs, lo: np.ndarray, s_max: np.ndarray
     d = sh.item.data.shape[1]
     width = int((s_max - lo).max())
     if width == 0:
-        e_hist = ad.zeros(len(ctxs), 1, d)
+        e_hist = ad.zeros(users.size, 1, d)
     else:
-        history = np.zeros((len(ctxs), width), dtype=np.intp)  # padded with item 0
-        for b, (ctx, start, stop) in enumerate(zip(ctxs, lo.tolist(), s_max.tolist())):
-            window = ctx.items[start:stop]
-            history[b, :len(window)] = window
+        cols = np.arange(width)
+        pad = cols >= (s_max - lo)[:, None]                      # padded with item 0
+        history = ds.items[np.where(pad, 0, (ds.item_start[users] + lo)[:, None] + cols)]
+        history[pad] = 0
         e_hist = ad.add(ad.gather_rows(sh.item, history),
                         ad.gather_rows(sh.position, np.arange(width)))   # (B, T, d)
     # (w_q e_cand) . (w_k e_t) / sqrt(d) = e_cand . (w_q^T w_k e_t) / sqrt(d):
@@ -94,23 +98,23 @@ def _history(params: TransitionParams, ctxs, lo: np.ndarray, s_max: np.ndarray
     return keys, values
 
 
-def _walk_terms(params: TransitionParams, ctxs, p_user: Tensor, row_user, row_step,
-                walk_rows) -> Tensor:
+def _walk_terms(params: TransitionParams, p_user: Tensor, row_user: np.ndarray,
+                anchors: np.ndarray, walk_rows: np.ndarray) -> Tensor:
     """w_g3's walk blocks applied to [h_walk_user (+) h_walk_item], shape (N, 1, d).
 
     Each walk runs the walk GRU over (user, anchor item, co-user) from a
     zero state; the user and item outputs do not depend on the co-user, so
     the mean over a nonempty walk set equals any single walk and one unroll
-    of the first two stages suffices: one batched cell over the users, one
-    over the rows in `walk_rows`, those whose anchor event's has-walk bit
-    is set. The other rows get zeros.
+    of the first two stages suffices: one batched cell over the users'
+    embeddings `p_user`, one over the rows in `walk_rows`, those whose
+    anchor event's has-walk bit is set, with `anchors` their anchor items.
+    The other rows get zeros.
     """
     sh = params.shared
     d = sh.item.data.shape[1]
     w3 = params.w_g3
-    h_wu = ad.gather_rows(ad.gru_cell(p_user, ad.zeros(len(ctxs), d), params.walk_gru),
-                          row_user[walk_rows])
-    anchors = [ctxs[row_user[i]].items[row_step[i] - 1] for i in walk_rows]
+    h_wu = ad.gather_rows(ad.gru_cell(p_user, ad.zeros(p_user.data.shape[0], d),
+                                      params.walk_gru), row_user[walk_rows])
     h_wi = ad.gru_cell(ad.gather_rows(sh.item, anchors), h_wu, params.walk_gru)
     walk_part = ad.add(ad.linear(h_wu, ad.slice_cols(w3, d, 2 * d)),
                        ad.linear(h_wi, ad.slice_cols(w3, 2 * d, 3 * d)))

@@ -20,45 +20,41 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import PreparedDataset, _ragged_arange
 from .params import UnaryParams
 
 
-def _segments(lists: list[list[int]]) -> tuple[np.ndarray, ad.Segments]:
-    """The concatenated ids of `lists` and the segment each came from."""
-    flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
-    return flat, ad.Segments([len(ids) for ids in lists])
-
-
-def bipartite_aggregate_sage(params: UnaryParams, buckets: list[list[int]]) -> Tensor:
+def bipartite_aggregate_sage(params: UnaryParams, items: np.ndarray,
+                             buckets: ad.Segments) -> Tensor:
     """relu(w_agg @ mean of bucket item embeddings) per bucket, shape (K, d).
 
-    An empty bucket yields zeros.
+    `items` holds the buckets' item ids one bucket after another, cut by
+    `buckets`. An empty bucket yields zeros.
     """
-    flat, seg = _segments(buckets)
-    pooled = ad.segment_mean(ad.gather_rows(params.shared.item, flat), seg)
+    pooled = ad.segment_mean(ad.gather_rows(params.shared.item, items), buckets)
     return ad.relu(ad.linear(pooled, params.w_agg))
 
 
-def bipartite_aggregate_attention(params: UnaryParams, anchors: list[int],
-                                  buckets: list[list[int]]) -> Tensor:
+def bipartite_aggregate_attention(params: UnaryParams, anchors: np.ndarray,
+                                  items: np.ndarray, buckets: ad.Segments) -> Tensor:
     """Attention-weighted sum of bucket item embeddings per bucket, shape (K, d).
 
-    Bucket k is anchored on `anchors[k]`, the user's own item at that step.
-    Weights are a softmax within the bucket over leaky-relu scores of the
-    attention vector against [w_agg q_anchor (+) w_agg q_j]; an empty bucket
-    yields zeros.
+    `items` holds the buckets' item ids one bucket after another, cut by
+    `buckets`; bucket k is anchored on `anchors[k]`, the user's own item at
+    that step. Weights are a softmax within the bucket over leaky-relu
+    scores of the attention vector against [w_agg q_anchor (+) w_agg q_j];
+    an empty bucket yields zeros.
     """
     d = params.shared.item.data.shape[1]
-    flat, seg = _segments(buckets)
-    q_bucket = ad.gather_rows(params.shared.item, flat)                # (M, d)
+    q_bucket = ad.gather_rows(params.shared.item, items)               # (M, d)
     a_anchor = ad.slice_rows(params.attn_vec, 0, d)
     a_item = ad.slice_rows(params.attn_vec, d, 2 * d)
     q_anchor = ad.gather_rows(params.shared.item, anchors)             # (K, d)
     anchor_term = ad.matmul(ad.linear(q_anchor, params.w_agg), a_anchor)   # (K,)
     logits = ad.leaky_relu(ad.add(ad.matmul(ad.linear(q_bucket, params.w_agg), a_item),
-                                  ad.gather_rows(anchor_term, seg.ids)))
-    weights = ad.reshape(ad.segment_softmax(logits, seg), (seg.size, 1))
-    return ad.relu(ad.segment_sum(ad.mul(weights, q_bucket), seg))
+                                  ad.gather_rows(anchor_term, buckets.ids)))
+    weights = ad.reshape(ad.segment_softmax(logits, buckets), (buckets.size, 1))
+    return ad.relu(ad.segment_sum(ad.mul(weights, q_bucket), buckets))
 
 
 def social_aggregate(params: UnaryParams, neighbor_lists: list[list[int]]) -> Tensor:
@@ -66,7 +62,8 @@ def social_aggregate(params: UnaryParams, neighbor_lists: list[list[int]]) -> Te
 
     A user without neighbors gets zeros.
     """
-    flat, seg = _segments(neighbor_lists)
+    flat = np.fromiter(chain.from_iterable(neighbor_lists), dtype=np.intp)
+    seg = ad.Segments([len(ids) for ids in neighbor_lists])
     pooled = ad.segment_mean(ad.gather_rows(params.shared.user, flat), seg)
     return ad.relu(ad.linear(pooled, params.w_soc))
 
@@ -85,46 +82,43 @@ def fuse_context(params: UnaryParams, h_temporal: Tensor, h_social: Tensor,
     return h_user
 
 
-def user_vectors(params: UnaryParams, ctxs, rows: ad.Segments, row_step: np.ndarray,
-                 lo_gru: np.ndarray, s_max: np.ndarray, keep: np.ndarray | None,
-                 p_drop: float) -> Tensor:
+def user_vectors(params: UnaryParams, ds: PreparedDataset, users: np.ndarray,
+                 rows: ad.Segments, row_step: np.ndarray, lo_gru: np.ndarray,
+                 s_max: np.ndarray, keep: np.ndarray | None, p_drop: float) -> Tensor:
     """f's user vector h_f for every (user, step) row of a minibatch, shape (N, d).
 
     f for row i and candidate c is `h_f[i] . e_c`, e_c the candidate's item
     embedding; g's candidate head takes that product together with g's.
-    Row i belongs to user `rows.ids[i]` and predicts step `row_step[i]`.
-    User b's temporal GRU runs from a zero state over
-    `ctxs[b].buckets[lo_gru[b]:s_max[b]]`, each bucket aggregated against
-    the user's own item at that step. All users step in lockstep over
-    (B, d) states, as one `ad.gru_sequence` record; a user with fewer
-    buckets is padded with empty ones at the end, which only move states no
-    step reads. Step s reads the state after bucket s - 1 and fuses it with
-    the social aggregate of the user's neighbors (`fuse_context`, dropout
-    by `keep` included).
+    Row i belongs to user `users[rows.ids[i]]` and predicts step `row_step[i]`.
+    User b's temporal GRU runs from a zero state over its buckets
+    [lo_gru[b], s_max[b]), each aggregated against the user's own item at
+    that step. All users step in lockstep over (B, d) states, as one
+    `ad.gru_sequence` record; a user with fewer buckets is padded with empty
+    ones at the end, which only move states no step reads. Step s reads the
+    state after bucket s - 1 and fuses it with the social aggregate of the
+    user's neighbors (`fuse_context`, dropout by `keep` included).
     """
-    n_users = len(ctxs)
+    n_users = users.size
     row_user = rows.ids
     row_cell = row_step - lo_gru[row_user]
     depths = s_max - lo_gru
     n_steps = int(depths.max())
-    windows = list(zip(ctxs, lo_gru.tolist(), depths.tolist()))
 
-    # Step-major layout: bucket k = t * B + b is user b's t-th bucket.
-    buckets, anchors = [], []
-    for t in range(n_steps):
-        for ctx, lo, depth in windows:
-            if t < depth:
-                buckets.append(ctx.buckets[lo + t])
-                anchors.append(ctx.items[lo + t])
-            else:
-                buckets.append([])
-                anchors.append(0)
+    # Step-major layout: bucket k = t * B + b is user b's t-th bucket; past a
+    # user's last one, an empty bucket anchored on item 0.
+    t = np.arange(n_steps)[:, None]
+    real = t < depths                                       # (T, B)
+    offset = lo_gru + t * real                              # a real step where not real
+    step = (ds.step_start[users] + offset).ravel()
+    buckets = ad.Segments(np.where(real.ravel(), ds.bucket_len[step], 0))
+    items = ds.buckets[_ragged_arange(ds.bucket_start[step], buckets.counts)]
     if params.aggregator == "attention":
-        summaries = bipartite_aggregate_attention(params, anchors, buckets)
+        anchors = np.where(real, ds.items[ds.item_start[users] + offset], 0).ravel()
+        summaries = bipartite_aggregate_attention(params, anchors, items, buckets)
     else:
-        summaries = bipartite_aggregate_sage(params, buckets)
+        summaries = bipartite_aggregate_sage(params, items, buckets)
     states = ad.gru_sequence(summaries, params.temporal_gru, n_steps)
     h_temporal = ad.gather_rows(states, (row_cell - 1) * n_users + row_user)
-    h_social = ad.gather_rows(social_aggregate(params, [ctx.neighbors for ctx in ctxs]),
-                              row_user)
+    h_social = ad.gather_rows(
+        social_aggregate(params, [ds.social.of(u) for u in users.tolist()]), row_user)
     return fuse_context(params, h_temporal, h_social, keep, p_drop)

@@ -12,6 +12,10 @@ Two generators with known structure:
   just consumed - pure graph signal, no sequence signal. Leaders get two
   trailing filler events so their whole stream lands in the training
   split.
+
+`dataset_of` lays per-user records out in the prepared corpus's flat
+arrays, as `prepare` would; `synthetic_dataset` and the hand-built users
+of the scorer tests (`context_record`) go through it.
 """
 
 from __future__ import annotations
@@ -75,13 +79,55 @@ def follower_corpus(n_followers: int = 100, n_items: int = 50, length: int = 8,
     return rows, pairs
 
 
+def dataset_of(records, n_items: int, neighbors: dict | None = None, l_s: int = 50,
+               l_n: int = 3, seed: int = 0):
+    """A PreparedDataset holding `records` (user u's is records[u]) and the
+    `neighbors` adjacency, in memory: each record's lists laid out in the
+    snapshot's flat arrays, one user after another."""
+    from tea.data import PreparedDataset, SocialGraph
+
+    windows = [r.buckets + [r.bucket_val, r.bucket_gap] for r in records]
+    config = {"min_actions": 5, "rating_threshold": 3.0, "tau_days": 60,
+              "l_s": l_s, "l_n": l_n, "walk_cap": 10, "seed": seed}
+    return PreparedDataset(
+        len(records), n_items,
+        seq_len=[len(r.seq_items) for r in records],
+        items=[x for r in records for x in r.seq_items + [r.val_item, r.test_item]],
+        ts=[x for r in records for x in r.seq_ts + [r.val_ts, r.test_ts]],
+        walks=[x for r in records for x in r.walks + [r.walks_val]],
+        bucket_len=[len(b) for w in windows for b in w],
+        buckets=[x for w in windows for b in w for x in b],
+        social=SocialGraph(dict(neighbors or {})), config=config,
+        user_ids=[f"u{i}" for i in range(len(records))],
+        item_ids=[f"v{i}" for i in range(n_items)],
+        n_interactions=sum(len(r.seq_items) + 2 for r in records))
+
+
+def context_record(items, buckets, walks):
+    """A UserRecord whose validation step len(items) sees exactly `items`,
+    `buckets` and `walks` (one of each per event), as do its steps below it.
+
+    The held-out items, the gap bucket and the validation walk bit are
+    placeholders that no step up to len(items) reads.
+    """
+    from tea.data import UserRecord
+
+    n = len(items)
+    assert len(buckets) == len(walks) == n
+    return UserRecord(seq_items=list(items), seq_ts=[T0 + k * DAY for k in range(n)],
+                      val_item=0, val_ts=T0 + n * DAY, test_item=0,
+                      test_ts=T0 + (n + 1) * DAY, buckets=[list(b) for b in buckets[:-1]],
+                      bucket_val=list(buckets[-1]), bucket_gap=[], walks=list(walks),
+                      walks_val=0)
+
+
 def synthetic_dataset(n_users: int, n_items: int, seq_len: int, seed: int,
                       l_s: int, max_bucket: int = 3, max_walks: int = 2):
     """A structurally valid PreparedDataset with random contents, in memory.
 
     For scorer-level checks that need a dataset but not meaningful signal.
     """
-    from tea.data import PreparedDataset, SocialGraph, UserRecord
+    from tea.data import UserRecord
 
     rng = np.random.default_rng(seed)
     users = []
@@ -121,13 +167,8 @@ def synthetic_dataset(n_users: int, n_items: int, seq_len: int, seed: int,
     for u, vs in adjacency.items():
         for v in vs:
             sym[v].add(u)
-    social = SocialGraph({u: sorted(vs) for u, vs in sym.items()})
-    config = {"min_actions": 5, "rating_threshold": 3.0, "tau_days": 60,
-              "l_s": l_s, "l_n": max_bucket, "walk_cap": 10, "seed": seed}
-    return PreparedDataset(n_users, n_items, users, social, config,
-                           [f"u{i}" for i in range(n_users)],
-                           [f"v{i}" for i in range(n_items)],
-                           n_users * (seq_len + 2))
+    return dataset_of(users, n_items, {u: sorted(vs) for u, vs in sym.items()}, l_s=l_s,
+                      l_n=max_bucket, seed=seed)
 
 
 def write_corpus(tmp_dir, rows, pairs, with_social: bool = True):

@@ -45,7 +45,7 @@ import numpy as np
 
 from tea import autodiff as ad
 from tea.autodiff import Tensor
-from tea.model import UserContext
+from tea.data import PreparedDataset
 from tea.params import ModelParams, TransitionParams, UnaryParams
 
 
@@ -279,29 +279,35 @@ def aggregate_steps(params: UnaryParams, buckets: list[list[int]],
     return temporal_recurrence(params, summaries)
 
 
-def score_candidates_single_route(params: ModelParams, ctx: UserContext, step: int,
-                                  candidates: list[int]) -> np.ndarray:
+def score_candidates_single_route(params: ModelParams, ds: PreparedDataset, user: int,
+                                  step: int, candidates: list[int]) -> np.ndarray:
     """Reference scoring through the one-candidate-at-a-time functions.
 
     The slow twin of `score_user_steps` for tests; evaluation mode only.
-    The history keeps the last l_s - 1 items before the step and the
-    temporal GRU its last l_s buckets.
+    It reads the user's lists from `ds.users`: the step sees the first
+    `step` of its items (the sequence, then the validation item), of its
+    buckets (the step buckets, then the validation and the gap bucket) and
+    the has-walk bit of item step - 1. The history keeps the last l_s - 1
+    items before the step and the temporal GRU its last l_s buckets.
     """
+    rec = ds.users[user]
+    items = rec.seq_items + [rec.val_item, rec.test_item]
+    buckets = rec.buckets + [rec.bucket_val, rec.bucket_gap]
+    walks = rec.walks + [rec.walks_val]
     l_s = params.l_s
-    history = ctx.items[max(0, step - (l_s - 1)):step]
+    history = items[max(0, step - (l_s - 1)):step]
     if params.transition.walk_gru is not None:
         # A set bit stands for a nonempty walk set; no score reads the
         # co-user, so one walk with any co-user represents the set.
-        walk = walk_aggregate(params.transition, ctx.user, ctx.items[step - 1],
-                              [0] if ctx.walks[step - 1] else [])
+        walk = walk_aggregate(params.transition, user, items[step - 1],
+                              [0] if walks[step - 1] else [])
     else:
         walk = WalkAggregate(ad.zeros(params.d), ad.zeros(params.d), [])
-    h_temporal = aggregate_steps(params.unary, ctx.buckets[:step], ctx.items[:step],
-                                 l_s)
-    h_social = social_aggregate(params.unary, ctx.neighbors)
+    h_temporal = aggregate_steps(params.unary, buckets[:step], items[:step], l_s)
+    h_social = social_aggregate(params.unary, ds.social.of(user))
     out = []
     for cand in candidates:
-        g = transition_score(params.transition, ctx.user, history, cand, walk)
+        g = transition_score(params.transition, user, history, cand, walk)
         f = unary_score(params.unary, h_temporal, h_social, cand)
         out.append(g.item() + f.item())
     return np.asarray(out)

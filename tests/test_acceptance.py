@@ -15,8 +15,8 @@ import pytest
 from tea import autodiff as ad
 from tea.cli import main
 from tea.data import prepare_dataset, sample_negatives
-from tea.evaluation import EvalConfig, evaluate_all, rank
-from tea.model import score_user_steps, user_context
+from tea.evaluation import EvalConfig, evaluate_all
+from tea.model import score_user_steps
 from tea.objective import sequence_loss
 from tea.params import init_params
 from tea.training import TrainConfig, train
@@ -26,6 +26,7 @@ from corpus import (cycle_corpus, follower_corpus, synthetic_dataset,
 from gradcheck import gradients, max_mismatch, numeric_gradient
 from oracles import (exact_conditional, hr_at_k, ndcg_at_k, score_candidates_single_route,
                      total_loss)
+from scoring import rank_one
 from test_autodiff import _primitive_cases
 
 
@@ -51,8 +52,7 @@ def _tiny_loss_setup(seed):
     negs = sample_negatives(pos, 5, 2, rng).tolist()
 
     def build_loss():
-        scores = score_user_steps(params, [user_context(ds, user, "train")],
-                                  [[step]], [[pos] + negs])
+        scores = score_user_steps(params, ds, "train", [user], [[step]], [[pos] + negs])
         crf = sequence_loss(scores, [(user, step)], n_s=2)
         return total_loss(crf, params.trainable(), gamma=5e-4)
 
@@ -98,13 +98,13 @@ class TestCriterion2ExactConditional:
                                      seed=20_000 + draw)
                 rng = np.random.default_rng(draw)
                 user = int(rng.integers(0, 6))
-                ctx = user_context(ds, user, "train")
                 step = int(rng.integers(1, 4))
                 all_items = list(range(50))
-                fast = score_user_steps(params, [ctx], [[step]], [all_items]).data[0]
+                fast = score_user_steps(params, ds, "train", [user], [[step]],
+                                        [all_items]).data[0]
                 probs = exact_conditional(fast)
                 assert abs(probs.sum() - 1.0) <= 1e-8
-                slow = score_candidates_single_route(params, ctx, step, all_items)
+                slow = score_candidates_single_route(params, ds, user, step, all_items)
                 enumerated = np.exp(slow) / np.exp(slow).sum()
                 np.testing.assert_allclose(probs, enumerated, atol=1e-10)
 
@@ -141,7 +141,7 @@ class TestCriterion4Metrics:
             for _ in range(200):
                 scores = rng.normal(size=101)
                 truth = int(rng.integers(0, 101))
-                assert rank(scores, truth) == rank(scores + 3.25, truth)
+                assert rank_one(scores, truth) == rank_one(scores + 3.25, truth)
 
 
 def _train_and_test_hr(ds, variant, seed=0):
@@ -211,7 +211,7 @@ class TestCriterion7RandomBaseline:
             hits = []
             for _ in range(1500):
                 scores = rng.normal(size=101)
-                hits.append(hr_at_k(rank(scores, 0), 10))
+                hits.append(hr_at_k(rank_one(scores, 0), 10))
             mean = float(np.mean(hits))
             print(f"\n  random-scorer HR@10 = {mean:.4f} (expect ~0.0990)")
             assert abs(mean - 10 / 101) <= 0.02

@@ -420,6 +420,11 @@ class TestEval:
 
 
 class TestAblate:
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        """ablate refuses TEA_SEED, so a value set in the caller's shell stays out."""
+        monkeypatch.delenv("TEA_SEED", raising=False)
+
     def test_grid_table(self, data_dir, tmp_path):
         out = str(tmp_path / "ab")
         code = main(["ablate", "--data", data_dir, "--out", out,
@@ -473,6 +478,32 @@ class TestAblate:
         assert code == 2
         assert flag in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("given, named, grid", [
+        ("--seed", "--seed", "--seeds"),
+        ("TEA_SEED", "TEA_SEED", "--seeds"),
+        ("seed = 5", ":3: seed", "--seeds"),
+        ("variant = tea-a", ":3: variant", "--variants"),
+    ])
+    def test_setting_the_grid_overrides_exit_2(self, data_dir, tmp_path, capsys, monkeypatch,
+                                               given, named, grid):
+        """--seed, TEA_SEED and a config file's seed or variant would be
+        overwritten by every grid run: each exits 2 naming the setting and
+        the grid flag that takes its place, before any output is made."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\nd = 4\n")
+        out = tmp_path / "ab"
+        argv = ["ablate", "--data", data_dir, "--out", str(out), "--config", str(cfg)] + _FAST
+        if given == "--seed":
+            argv += ["--seed", "5"]
+        elif given == "TEA_SEED":
+            monkeypatch.setenv("TEA_SEED", "5")
+        else:
+            cfg.write_text(f"# a comment\nd = 4\n{given}\n")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert named in captured.err and grid in captured.err
 
 
 class TestConfigPrecedence:

@@ -6,35 +6,36 @@ import numpy as np
 import pytest
 
 from tea import evaluation
-from tea.evaluation import EvalConfig, build_candidates, evaluate_all, rank
+from tea.evaluation import EvalConfig, evaluate_all, rank
 from tea.model import score_user_steps
 from tea.objective import NonFiniteScoreError
 from tea.params import init_params
 
 from corpus import synthetic_dataset
 from oracles import hr_at_k, ndcg_at_k
+from scoring import candidate_list, rank_one
 
 
 class TestBuildCandidates:
     def test_large_pool(self):
-        out = build_candidates(7, 1000, 100, np.random.default_rng(0))
+        out = candidate_list(7, 1000, 100, np.random.default_rng(0))
         assert len(out) == 101
         assert out[0] == 7 and out.count(7) == 1
         assert len(set(out)) == 101  # negatives drawn without replacement
 
     def test_small_pool_uses_everything(self):
-        out = build_candidates(3, 50, 100, np.random.default_rng(0))
+        out = candidate_list(3, 50, 100, np.random.default_rng(0))
         assert len(out) == 50
         assert sorted(out) == list(range(50))
 
     def test_same_seed_identical(self):
-        a = build_candidates(5, 200, 100, np.random.default_rng(9))
-        b = build_candidates(5, 200, 100, np.random.default_rng(9))
+        a = candidate_list(5, 200, 100, np.random.default_rng(9))
+        b = candidate_list(5, 200, 100, np.random.default_rng(9))
         assert a == b
 
     def test_too_few_items(self):
         with pytest.raises(ValueError):
-            build_candidates(0, 1, 10, np.random.default_rng(0))
+            candidate_list(0, 1, 10, np.random.default_rng(0))
 
     def test_equals_the_per_draw_shift(self):
         """The same draws, shifted past the truth one by one, as Python ints."""
@@ -43,7 +44,7 @@ class TestBuildCandidates:
             draws = np.random.default_rng(seed).choice(n_items - 1, size=min(n_neg, n_items - 1),
                                                        replace=False)
             want = [truth] + [int(x) + (1 if x >= truth else 0) for x in draws]
-            got = build_candidates(truth, n_items, n_neg, np.random.default_rng(seed))
+            got = candidate_list(truth, n_items, n_neg, np.random.default_rng(seed))
             assert got == want
             assert all(type(x) is int for x in got)
 
@@ -54,12 +55,12 @@ class TestEvalCandidates:
     @pytest.mark.parametrize("seed", [0, 11, -3])
     def test_equals_the_list_built_rows(self, split, seed, n_items, n_neg):
         """One row per user, drawn from SeedSequence([seed, tag, user]) built
-        from a list, exactly as build_candidates returns it; a pool smaller
+        from a list, exactly as build_candidates fills it; a pool smaller
         than n_neg is used whole."""
         ds = synthetic_dataset(n_users=9, n_items=n_items, seq_len=4, seed=5, l_s=4)
         cfg = EvalConfig(ks=(10,), n_neg=n_neg, seed=seed)
         tag = 0xE1 if split == "val" else 0xE2
-        want = np.array([build_candidates(
+        want = np.array([candidate_list(
             ds.users[u].val_item if split == "val" else ds.users[u].test_item,
             n_items, n_neg,
             np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, tag, u])))
@@ -78,18 +79,18 @@ def _rank_sort_oracle(scores, truth_index):
 
 class TestRank:
     def test_strictly_highest(self):
-        assert rank(np.array([9.0, 1.0, 2.0]), 0) == 1
+        assert rank_one(np.array([9.0, 1.0, 2.0]), 0) == 1
 
     def test_tied_with_three_others(self):
         scores = np.array([5.0, 5.0, 5.0, 5.0, 1.0])
-        assert rank(scores, 0) == 4
+        assert rank_one(scores, 0) == 4
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             scores = rng.integers(0, 6, size=20).astype(float)  # force ties
             truth = int(rng.integers(0, 20))
-            assert rank(scores, truth) == _rank_sort_oracle(scores, truth)
+            assert rank_one(scores, truth) == _rank_sort_oracle(scores, truth)
 
     def test_matrix_ranks_each_row(self):
         rng = np.random.default_rng(13)
@@ -98,16 +99,16 @@ class TestRank:
         for truth in (0, 5):
             got = rank(scores, truth)
             assert got.shape == (40,)
-            assert got.tolist() == [rank(row, truth) for row in scores]
+            assert got.tolist() == [_rank_sort_oracle(row, truth) for row in scores]
         assert got[:3].tolist() == [12, 12, 12]
-        assert type(rank(scores[0], 0)) is int
+        assert rank(scores[:1], 0).tolist() == [rank_one(scores[0], 0)]
 
     def test_shift_invariance_exact(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             scores = rng.normal(size=30)
             truth = int(rng.integers(0, 30))
-            assert rank(scores, truth) == rank(scores + 1.7, truth)
+            assert rank_one(scores, truth) == rank_one(scores + 1.7, truth)
 
 
 class TestHrNdcg:
@@ -138,17 +139,21 @@ class TestHrNdcg:
             assert hrs == sorted(hrs) and nds == sorted(nds)
 
 
-def _alone(p, ctx, cands):
-    return score_user_steps(p, [ctx], [[len(ctx.items)]], [cands]).data[0]
+def _alone(ds, split):
+    """A scorer that scores the user's held-out step in a call of its own."""
+    def scorer(params, user, cands):
+        step = int(ds.seq_len[user]) + (split == "test")
+        return score_user_steps(params, ds, split, [user], [[step]], [cands]).data[0]
+    return scorer
 
 
 def _spy_calls(monkeypatch) -> list:
     """Record each scoring call's users and candidate shape."""
     calls = []
 
-    def spy(p, ctxs, steps, cands, *args, **kwargs):
-        calls.append(([ctx.user for ctx in ctxs], np.shape(cands)))
-        return score_user_steps(p, ctxs, steps, cands, *args, **kwargs)
+    def spy(p, ds, split, users, steps, cands, *args, **kwargs):
+        calls.append((list(users), np.shape(cands)))
+        return score_user_steps(p, ds, split, users, steps, cands, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "score_user_steps", spy)
     return calls
@@ -165,7 +170,7 @@ def _user_rows(ds, split, user, l_s, cand_rows):
 
 class TestEvaluateAll:
     def test_perfect_scorer(self, toy_dataset, tiny_params):
-        def perfect(params, ctx, cands):
+        def perfect(params, user, cands):
             scores = np.zeros(len(cands))
             scores[0] = 1.0  # truth is always first in the candidate list
             return scores
@@ -192,7 +197,7 @@ class TestEvaluateAll:
         assert calls == []
 
     def test_constant_scorer_with_pessimistic_ties(self, toy_dataset, tiny_params):
-        def constant(params, ctx, cands):
+        def constant(params, user, cands):
             return np.zeros(len(cands))
 
         report = evaluate_all(tiny_params, toy_dataset, "test",
@@ -204,13 +209,13 @@ class TestEvaluateAll:
         # Under uniform random scores with 101 candidates the truth's rank
         # is uniform on 1..101, so E[HR@10] = 10/101.
         rng = np.random.default_rng(2024)
-        hits = [hr_at_k(rank(rng.normal(size=101), 0), 10) for _ in range(2000)]
+        hits = [hr_at_k(rank_one(rng.normal(size=101), 0), 10) for _ in range(2000)]
         assert abs(np.mean(hits) - 10 / 101) < 0.02
 
     def test_report_bounds_and_sizes(self, toy_dataset, tiny_params):
         rng_holder = np.random.default_rng(5)
 
-        def random_scorer(params, ctx, cands):
+        def random_scorer(params, user, cands):
             return rng_holder.normal(size=len(cands))
 
         report = evaluate_all(tiny_params, toy_dataset, "val",
@@ -225,7 +230,7 @@ class TestEvaluateAll:
     def test_candidates_fixed_given_seed(self, toy_dataset, tiny_params):
         seen = []
 
-        def spy(params, ctx, cands):
+        def spy(params, user, cands):
             seen.append(tuple(cands))
             return np.zeros(len(cands))
 
@@ -239,10 +244,10 @@ class TestEvaluateAll:
     def test_nan_score_raises(self, toy_dataset, tiny_params, bad):
         # a NaN truth would rank first and a NaN negative would never count
         # against the truth: both must fail instead of inflating HR/NDCG
-        def nan_for_user_two(params, ctx, cands):
+        def nan_for_user_two(params, user, cands):
             scores = np.zeros(len(cands))
             scores[0] = 1.0
-            if ctx.user == 2:
+            if user == 2:
                 scores[bad] = np.nan
             return scores
 
@@ -257,7 +262,7 @@ class TestEvaluateAll:
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
                              l_s=toy_dataset.config["l_s"], variant="tea-a", seed=12)
         cfg = EvalConfig(ks=(5, 10), n_neg=15, seed=4)
-        want = evaluate_all(params, toy_dataset, "val", cfg, scorer=_alone)
+        want = evaluate_all(params, toy_dataset, "val", cfg, scorer=_alone(toy_dataset, "val"))
         for rows in (1, 50, evaluation.EVAL_ROWS, 1 << 62):
             monkeypatch.setattr(evaluation, "EVAL_ROWS", rows)
             got = evaluate_all(params, toy_dataset, "val", cfg)
@@ -274,7 +279,7 @@ class TestEvaluateAll:
         cfg = EvalConfig(ks=(10,), n_neg=15, seed=3)       # 16 candidates: 4 rows of d
         default = evaluation.EVAL_ROWS
         for split in ("val", "test"):
-            want = evaluate_all(params, ds, split, cfg, scorer=_alone)
+            want = evaluate_all(params, ds, split, cfg, scorer=_alone(ds, split))
             sizes = [_user_rows(ds, split, user, l_s=4, cand_rows=4)
                      for user in range(ds.n_users)]
             for budget in (1, 24, 60, default):
@@ -323,11 +328,11 @@ class TestEvaluateAll:
         tied scores as well as greater ones."""
         wanted = [1, 1, 3, 3, 16, 11, 2, 5, 5, 16]             # 16 candidates
 
-        def scorer(params, ctx, cands):
-            r = wanted[ctx.user]
+        def scorer(params, user, cands):
+            r = wanted[user]
             scores = np.zeros(len(cands))
             scores[0] = 0.5
-            scores[1:r] = 0.5 if ctx.user % 2 else 1.0          # tied, or above
+            scores[1:r] = 0.5 if user % 2 else 1.0              # tied, or above
             return scores
 
         ks = (1, 5, 10, 50)

@@ -189,3 +189,41 @@ def test_backward_writes_into_the_gradient_vector():
              and isinstance(sub.func, ast.Name) and sub.func.id == "backward"]
     assert calls == ["backward(loss, tape, grad_views)"]
     assert modules["training"].names["backward"] == ("autodiff", "backward")
+
+
+def test_the_prepared_corpus_is_its_arrays(tmp_path, monkeypatch):
+    """The package scores from the snapshot's arrays: no module defines a
+    per-user context, and outside data.py none names UserRecord or reads
+    `.users`. prepare_dataset, save and load construct no UserRecord; only
+    the `users` view, on first access, builds them."""
+    from tea import data
+
+    from corpus import cycle_corpus, write_corpus
+
+    modules = load_package(PACKAGE)
+    for name in ("UserContext", "user_context"):
+        assert not any(name in module.defs for module in modules.values()), name
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert "UserRecord" not in source, path.name
+        reads = [sub for sub in ast.walk(ast.parse(source))
+                 if isinstance(sub, ast.Attribute) and sub.attr == "users"]
+        assert not reads, (path.name, [ast.unparse(sub) for sub in reads])
+
+    built = []
+
+    class Counted(data.UserRecord):
+        def __init__(self, *args, **kwargs) -> None:
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(data, "UserRecord", Counted)
+    rows, pairs = cycle_corpus(n_users=6, n_items=12, length=8, stride=2)
+    prepared = data.prepare_dataset(*write_corpus(str(tmp_path / "corpus"), rows, pairs),
+                                    min_actions=1, l_s=8, l_n=3)
+    prepared.save(str(tmp_path / "snap"))
+    loaded = data.PreparedDataset.load(str(tmp_path / "snap"))
+    assert built == []
+    assert loaded.users == prepared.users and len(built) == 2 * prepared.n_users

@@ -1,5 +1,6 @@
 """Context assembly and end-to-end scoring across both score functions."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 
 from tea import autodiff as ad
 from tea import unary
-from tea.data import prepare_dataset
-from tea.model import UserContext, score_user_steps, user_context
+from tea.data import _ragged_arange, prepare_dataset
+from tea.model import score_user_steps
 from tea.objective import sequence_loss
 from tea.params import init_params
 
-from corpus import cycle_corpus, synthetic_dataset, write_corpus
+from corpus import (context_record, cycle_corpus, dataset_of, follower_corpus,
+                    synthetic_dataset, write_corpus)
 from oracles import score_candidates_single_route, total_loss
 from gradcheck import assert_gradients_match, dense_backward, gradients
 from scoring import score_steps
@@ -20,102 +22,136 @@ from scoring import score_steps
 VARIANTS = ["tea-s", "tea-a", "tea-rs", "tea-ra"]
 
 
+def _segment(ds, user):
+    """The user's items, buckets and walk bits, read from the arrays by its starts."""
+    e, w, n = ds.item_start[user], ds.step_start[user], int(ds.seq_len[user])
+    buckets = [ds.buckets[ds.bucket_start[k]:ds.bucket_start[k + 1]].tolist()
+               for k in range(w, w + n + 1)]
+    return ds.items[e:e + n + 2].tolist(), buckets, ds.walks[w:w + n + 1].tolist()
+
+
+def _toy_params(ds, seed=90):
+    return init_params(ds.n_users, ds.n_items, d=4, l_s=ds.config["l_s"],
+                       variant="tea-s", seed=seed)
+
+
 class TestContexts:
+    """Every split's context is a prefix of the user's segment in the arrays;
+    the split only bounds the step."""
+
     def test_training_context_shape(self, toy_dataset):
-        ctx = user_context(toy_dataset, user=0, split="train")
+        items, buckets, walks = _segment(toy_dataset, 0)
         rec = toy_dataset.users[0]
         # step 3 sees the first three events and the has-walk bit of the third
-        assert ctx.items[:3] == rec.seq_items[:3]
-        assert ctx.buckets[:3] == rec.buckets[:3]
-        assert ctx.items[2] == rec.seq_items[2]
-        assert ctx.walks[2] == rec.walks[2]
-        assert ctx.neighbors == toy_dataset.social.of(0)
+        assert items[:3] == rec.seq_items[:3]
+        assert buckets[:3] == rec.buckets[:3]
+        assert items[2] == rec.seq_items[2]
+        assert walks[2] == rec.walks[2]
 
     def test_training_context_bounds(self, toy_dataset):
-        params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
-                             l_s=toy_dataset.config["l_s"], variant="tea-s",
-                             seed=90)
-        ctx = user_context(toy_dataset, 0, "train")
+        params = _toy_params(toy_dataset)
+        n = int(toy_dataset.seq_len[0])
         with pytest.raises(IndexError):
-            score_user_steps(params, [ctx], [[0]], [[1]])
+            score_user_steps(params, toy_dataset, "train", [0], [[0]], [[1]])
         with pytest.raises(IndexError):
-            score_user_steps(params, [ctx], [[len(toy_dataset.users[0].seq_items)]],
-                             [[1]])
+            score_user_steps(params, toy_dataset, "train", [0], [[n]], [[1]])
+        with pytest.raises(IndexError):
+            score_user_steps(params, toy_dataset, "train", [0], [[]], np.zeros((0, 1)))
+        score_user_steps(params, toy_dataset, "train", [0], [[1, n - 1]], [[1], [1]])
 
     def test_val_context(self, toy_dataset):
-        ctx = user_context(toy_dataset, 1, "val")
+        items, buckets, walks = _segment(toy_dataset, 1)
         rec = toy_dataset.users[1]
-        assert ctx.items == rec.seq_items
-        assert ctx.buckets[-1] == rec.bucket_val
-        assert ctx.items[-1] == rec.seq_items[-1]
-        assert ctx.walks[-1] == rec.walks[-1]
+        n = len(rec.seq_items)
+        assert items[:n] == rec.seq_items
+        assert buckets[n - 1] == rec.bucket_val
+        assert items[n - 1] == rec.seq_items[-1]
+        assert walks[n - 1] == rec.walks[-1]
+        params = _toy_params(toy_dataset)
+        score_user_steps(params, toy_dataset, "val", [1], [[n]], [[1]])
+        with pytest.raises(IndexError):
+            score_user_steps(params, toy_dataset, "val", [1], [[n + 1]], [[1]])
 
     def test_test_context_sees_validation_event(self, toy_dataset):
-        ctx = user_context(toy_dataset, 1, "test")
+        items, buckets, walks = _segment(toy_dataset, 1)
         rec = toy_dataset.users[1]
-        assert ctx.items == rec.seq_items + [rec.val_item]
-        assert ctx.buckets[-2:] == [rec.bucket_val, rec.bucket_gap]
-        assert ctx.items[-1] == rec.val_item
-        assert ctx.walks[-1] == rec.walks_val
+        n = len(rec.seq_items)
+        assert items[:n + 1] == rec.seq_items + [rec.val_item]
+        assert buckets[n - 1:n + 1] == [rec.bucket_val, rec.bucket_gap]
+        assert items[n] == rec.val_item
+        assert walks[n] == rec.walks_val
+        params = _toy_params(toy_dataset)
+        score_user_steps(params, toy_dataset, "test", [1], [[n + 1]], [[1]])
+        with pytest.raises(IndexError):
+            score_user_steps(params, toy_dataset, "test", [1], [[n + 2]], [[1]])
 
     def test_no_context_contains_the_target(self, toy_dataset):
         # The target item may legitimately appear in history (revisits), but
         # the *event* must not: every bucket/walk timestamp source is train
-        # data, checked in test_data; here we check the history cutoff.
+        # data, checked in test_data; here we check the history cutoff. The
+        # segment ends with the test item, which no split's last step reads.
+        params = _toy_params(toy_dataset)
         for user in range(toy_dataset.n_users):
             rec = toy_dataset.users[user]
-            ctx_val = user_context(toy_dataset, user, "val")
-            assert len(ctx_val.items) == len(rec.seq_items)
-            ctx_test = user_context(toy_dataset, user, "test")
-            assert len(ctx_test.items) == len(rec.seq_items) + 1
-            # the held-out step len(items) is the last one the context can score
-            for ctx in (ctx_val, ctx_test):
-                assert len(ctx.buckets) == len(ctx.walks) == len(ctx.items)
+            n = len(rec.seq_items)
+            items, buckets, walks = _segment(toy_dataset, user)
+            assert items[n + 1] == rec.test_item
+            assert len(buckets) == len(walks) == len(items) - 1 == n + 1
+            for split, last in (("val", n), ("test", n + 1)):
+                with pytest.raises(IndexError):
+                    score_user_steps(params, toy_dataset, split, [user], [[last + 1]],
+                                     [[1]])
 
     def test_unknown_split_rejected(self, toy_dataset):
-        with pytest.raises(ValueError):
-            user_context(toy_dataset, 0, "holdout")
+        with pytest.raises(ValueError, match="split"):
+            score_user_steps(_toy_params(toy_dataset), toy_dataset, "holdout", [0], [[1]],
+                             [[1]])
 
 
-def _ctx(user=1, items=(0, 2, 3), walks=(1, 0, 1)):
-    return UserContext(user=user, items=list(items),
-                       buckets=[[1, 2], [], [0, 4]],
-                       walks=list(walks), neighbors=[0, 2])
+_BLANK = ([0], [[]], [0])
 
 
-def _score(params, ctx, cands, **kwargs):
-    """Scores of the held-out step len(ctx.items)."""
-    return score_steps(params, ctx, [len(ctx.items)], [cands], **kwargs)[0]
+def _ds(items=(0, 2, 3), walks=(1, 0, 1)):
+    """User 1 of three: `items` with buckets [[1, 2], [], [0, 4]], `walks` and
+    neighbors [0, 2], held out at its validation step len(items)."""
+    user = context_record(items, [[1, 2], [], [0, 4]], walks)
+    return dataset_of([context_record(*_BLANK), user, context_record(*_BLANK)], n_items=5,
+                      neighbors={1: [0, 2]})
+
+
+def _score(params, ds, cands, **kwargs):
+    """Scores of user 1's held-out step."""
+    return score_steps(params, ds, "val", 1, [int(ds.seq_len[1])], [cands], **kwargs)[0]
 
 
 class TestScoring:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batched_equals_single_route(self, variant):
         params = init_params(3, 5, 4, 6, variant, seed=19)
-        ctx = _ctx()
+        ds = _ds()
         cands = [0, 1, 2, 3, 4]
-        batched = _score(params, ctx, cands).data
-        single = score_candidates_single_route(params, ctx, 3, cands)
+        batched = _score(params, ds, cands).data
+        single = score_candidates_single_route(params, ds, 1, 3, cands)
         np.testing.assert_allclose(batched, single, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        a = _score(params, _ctx(), [0, 1]).data
-        b = _score(params, _ctx(), [0, 1]).data
+        a = _score(params, _ds(), [0, 1]).data
+        b = _score(params, _ds(), [0, 1]).data
         np.testing.assert_array_equal(a, b)
 
     def test_training_mode_dropout_changes_scores(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        eval_scores = _score(params, _ctx(), [0, 1]).data
-        train_scores = _score(params, _ctx(), [0, 1], training=True,
+        eval_scores = _score(params, _ds(), [0, 1]).data
+        train_scores = _score(params, _ds(), [0, 1], training=True,
                               rngs=[np.random.default_rng(0)], p_drop=0.5).data
         assert not np.allclose(eval_scores, train_scores)
 
     def test_same_dropout_stream_reproduces(self):
         params = init_params(3, 5, 4, 6, "tea-s", seed=7)
-        a = _score(params, _ctx(), [0, 1], training=True,
+        a = _score(params, _ds(), [0, 1], training=True,
                    rngs=[np.random.default_rng(3)]).data
-        b = _score(params, _ctx(), [0, 1], training=True,
+        b = _score(params, _ds(), [0, 1], training=True,
                    rngs=[np.random.default_rng(3)]).data
         np.testing.assert_array_equal(a, b)
 
@@ -129,22 +165,16 @@ class TestScoring:
                 reduced.shared.named() + reduced.unary.named()):
             assert name_f == name_r
             np.testing.assert_array_equal(t_f.data, t_r.data)
-        ctx = _ctx()
-        no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
-                                  [0 for _ in ctx.walks], ctx.neighbors)
-        got_reduced = _score(reduced, ctx, [0, 1, 2]).data
-        got_full_zeroed = _score(full, no_walk_ctx, [0, 1, 2]).data
+        got_reduced = _score(reduced, _ds(), [0, 1, 2]).data
+        got_full_zeroed = _score(full, _ds(walks=(0, 0, 0)), [0, 1, 2]).data
         np.testing.assert_allclose(got_reduced, got_full_zeroed, atol=1e-15)
 
     def test_attention_reduced_variant(self):
         full = init_params(3, 5, 4, 6, "tea-a", seed=29)
         reduced = init_params(3, 5, 4, 6, "tea-ra", seed=29)
-        ctx = _ctx()
-        no_walk_ctx = UserContext(ctx.user, ctx.items, ctx.buckets,
-                                  [0 for _ in ctx.walks], ctx.neighbors)
         np.testing.assert_allclose(
-            _score(reduced, ctx, [1, 4]).data,
-            _score(full, no_walk_ctx, [1, 4]).data, atol=1e-15)
+            _score(reduced, _ds(), [1, 4]).data,
+            _score(full, _ds(walks=(0, 0, 0)), [1, 4]).data, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +198,12 @@ class TestWindows:
                              variant=variant, seed=94)
         rng = np.random.default_rng(4)
         for user in range(ds.n_users):
-            ctx = user_context(ds, user, "train")
-            steps = list(range(1, len(ctx.items)))
+            steps = list(range(1, int(ds.seq_len[user])))
             cand_lists = [rng.integers(0, ds.n_items, size=6).tolist()
                           for _ in steps]
-            got = score_steps(params, ctx, steps, cand_lists)
+            got = score_steps(params, ds, "train", user, steps, cand_lists)
             for step, cands, scores in zip(steps, cand_lists, got):
-                want = score_candidates_single_route(params, ctx, step, cands)
+                want = score_candidates_single_route(params, ds, user, step, cands)
                 np.testing.assert_allclose(scores.data, want, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -188,32 +217,33 @@ class TestWindows:
         params = init_params(4, 9, d=4, l_s=l_s, variant=variant, seed=95)
         cands = list(range(9))
         for user in range(ds.n_users):
-            for split in ("val", "test"):
-                ctx = user_context(ds, user, split)
-                step = len(ctx.items)
-                got = _score(params, ctx, cands).data
-                want = score_candidates_single_route(params, ctx, step, cands)
+            for split, step in (("val", seq_len), ("test", seq_len + 1)):
+                got = score_steps(params, ds, split, user, [step], [cands])[0].data
+                want = score_candidates_single_route(params, ds, user, step, cands)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_sees_only_its_window(self, variant):
-        """Step s of a long context scores as the context cut at max(0, s - l_s)."""
+        """Step s of a long context scores as step s - cut of a user whose
+        events are the context's [cut, s), cut = max(0, s - l_s)."""
         l_s = 4
         ds = synthetic_dataset(n_users=3, n_items=9, seq_len=14, seed=310,
                                l_s=l_s)
         params = init_params(3, 9, d=4, l_s=l_s, variant=variant, seed=96)
         cands = [0, 3, 5, 8]
         for user in range(ds.n_users):
-            ctx = user_context(ds, user, "train")
-            for s in range(1, len(ctx.items)):
+            rec = ds.users[user]
+            for s in range(1, len(rec.seq_items)):
                 cut = max(0, s - l_s)
-                short = UserContext(ctx.user, ctx.items[cut:], ctx.buckets[cut:],
-                                    ctx.walks[cut:], ctx.neighbors)
-                got = score_steps(params, ctx, [s], [cands])[0].data
-                want = score_steps(params, short, [s - cut], [cands])[0].data
+                records = list(ds.users)
+                records[user] = context_record(rec.seq_items[cut:s], rec.buckets[cut:s],
+                                               rec.walks[cut:s])
+                short = dataset_of(records, ds.n_items, ds.social.neighbors, l_s=l_s)
+                got = score_steps(params, ds, "train", user, [s], [cands])[0].data
+                want = score_steps(params, short, "val", user, [s - cut], [cands])[0].data
                 np.testing.assert_allclose(got, want, atol=1e-12)
                 np.testing.assert_allclose(
-                    got, score_candidates_single_route(params, ctx, s, cands),
+                    got, score_candidates_single_route(params, ds, user, s, cands),
                     atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -221,12 +251,68 @@ class TestWindows:
         l_s = 4
         ds = synthetic_dataset(n_users=2, n_items=9, seq_len=8, seed=320, l_s=l_s)
         params = init_params(2, 9, d=4, l_s=l_s, variant=variant, seed=97)
-        ctx = user_context(ds, 0, "train")
         for steps in ([l_s - 1, l_s], [l_s, l_s + 1], [1, 6]):
             with pytest.raises(ValueError, match="window"):
-                score_user_steps(params, [ctx], [steps], [[0, 1]] * len(steps))
+                score_user_steps(params, ds, "train", [0], [steps], [[0, 1]] * len(steps))
         # every step below l_s shares the window that starts at 0
-        score_user_steps(params, [ctx], [[1, l_s - 1]], [[0, 1], [2, 3]])
+        score_user_steps(params, ds, "train", [0], [[1, l_s - 1]], [[0, 1], [2, 3]])
+
+
+@pytest.fixture(scope="module")
+def leak_corpora(tmp_path_factory):
+    """A random synthetic dataset whose windows slide (seq_len past l_s) and the
+    prepared follower corpus, whose gap buckets hold the leaders' last items."""
+    rows, pairs = follower_corpus(n_followers=20, n_items=15, length=8, seed=3)
+    follower = prepare_dataset(*write_corpus(str(tmp_path_factory.mktemp("follower")),
+                                             rows, pairs), min_actions=1, seed=0)
+    return {"synthetic": synthetic_dataset(n_users=6, n_items=12, seq_len=7, seed=41,
+                                           l_s=4, max_bucket=4),
+            "follower": follower}
+
+
+def _overwrite_from(ds, first: np.ndarray, rng):
+    """A copy of `ds` whose items, bucket items and walk bits from segment
+    step first[u] on hold other values, for every user u."""
+    n = ds.seq_len.astype(np.intp)
+    items, buckets, walks = ds.items.copy(), ds.buckets.copy(), ds.walks.copy()
+    at = _ragged_arange(ds.item_start + first, n + 2 - first)        # items past the prefix
+    items[at] = (items[at] + rng.integers(1, ds.n_items, at.size)) % ds.n_items
+    steps = _ragged_arange(ds.step_start + first, np.maximum(n + 1 - first, 0))
+    walks[steps] ^= 1
+    at = _ragged_arange(ds.bucket_start[steps], ds.bucket_len[steps])
+    buckets[at] = (buckets[at] + rng.integers(1, ds.n_items, at.size)) % ds.n_items
+    return dataclasses.replace(ds, items=items, buckets=buckets, walks=walks)
+
+
+class TestHeldOutLeak:
+    """A split's steps read a prefix of each user's segment: overwriting every
+    event past the split's last step changes no score of its steps by a bit.
+    For validation (last step n) that is the validation and the test item,
+    the gap bucket and the validation walk bit; for training (last step
+    n - 1) also the last training item and its walk bit and the validation
+    bucket; for test (n + 1) the test item."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("corpus", ["synthetic", "follower"])
+    @pytest.mark.parametrize("split, last", [("train", -1), ("val", 0), ("test", 1)])
+    def test_scores_ignore_what_follows_the_last_step(self, leak_corpora, corpus, variant,
+                                                      split, last):
+        ds = leak_corpora[corpus]
+        rng = np.random.default_rng(5)
+        last = ds.seq_len.astype(np.intp) + last
+        changed = _overwrite_from(ds, last, rng)
+        assert (changed.items != ds.items).sum() == (ds.seq_len + 2 - last).sum()
+        if split != "test":
+            assert (changed.buckets != ds.buckets).any()
+        params = init_params(ds.n_users, ds.n_items, d=4, l_s=ds.config["l_s"],
+                             variant=variant, seed=6)
+        # one call per step, so a call's steps never need two windows
+        for step in range(1, int(last.max()) + 1):
+            users = np.flatnonzero(last >= step)
+            cands = rng.integers(0, ds.n_items, size=(users.size, 8))
+            scores = [score_user_steps(params, data, split, users, [[step]] * users.size,
+                                       cands).data.tobytes() for data in (ds, changed)]
+            assert scores[0] == scores[1], step
 
 
 class TestGroupedScoring:
@@ -238,25 +324,24 @@ class TestGroupedScoring:
                              l_s=toy_dataset.config["l_s"], variant=variant,
                              seed=91)
         user = 2
-        ctx = user_context(toy_dataset, user, "train")
-        steps = list(range(1, len(ctx.items)))
+        steps = list(range(1, int(toy_dataset.seq_len[user])))
         rng = np.random.default_rng(0)
         cand_lists = [rng.integers(0, toy_dataset.n_items, size=6).tolist()
                       for _ in steps]
-        grouped = score_steps(params, ctx, steps, cand_lists)
+        grouped = score_steps(params, toy_dataset, "train", user, steps, cand_lists)
         for step, cands, got in zip(steps, cand_lists, grouped):
-            want = score_steps(params, ctx, [step], [cands])[0]
+            want = score_steps(params, toy_dataset, "train", user, [step], [cands])[0]
             np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
     def test_grouped_gradients(self, toy_dataset):
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, d=4,
                              l_s=toy_dataset.config["l_s"], variant="tea-s",
                              seed=93)
-        ctx = user_context(toy_dataset, 1, "train")
         target = ad.Tensor(np.random.default_rng(2).normal(size=3))
 
         def build():
-            outs = score_steps(params, ctx, [1, 3], [[0, 2, 4], [1, 3, 5]])
+            outs = score_steps(params, toy_dataset, "train", 1, [1, 3],
+                               [[0, 2, 4], [1, 3, 5]])
             both = ad.add(ad.mul(outs[0], target), ad.mul(outs[1], target))
             return ad.total_sum(both)
 
@@ -269,16 +354,17 @@ class TestGroupedScoring:
 
 
 def _batch_contexts(l_s, seed=0, n_items=9):
-    """Users of different lengths with empty buckets, walks and neighbors.
+    """Five users of different lengths with empty buckets, walks and neighbors,
+    each held out at its validation step.
 
-    Returns (contexts, step lists): user 0 holds exactly l_s events and
-    scores its training steps; users 1 and 2 score held-out steps l_s and
-    l_s + 1; user 3 is short, with empty buckets, no walks and no
-    neighbors; user 4 scores two training steps.
+    Returns (dataset, step lists for the "val" split): user 0 holds exactly
+    l_s events and scores its training steps; users 1 and 2 score held-out
+    steps l_s and l_s + 1; user 3 is short, with empty buckets, no walks and
+    no neighbors; user 4 scores two training steps.
     """
     rng = np.random.default_rng(seed)
 
-    def ctx(user, n, neighbors=(0, 2), empty=False):
+    def ctx(n, empty=False):
         items = rng.integers(0, n_items, size=n).tolist()
         buckets = [[] if empty or rng.random() < 0.3
                    else rng.integers(0, n_items, size=rng.integers(1, 4)).tolist()
@@ -290,12 +376,15 @@ def _batch_contexts(l_s, seed=0, n_items=9):
             return 1
 
         walks = [has_walk() for _ in range(n)]
-        return UserContext(user, items, buckets, walks, list(neighbors))
+        return context_record(items, buckets, walks)
 
-    ctxs = [ctx(0, l_s), ctx(1, l_s), ctx(2, l_s + 1),
-            ctx(3, 3, neighbors=(), empty=True), ctx(4, 5, neighbors=(1,))]
+    records = [ctx(l_s), ctx(l_s), ctx(l_s + 1), ctx(3, empty=True), ctx(5)]
+    neighbors = {0: [0, 2], 1: [0, 2], 2: [0, 2], 3: [], 4: [1]}
     steps = [list(range(1, l_s)), [l_s], [l_s + 1], [1, 2], [1, 2]]
-    return ctxs, steps
+    return dataset_of(records, n_items, neighbors, l_s=l_s), steps
+
+
+_USERS = list(range(5))
 
 
 def _candidate_rows(steps, seed, n_items=9, n_cands=6):
@@ -309,71 +398,72 @@ class TestBatchedProgram:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_single_candidate_oracle(self, variant):
         l_s = 4
-        ctxs, steps = _batch_contexts(l_s, seed=1)
+        ds, steps = _batch_contexts(l_s, seed=1)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=101)
         cands = _candidate_rows(steps, seed=2)
-        got = score_user_steps(params, ctxs, steps, cands).data
+        got = score_user_steps(params, ds, "val", _USERS, steps, cands).data
         assert got.shape == cands.shape
-        rows = [(ctx, s) for ctx, st in zip(ctxs, steps) for s in st]
-        for (ctx, s), row, want_cands in zip(rows, got, cands):
-            want = score_candidates_single_route(params, ctx, s, want_cands.tolist())
+        rows = [(user, s) for user, st in zip(_USERS, steps) for s in st]
+        for (user, s), row, want_cands in zip(rows, got, cands):
+            want = score_candidates_single_route(params, ds, user, s, want_cands.tolist())
             np.testing.assert_allclose(row, want, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_oracle_at_l_s_one(self, variant):
         # l_s = 1: every window is empty and each user scores one step
-        ctxs, _ = _batch_contexts(4, seed=3)
+        ds, _ = _batch_contexts(4, seed=3)
         steps = [[4], [2], [5], [1], [3]]
         params = init_params(5, 9, d=4, l_s=1, variant=variant, seed=102)
         cands = _candidate_rows(steps, seed=4)
-        got = score_user_steps(params, ctxs, steps, cands).data
-        for ctx, st, row, want_cands in zip(ctxs, steps, got, cands):
-            want = score_candidates_single_route(params, ctx, st[0], want_cands.tolist())
+        got = score_user_steps(params, ds, "val", _USERS, steps, cands).data
+        for user, st, row, want_cands in zip(_USERS, steps, got, cands):
+            want = score_candidates_single_route(params, ds, user, st[0], want_cands.tolist())
             np.testing.assert_allclose(row, want, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_do_not_depend_on_batch_mates(self, variant):
         l_s = 4
-        ctxs, steps = _batch_contexts(l_s, seed=5)
+        ds, steps = _batch_contexts(l_s, seed=5)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=103)
         cands = _candidate_rows(steps, seed=6)
 
         def rngs(subset):
-            return [np.random.default_rng([7, ctx.user]) for ctx in subset]
+            return [np.random.default_rng([7, user]) for user in subset]
 
-        together = score_user_steps(params, ctxs, steps, cands, training=True,
-                                    rngs=rngs(ctxs)).data
+        together = score_user_steps(params, ds, "val", _USERS, steps, cands, training=True,
+                                    rngs=rngs(_USERS)).data
         first = 0
-        for ctx, st in zip(ctxs, steps):
+        for user, st in zip(_USERS, steps):
             rows = slice(first, first + len(st))
-            alone = score_user_steps(params, [ctx], [st], cands[rows], training=True,
-                                     rngs=rngs([ctx])).data
+            alone = score_user_steps(params, ds, "val", [user], [st], cands[rows],
+                                     training=True, rngs=rngs([user])).data
             np.testing.assert_allclose(together[rows], alone, atol=1e-12)
             first += len(st)
         # the pairing is not trivial: dropout is on and draws differ per user
-        eval_mode = score_user_steps(params, ctxs, steps, cands).data
+        eval_mode = score_user_steps(params, ds, "val", _USERS, steps, cands).data
         assert not np.allclose(together, eval_mode)
 
     def test_rejects_mismatched_candidates(self):
-        ctxs, steps = _batch_contexts(4, seed=8)
+        ds, steps = _batch_contexts(4, seed=8)
         params = init_params(5, 9, d=4, l_s=4, variant="tea-s", seed=104)
         with pytest.raises(ValueError, match="candidates"):
-            score_user_steps(params, ctxs, steps, _candidate_rows(steps[:-1], seed=9))
+            score_user_steps(params, ds, "val", _USERS, steps,
+                             _candidate_rows(steps[:-1], seed=9))
 
     @pytest.mark.parametrize("variant", ["tea-s", "tea-a"])
     def test_batched_loss_gradients(self, variant):
         """The training loss over a multi-user batch, every leaf by finite differences."""
         l_s = 3
-        ctxs, _ = _batch_contexts(l_s, seed=10)
+        ds, _ = _batch_contexts(l_s, seed=10)
         steps = [[1, 2], [3], [4], [1, 2], [2]]
         params = init_params(5, 9, d=3, l_s=l_s, variant=variant, seed=105)
         cands = _candidate_rows(steps, seed=11, n_cands=3)
-        keys = [(ctx.user, s) for ctx, st in zip(ctxs, steps) for s in st]
+        keys = [(user, s) for user, st in zip(_USERS, steps) for s in st]
 
         def build():
-            rngs = [np.random.default_rng([12, ctx.user]) for ctx in ctxs]
-            scores = score_user_steps(params, ctxs, steps, cands, training=True,
-                                      rngs=rngs)
+            rngs = [np.random.default_rng([12, user]) for user in _USERS]
+            scores = score_user_steps(params, ds, "val", _USERS, steps, cands,
+                                      training=True, rngs=rngs)
             return total_loss(sequence_loss(scores, keys, n_s=2),
                               params.trainable(), gamma=5e-3)
 
@@ -384,11 +474,11 @@ class TestComposedGradients:
     @pytest.mark.parametrize("variant", ["tea-s", "tea-a"])
     def test_full_score_gradients(self, variant):
         params = init_params(3, 5, 4, 6, variant, seed=37)
-        ctx = _ctx()
+        ds = _ds()
         target = ad.Tensor(np.random.default_rng(1).normal(size=3))
 
         def build():
-            return ad.total_sum(ad.mul(_score(params, ctx, [0, 2, 4]), target))
+            return ad.total_sum(ad.mul(_score(params, ds, [0, 2, 4]), target))
 
         assert_gradients_match(build, params.trainable())
 
@@ -397,14 +487,14 @@ class TestComposedGradients:
     def test_batch_gradients_equal_the_dense_reference(self, variant, gamma):
         """Every table is gathered several times; merged rows change no bit."""
         l_s = 4
-        ctxs, steps = _batch_contexts(l_s, seed=6)
+        ds, steps = _batch_contexts(l_s, seed=6)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=104)
         named = params.trainable()
         cands = _candidate_rows(steps, seed=7)
         n_rows, n_s = cands.shape[0], cands.shape[1] - 1
-        rngs = [np.random.default_rng(user) for user in range(len(ctxs))]
+        rngs = [np.random.default_rng(user) for user in _USERS]
         with ad.Tape() as tape:
-            scores = score_user_steps(params, ctxs, steps, cands, training=True,
+            scores = score_user_steps(params, ds, "val", _USERS, steps, cands, training=True,
                                       rngs=rngs, p_drop=0.3)
             keys = [(0, row) for row in range(n_rows)]
             loss = total_loss(sequence_loss(scores, keys, n_s), named, gamma)
@@ -423,14 +513,13 @@ class TestTapeLength:
             ds = synthetic_dataset(n_users=3, n_items=40, seq_len=n_steps + 1, seed=4,
                                    l_s=50)
             params = init_params(3, 40, d=4, l_s=50, variant=variant, seed=5)
-            ctxs = [user_context(ds, u, "train") for u in range(3)]
             steps = [list(range(1, n_steps + 1))] * 3
             n_rows = 3 * n_steps
             cands = np.random.default_rng(6).integers(0, 40, size=(n_rows, 6))
             rngs = [np.random.default_rng(user) for user in range(3)]
             with ad.Tape() as tape:
-                scores = score_user_steps(params, ctxs, steps, cands, training=True,
-                                          rngs=rngs, p_drop=0.3)
+                scores = score_user_steps(params, ds, "train", range(3), steps, cands,
+                                          training=True, rngs=rngs, p_drop=0.3)
                 sequence_loss(scores, [(0, row) for row in range(n_rows)], 5)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1], lengths
@@ -460,7 +549,7 @@ class TestCandidateHeadInTheModel:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_eval_mode_equals_training_without_dropout(self, variant):
         l_s = 4
-        ctxs, steps = _batch_contexts(l_s, seed=12)
+        ds, steps = _batch_contexts(l_s, seed=12)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=106)
         named = params.trainable()
         cands = _candidate_rows(steps, seed=13)
@@ -468,7 +557,8 @@ class TestCandidateHeadInTheModel:
         runs = []
         for training in (False, True):
             with ad.Tape() as tape:
-                scores = score_user_steps(params, ctxs, steps, cands, training=training,
+                scores = score_user_steps(params, ds, "val", _USERS, steps, cands,
+                                          training=training,
                                           rngs=None, p_drop=0.0)
                 loss = total_loss(sequence_loss(scores, keys, cands.shape[1] - 1), named,
                                   5e-4)
@@ -478,18 +568,18 @@ class TestCandidateHeadInTheModel:
 
     def test_g_mask_is_drawn_per_user_before_f_mask(self, monkeypatch):
         l_s, d, p_drop = 4, 4, 0.3
-        ctxs, steps = _batch_contexts(l_s, seed=14)
+        ds, steps = _batch_contexts(l_s, seed=14)
         params = init_params(5, 9, d=d, l_s=l_s, variant="tea-a", seed=107)
         cands = _candidate_rows(steps, seed=15)
         n_cands = cands.shape[1]
         seen = _spy_masks(monkeypatch)
-        rngs = [np.random.default_rng([16, ctx.user]) for ctx in ctxs]
-        score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
+        rngs = [np.random.default_rng([16, user]) for user in _USERS]
+        score_user_steps(params, ds, "val", _USERS, steps, cands, training=True, rngs=rngs,
                          p_drop=p_drop)
         first = 0
-        for ctx, st, rng in zip(ctxs, steps, rngs):
+        for user, st, rng in zip(_USERS, steps, rngs):
             rows = slice(first, first + len(st))
-            replay = np.random.default_rng([16, ctx.user])
+            replay = np.random.default_rng([16, user])
             np.testing.assert_array_equal(seen["g"][rows],
                                           replay.random((len(st), n_cands, d)) >= p_drop)
             np.testing.assert_array_equal(seen["f"][rows],       # f's mask comes next
@@ -503,13 +593,12 @@ class TestCandidateHeadInTheModel:
         ds = synthetic_dataset(n_users=n_users, n_items=50, seq_len=n_steps + 1,
                                seed=2, l_s=50)
         params = init_params(n_users, 50, d=d, l_s=50, variant="tea-s", seed=2)
-        ctxs = [user_context(ds, u, "train") for u in range(n_users)]
         steps = [list(range(1, n_steps + 1))] * n_users
         cands = np.random.default_rng(3).integers(0, 50, size=(n_users * n_steps, 11))
         seen = _spy_masks(monkeypatch)
         rngs = [np.random.default_rng([21, u]) for u in range(n_users)]
-        score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
-                         p_drop=p_drop)
+        score_user_steps(params, ds, "train", range(n_users), steps, cands, training=True,
+                         rngs=rngs, p_drop=p_drop)
         assert seen["g"].shape == cands.shape + (d,)
         assert seen["f"].shape == (cands.shape[0], d)
         for mask in (seen["g"], seen["f"]):
@@ -523,13 +612,13 @@ class TestCandidateHeadInTheModel:
         record outputs an (N, C, d) candidate array, and the record that
         outputs the scores takes params.shared.item as an input."""
         l_s = 4
-        ctxs, steps = _batch_contexts(l_s, seed=18)
+        ds, steps = _batch_contexts(l_s, seed=18)
         params = init_params(5, 9, d=4, l_s=l_s, variant=variant, seed=108)
         cands = _candidate_rows(steps, seed=19)
-        rngs = [np.random.default_rng([20, ctx.user]) for ctx in ctxs]
+        rngs = [np.random.default_rng([20, user]) for user in _USERS]
         with ad.Tape() as tape:
-            scores = score_user_steps(params, ctxs, steps, cands, training=True, rngs=rngs,
-                                      p_drop=0.3)
+            scores = score_user_steps(params, ds, "val", _USERS, steps, cands, training=True,
+                                      rngs=rngs, p_drop=0.3)
         shapes = [rec.out.data.shape for rec in tape.records]
         assert cands.shape + (4,) not in shapes
         (head,) = [rec for rec in tape.records if rec.out is scores]
@@ -545,7 +634,6 @@ class TestCandidateHeadInTheModel:
         ds = synthetic_dataset(n_users=n_users, n_items=300, seq_len=n_steps + 1,
                                seed=1, l_s=50)
         params = init_params(n_users, 300, d=d, l_s=50, variant="tea-s", seed=1)
-        ctxs = [user_context(ds, u, "train") for u in range(n_users)]
         steps = [list(range(1, n_steps + 1))] * n_users
         n_rows = n_users * n_steps
         cands = np.random.default_rng(0).integers(0, 300, size=(n_rows, n_cands))
@@ -557,8 +645,8 @@ class TestCandidateHeadInTheModel:
         def batch():
             rngs = [np.random.default_rng([17, user]) for user in range(n_users)]
             with ad.Tape() as tape:
-                scores = score_user_steps(params, ctxs, steps, cands, training=True,
-                                          rngs=rngs, p_drop=0.5)
+                scores = score_user_steps(params, ds, "train", range(n_users), steps, cands,
+                                          training=True, rngs=rngs, p_drop=0.5)
                 loss = sequence_loss(scores, keys, n_cands - 1)
             ad.backward(loss, tape, grad_views)
 

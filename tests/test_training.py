@@ -13,7 +13,7 @@ from tea import params as tea_params
 from tea import training
 from tea.autodiff import AdamState, Tape, adam_step
 from tea.data import sample_negatives
-from tea.model import score_user_steps, user_context
+from tea.model import score_user_steps
 from tea.objective import NonFiniteScoreError, sequence_loss
 from tea.params import (IncompatibleCheckpointError, init_params,
                         load_checkpoint, save_checkpoint)
@@ -146,10 +146,12 @@ class TestTrainLoop:
 
     def test_optimizer_touches_only_trainable_leaves(self, toy_dataset):
         import copy
-        before = copy.deepcopy(toy_dataset.users)
+        arrays = ("seq_len", "items", "ts", "walks", "bucket_len", "buckets")
+        before = {name: getattr(toy_dataset, name).copy() for name in arrays}
         social_before = copy.deepcopy(toy_dataset.social.neighbors)
         train(toy_dataset, _toy_config(max_epochs=1))
-        assert toy_dataset.users == before
+        for name in arrays:
+            assert getattr(toy_dataset, name).tobytes() == before[name].tobytes(), name
         assert toy_dataset.social.neighbors == social_before
 
     def test_dataset_sequence_length_wins(self, toy_dataset):
@@ -188,14 +190,15 @@ class TestRandomStreams:
     def _epoch_draws(ds, monkeypatch, batch_size):
         draws, n_batches = {}, []
 
-        def spy(params, ctxs, steps, cands, **kwargs):
-            scores = score_user_steps(params, ctxs, steps, cands, **kwargs)
+        def spy(params, ds, split, users, steps, cands, **kwargs):
+            assert split == "train"
+            scores = score_user_steps(params, ds, split, users, steps, cands, **kwargs)
             first = 0
-            for ctx, st, rng in zip(ctxs, steps, kwargs["rngs"]):
-                draws[ctx.user] = (st, cands[first:first + len(st)].copy(),
-                                   rng.bit_generator.state)
+            for user, st, rng in zip(users, steps, kwargs["rngs"]):
+                draws[int(user)] = (list(st), cands[first:first + len(st)].copy(),
+                                    rng.bit_generator.state)
                 first += len(st)
-            n_batches.append(len(ctxs))
+            n_batches.append(len(users))
             return scores
 
         monkeypatch.setattr(training, "score_user_steps", spy)
@@ -223,21 +226,21 @@ class TestRandomStreams:
         SeedSequence([seed, 0xA1, epoch, user]) built from a list."""
         seen = []
 
-        def spy(params, ctxs, steps, cands, **kwargs):
-            seen.append((ctxs, steps, cands))
-            return score_user_steps(params, ctxs, steps, cands, **kwargs)
+        def spy(params, ds, split, users, steps, cands, **kwargs):
+            seen.append((users, steps, cands))
+            return score_user_steps(params, ds, split, users, steps, cands, **kwargs)
 
         monkeypatch.setattr(training, "score_user_steps", spy)
         config = _toy_config(max_epochs=2, p_drop=0.3, batch_size=10_000, seed=seed)
         train(toy_dataset, config)
         assert len(seen) == 2               # one batch per epoch
         users = 0
-        for epoch, (ctxs, steps, cands) in enumerate(seen, start=1):
+        for epoch, (batch_users, steps, cands) in enumerate(seen, start=1):
             first = 0
-            for ctx, st in zip(ctxs, steps):
+            for user, st in zip(batch_users.tolist(), steps):
                 rng = np.random.default_rng(np.random.SeedSequence(
-                    [seed & 0xFFFFFFFF, 0xA1, epoch, ctx.user]))
-                positives = np.take(toy_dataset.users[ctx.user].seq_items, st)
+                    [seed & 0xFFFFFFFF, 0xA1, epoch, user]))
+                positives = np.take(toy_dataset.users[user].seq_items, st)
                 want = sample_negatives(positives, toy_dataset.n_items, config.n_s, rng)
                 np.testing.assert_array_equal(cands[first:first + len(st), 1:], want)
                 first += len(st)
@@ -264,7 +267,7 @@ class TestRepeatedBatch:
         for _ in range(51):
             with Tape() as tape:
                 scores = score_user_steps(
-                    params, [user_context(toy_dataset, user, "train") for user, *_ in fixed],
+                    params, toy_dataset, "train", [user for user, *_ in fixed],
                     [[step] for _, step, _, _ in fixed],
                     [[pos] + negs for _, _, pos, negs in fixed])
                 keys = [(user, step) for user, step, _, _ in fixed]
@@ -290,21 +293,21 @@ class TestOptimizerRoute:
         batches = []
         real = training.score_user_steps
 
-        def spy(params, ctxs, steps, cands, **kwargs):
-            batches.append((ctxs, steps, cands, copy.deepcopy(kwargs["rngs"])))
-            return real(params, ctxs, steps, cands, **kwargs)
+        def spy(params, ds, split, users, steps, cands, **kwargs):
+            batches.append((users, steps, cands, copy.deepcopy(kwargs["rngs"])))
+            return real(params, ds, split, users, steps, cands, **kwargs)
 
         monkeypatch.setattr(training, "score_user_steps", spy)
         result = train(toy_dataset, config)
-        (ctxs, steps, cands, rngs), = batches
+        (users, steps, cands, rngs), = batches
 
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, config.d,
                              config.l_s, variant, config.seed)
         named = params.trainable()
-        keys = [(ctx.user, step) for ctx, row in zip(ctxs, steps) for step in row]
+        keys = [(user, step) for user, row in zip(users, steps) for step in row]
         with Tape() as tape:
-            scores = real(params, ctxs, steps, cands, training=True, rngs=rngs,
-                          p_drop=config.p_drop)
+            scores = real(params, toy_dataset, "train", users, steps, cands, training=True,
+                          rngs=rngs, p_drop=config.p_drop)
             loss = oracles.total_loss(sequence_loss(scores, keys, config.n_s), named,
                                       config.gamma)
         grads = gradients(loss, tape, [t for _, t in named])

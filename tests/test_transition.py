@@ -5,10 +5,11 @@ import pytest
 
 from tea import autodiff as ad
 from tea import transition
-from tea.model import UserContext, score_user_steps
+from tea.model import score_user_steps
 from tea.params import init_params
 
 import oracles
+from corpus import context_record, dataset_of
 from gradcheck import assert_gradients_match
 from scoring import score_steps
 
@@ -185,27 +186,25 @@ class TestWalkAggregate:
                 (int(rng.integers(30)), int(rng.integers(n_users))))
         for events in item_events.values():
             events.sort()
-        ctxs, row_user, row_step, walk_sets = [], [], [], []
+        users, row_user, anchors, walk_sets = [], [], [], []
         for user in range(n_users):
             own = sorted((ts, item) for item, events in item_events.items()
                          for ts, u in events if u == user)
             if not own:
                 continue
-            sets = [oracles.co_interactors(user, item, ts, item_events, tau, 10, seed, t)
-                    for t, (ts, item) in enumerate(own)]
-            ctxs.append(UserContext(user, [item for _, item in own], [[]] * len(own),
-                                    [int(bool(s)) for s in sets], []))
-            row_user += [len(ctxs) - 1] * len(own)
-            row_step += range(1, len(own) + 1)
-            walk_sets += sets
+            walk_sets += [oracles.co_interactors(user, item, ts, item_events, tau, 10, seed,
+                                                 t) for t, (ts, item) in enumerate(own)]
+            users.append(user)
+            row_user += [len(users) - 1] * len(own)
+            anchors += [item for _, item in own]       # step t + 1 is anchored on event t
         assert max(map(len, walk_sets)) >= 3 and min(map(len, walk_sets)) == 0
-        row_user, row_step = np.array(row_user), np.array(row_step)
+        row_user, anchors = np.array(row_user), np.array(anchors)
         walk_rows = np.flatnonzero([bool(s) for s in walk_sets])
-        p_user = ad.gather_rows(p.shared.user, [ctx.user for ctx in ctxs])
-        got = transition._walk_terms(p, ctxs, p_user, row_user, row_step, walk_rows).data
+        p_user = ad.gather_rows(p.shared.user, users)
+        got = transition._walk_terms(p, p_user, row_user, anchors[walk_rows], walk_rows).data
         w3 = p.w_g3.data
-        for i, (b, s, walk_set) in enumerate(zip(row_user, row_step, walk_sets)):
-            walk = oracles.walk_aggregate(p, ctxs[b].user, ctxs[b].items[s - 1], walk_set)
+        for i, (b, anchor, walk_set) in enumerate(zip(row_user, anchors, walk_sets)):
+            walk = oracles.walk_aggregate(p, users[b], anchor, walk_set)
             want = w3[:, d:2 * d] @ walk.h_user.data + w3[:, 2 * d:3 * d] @ walk.h_item.data
             np.testing.assert_allclose(got[i, 0], want, rtol=0, atol=1e-12)
 
@@ -260,6 +259,13 @@ class TestTransitionScore:
         assert a == b
 
 
+def _dataset(contexts):
+    """Three users without neighbors: user u with contexts[u] = (items, buckets,
+    walks), held out at its validation step len(items), the others blank."""
+    blank = ([0], [[]], [0])
+    return dataset_of([context_record(*contexts.get(u, blank)) for u in range(3)], 5)
+
+
 def _g_only(seed, l_s=4):
     """Full parameters with the unary head zeroed, so the one route scores g alone."""
     params = init_params(n_users=3, n_items=5, d=4, l_s=l_s, variant="tea-s",
@@ -273,10 +279,10 @@ class TestBatchedRoute:
     def test_batched_equals_single(self):
         params = _g_only(seed=44)
         p = params.transition
-        ctx = UserContext(2, [1, 0, 3], [[], [], []], [0, 0, 1], [])
+        ds = _dataset({2: ([1, 0, 3], [[], [], []], [0, 0, 1])})
         walk = oracles.walk_aggregate(p, 2, 3, [0, 1])
         cands = [0, 1, 2, 3, 4]
-        batched = score_steps(params, ctx, [3], [cands])[0].data
+        batched = score_steps(params, ds, "val", 2, [3], [cands])[0].data
         singles = [oracles.transition_score(p, 2, [1, 0, 3], c, walk).item()
                    for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
@@ -285,10 +291,10 @@ class TestBatchedRoute:
         # l_s = 1 leaves no position before the candidate: the window is empty
         params = _g_only(seed=45, l_s=1)
         p = params.transition
-        ctx = UserContext(1, [2], [[]], [0], [])
+        ds = _dataset({1: ([2], [[]], [0])})
         walk = oracles.WalkAggregate(ad.zeros(4), ad.zeros(4), [])
         cands = [0, 4]
-        batched = score_steps(params, ctx, [1], [cands])[0].data
+        batched = score_steps(params, ds, "val", 1, [1], [cands])[0].data
         singles = [oracles.transition_score(p, 1, [], c, walk).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -297,11 +303,11 @@ class TestTransitionGradients:
     def test_every_leaf_matches_finite_differences(self):
         params = _g_only(seed=71)
         p = params.transition
-        ctx = UserContext(1, [0, 3, 2], [[], [], []], [0, 0, 1], [])
+        ds = _dataset({1: ([0, 3, 2], [[], [], []], [0, 0, 1])})
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            scores = score_steps(params, ctx, [3], [[1, 2, 4]])[0]
+            scores = score_steps(params, ds, "val", 1, [3], [[1, 2, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())
@@ -311,14 +317,14 @@ class TestTransitionGradients:
         row through one zero history position; dropout on."""
         params = _g_only(seed=72, l_s=1)
         p = params.transition
-        ctxs = [UserContext(1, [0, 3], [[], []], [1, 1], []),
-                UserContext(2, [4], [[]], [0], [])]
+        ds = _dataset({1: ([0, 3], [[], []], [1, 1]), 2: ([4], [[]], [0])})
         target = ad.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
 
         def build():
             rngs = [np.random.default_rng([3, row]) for row in range(2)]
-            scores = score_user_steps(params, ctxs, [[2], [1]], [[1, 2, 4], [0, 3, 3]],
-                                      training=True, rngs=rngs, p_drop=0.4)
+            scores = score_user_steps(params, ds, "val", [1, 2], [[2], [1]],
+                                      [[1, 2, 4], [0, 3, 3]], training=True, rngs=rngs,
+                                      p_drop=0.4)
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())

@@ -5,10 +5,10 @@ import pytest
 
 from tea import autodiff as ad
 from tea import unary as un
-from tea.model import UserContext
 from tea.params import init_params
 
 import oracles
+from corpus import context_record, dataset_of
 from gradcheck import assert_gradients_match
 from scoring import score_steps
 
@@ -26,9 +26,28 @@ def _f_only(seed, variant="tea-s"):
     return params
 
 
-def _ctx(neighbors):
-    return UserContext(0, [0, 2, 3], [[0, 1], [], [2, 4, 1]], [0, 0, 0],
-                       neighbors)
+_ITEMS, _BUCKETS = [0, 2, 3], [[0, 1], [], [2, 4, 1]]
+
+
+def _ds(neighbors):
+    """User 0 of three, with `neighbors`, held out at its validation step 3."""
+    blank = context_record([0], [[]], [0])
+    return dataset_of([context_record(_ITEMS, _BUCKETS, [0, 0, 0]), blank, blank], 5,
+                      {0: neighbors})
+
+
+def _flat(buckets):
+    """Bucket lists as the aggregators take them: the items, then the cut."""
+    items = np.array([item for bucket in buckets for item in bucket], dtype=np.intp)
+    return items, ad.Segments([len(bucket) for bucket in buckets])
+
+
+def _sage(p, buckets):
+    return un.bipartite_aggregate_sage(p, *_flat(buckets))
+
+
+def _attention(p, anchors, buckets):
+    return un.bipartite_aggregate_attention(p, np.asarray(anchors), *_flat(buckets))
 
 
 def _np_sage(p, bucket):
@@ -66,35 +85,35 @@ class TestSageAggregation:
     def test_identity_projection(self):
         p = _params()
         p.w_agg.data[...] = np.eye(4)
-        out = un.bipartite_aggregate_sage(p, [[1, 3]]).data[0]
+        out = _sage(p, [[1, 3]]).data[0]
         want = np.maximum(p.shared.item.data[[1, 3]].mean(axis=0), 0.0)
         np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_empty_bucket(self):
         np.testing.assert_array_equal(
-            un.bipartite_aggregate_sage(_params(), [[]]).data[0], np.zeros(4))
+            _sage(_params(), [[]]).data[0], np.zeros(4))
 
     def test_matches_mean_project_oracle(self):
         p = _params(seed=9)
-        out = un.bipartite_aggregate_sage(p, [[0, 2, 2, 4]]).data[0]
+        out = _sage(p, [[0, 2, 2, 4]]).data[0]
         np.testing.assert_allclose(out, _np_sage(p, [0, 2, 2, 4]), atol=1e-12)
 
     def test_permutation_invariant(self):
         p = _params(seed=3)
-        a = un.bipartite_aggregate_sage(p, [[0, 1, 4]]).data[0]
-        b = un.bipartite_aggregate_sage(p, [[4, 0, 1]]).data[0]
+        a = _sage(p, [[0, 1, 4]]).data[0]
+        b = _sage(p, [[4, 0, 1]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_uniform_duplication_invariant(self):
         p = _params(seed=5)
-        a = un.bipartite_aggregate_sage(p, [[1, 2]]).data[0]
-        b = un.bipartite_aggregate_sage(p, [[1, 2, 1, 2]]).data[0]
+        a = _sage(p, [[1, 2]]).data[0]
+        b = _sage(p, [[1, 2, 1, 2]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_batch_of_buckets_matches_each_alone(self):
         p = _params(seed=6)
         buckets = [[0, 2], [], [4], [1, 1, 3], []]
-        got = un.bipartite_aggregate_sage(p, buckets).data
+        got = _sage(p, buckets).data
         assert got.shape == (5, 4)
         for row, bucket in zip(got, buckets):
             np.testing.assert_allclose(row, oracles.bipartite_aggregate_sage(p, bucket).data,
@@ -104,28 +123,28 @@ class TestSageAggregation:
 class TestAttentionAggregation:
     def test_single_item(self):
         p = _params(variant="tea-a")
-        out = un.bipartite_aggregate_attention(p, anchors=[0], buckets=[[3]]).data[0]
+        out = _attention(p, anchors=[0], buckets=[[3]]).data[0]
         want = np.maximum(p.shared.item.data[3], 0.0)
         np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_zero_attention_vector_means_uniform(self):
         p = _params(variant="tea-a")
         p.attn_vec.data[...] = 0.0
-        out = un.bipartite_aggregate_attention(p, anchors=[0], buckets=[[1, 4]]).data[0]
+        out = _attention(p, anchors=[0], buckets=[[1, 4]]).data[0]
         want = np.maximum(p.shared.item.data[[1, 4]].mean(axis=0), 0.0)
         np.testing.assert_allclose(out, want, atol=1e-14)
 
     def test_matches_softmax_weighted_oracle(self):
         p = _params(seed=17, variant="tea-a")
         p.attn_vec.data *= 40.0  # sharpen so weights are far from uniform
-        got = un.bipartite_aggregate_attention(p, [2], [[0, 1, 4]]).data[0]
+        got = _attention(p, [2], [[0, 1, 4]]).data[0]
         want = _np_attention_agg(p, 2, [0, 1, 4])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_bucket(self):
         p = _params(variant="tea-a")
         np.testing.assert_array_equal(
-            un.bipartite_aggregate_attention(p, [0], [[]]).data[0], np.zeros(4))
+            _attention(p, [0], [[]]).data[0], np.zeros(4))
 
     def test_weights_are_probability_vector(self):
         p = _params(seed=20, variant="tea-a")
@@ -144,15 +163,15 @@ class TestAttentionAggregation:
 
     def test_permutation_invariant(self):
         p = _params(seed=21, variant="tea-a")
-        a = un.bipartite_aggregate_attention(p, [1], [[0, 3, 4]]).data[0]
-        b = un.bipartite_aggregate_attention(p, [1], [[4, 0, 3]]).data[0]
+        a = _attention(p, [1], [[0, 3, 4]]).data[0]
+        b = _attention(p, [1], [[4, 0, 3]]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_batch_of_buckets_matches_each_alone(self):
         p = _params(seed=22, variant="tea-a")
         p.attn_vec.data *= 10.0
         anchors, buckets = [2, 0, 4, 1], [[0, 1, 4], [], [3], [2, 2, 0]]
-        got = un.bipartite_aggregate_attention(p, anchors, buckets).data
+        got = _attention(p, anchors, buckets).data
         assert got.shape == (4, 4)
         for row, anchor, bucket in zip(got, anchors, buckets):
             want = oracles.bipartite_aggregate_attention(p, anchor, bucket).data
@@ -245,11 +264,11 @@ class TestUnaryScore:
     def test_batched_equals_single(self):
         params = _f_only(seed=50)
         p = params.unary
-        ctx = _ctx(neighbors=[1, 2])
-        h_t = oracles.aggregate_steps(p, ctx.buckets, ctx.items, 4)
-        h_s = oracles.social_aggregate(p, ctx.neighbors)
+        ds = _ds(neighbors=[1, 2])
+        h_t = oracles.aggregate_steps(p, _BUCKETS, _ITEMS, 4)
+        h_s = oracles.social_aggregate(p, [1, 2])
         cands = [0, 1, 2, 3, 4]
-        batched = score_steps(params, ctx, [3], [cands])[0].data
+        batched = score_steps(params, ds, "val", 0, [3], [cands])[0].data
         singles = [oracles.unary_score(p, h_t, h_s, c).item() for c in cands]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -259,11 +278,11 @@ class TestUnaryGradients:
     def test_every_leaf_matches_finite_differences(self, variant):
         params = _f_only(seed=77, variant=variant)
         p = params.unary
-        ctx = _ctx(neighbors=[0, 2])
+        ds = _ds(neighbors=[0, 2])
         target = ad.Tensor(np.random.default_rng(0).normal(size=3))
 
         def build():
-            scores = score_steps(params, ctx, [3], [[1, 3, 4]])[0]
+            scores = score_steps(params, ds, "val", 0, [3], [[1, 3, 4]])[0]
             return ad.total_sum(ad.mul(scores, target))
 
         assert_gradients_match(build, p.named() + p.shared.named())
