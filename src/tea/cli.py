@@ -51,13 +51,17 @@ def _read_config_file(path) -> dict[str, tuple[int, str]]:
     return values
 
 
+def _yes_no(text: str) -> bool:
+    """True for 1, true or yes, False for 0, false or no, in any case."""
+    return ("0", "false", "no", "1", "true", "yes").index(text.lower()) >= 3
+
+
 _TRAIN_FIELDS = {
     "d": int, "batch_size": int, "p_drop": float, "gamma": float, "n_s": int,
     "l_s": int, "lr": float, "max_epochs": int, "patience": int,
-    "seed": int, "variant": str, "all_steps": lambda s: s.lower() in ("1", "true", "yes"),
-    "clip_norm": float,
+    "seed": int, "variant": str, "all_steps": _yes_no, "clip_norm": float,
 }
-_TYPE_NAMES = {int: "an integer", float: "a number"}
+_TYPE_NAMES = {int: "an integer", float: "a number", _yes_no: "1/0, true/false or yes/no"}
 
 
 def _effective_train_config(args) -> TrainConfig:
@@ -65,7 +69,8 @@ def _effective_train_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         for key, (line_no, raw) in _read_config_file(args.config).items():
             if key not in _TRAIN_FIELDS:
-                continue
+                raise ParseError(args.config, line_no, f"{key} = {raw!r}: not a train "
+                                 f"setting; expected one of {', '.join(_TRAIN_FIELDS)}")
             convert = _TRAIN_FIELDS[key]
             try:
                 setattr(cfg, key, convert(raw))
@@ -193,9 +198,9 @@ def cmd_train(args) -> int:
           f"walk aggregation: {'enabled' if walks_on else 'disabled'}")
     result = train(ds, config, log=print)
     ckpt_path = os.path.join(args.out, "checkpoint.tea")
-    save_checkpoint(ckpt_path, result.params, config.to_dict(),
+    save_checkpoint(ckpt_path, result.params, result.config.to_dict(),
                     result.best_epoch)
-    write_curve_csv(os.path.join(args.out, "curve.csv"), result.curve, config,
+    write_curve_csv(os.path.join(args.out, "curve.csv"), result.curve, result.config,
                     extra={"best_epoch": result.best_epoch})
     print(f"wrote {ckpt_path} (best epoch {result.best_epoch})")
     return EXIT_OK

@@ -9,8 +9,8 @@ Every stage works on int64 event columns (`Events`), with no object per
 event: a bincount fixpoint filters, one stable sort by (user, ts) splits,
 and sorted searches cut every bucket window and count every walk. The
 snapshot, `dataset.npz` (format `tea-dataset-3`), is an uncompressed numpy
-zip of the prepared corpus's flat arrays (`PreparedDataset`) and a JSON
-header, read with allow_pickle=False and checked array by array.
+zip of the prepared corpus's flat arrays, the social graph's two included,
+and a JSON header, read with allow_pickle=False and kept as read.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import json
 import logging
 import os
 import zipfile
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -57,17 +55,26 @@ class Events:
         return Events(self.user[index], self.item[index], self.ts[index])
 
 
-@dataclass
+@dataclass(eq=False)
 class SocialGraph:
-    """Undirected user adjacency; neighbor lists are sorted and deduplicated."""
+    """Undirected user adjacency as the snapshot holds it: user u's neighbors,
+    sorted and distinct, are ids[start[u]:start[u] + counts[u]] (int32)."""
 
-    neighbors: dict[int, list[int]] = field(default_factory=dict)
+    counts: np.ndarray    # `social_len`, one per user
+    ids: np.ndarray       # `social`
 
-    def of(self, user: int) -> list[int]:
-        return self.neighbors.get(user, [])
+    def __post_init__(self) -> None:
+        self.start = np.cumsum(self.counts, dtype=np.intp) - self.counts
+
+    @cached_property
+    def neighbors(self) -> dict[int, list[int]]:
+        """user -> neighbor list, for each user with neighbors; for readers outside tea."""
+        flat = self.ids.tolist()
+        runs = enumerate(zip(self.start.tolist(), self.counts.tolist()))
+        return {u: flat[a:a + k] for u, (a, k) in runs if k}
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.neighbors.values()) // 2
+        return self.ids.size // 2
 
 
 @dataclass
@@ -130,9 +137,10 @@ def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
     """Parse tab-separated user-id pairs into an undirected adjacency.
 
     Self-loops are skipped, duplicates stored once, and users that never
-    appear in the interaction log are dropped.
+    appear in the interaction log are dropped. One np.unique over the kept
+    pairs' keys a * n + b and b * n + a (n users) sorts every neighbor list.
     """
-    adj: dict[int, set[int]] = defaultdict(set)
+    pairs: list[int] = []
     skipped_self = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -147,14 +155,15 @@ def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
             if a == b:
                 skipped_self += 1
                 continue
-            if a not in user_index or b not in user_index:
-                continue
-            ua, ub = user_index[a], user_index[b]
-            adj[ua].add(ub)
-            adj[ub].add(ua)
+            if a in user_index and b in user_index:
+                pairs += user_index[a], user_index[b]
     if skipped_self:
         log.warning("skipped %d self-loop social edges in %s", skipped_self, path)
-    return SocialGraph({u: sorted(vs) for u, vs in adj.items()})
+    n = len(user_index)
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    return SocialGraph(np.bincount(keys // n, minlength=n).astype(np.int32),
+                       (keys % n).astype(np.int32))
 
 
 @dataclass
@@ -226,9 +235,7 @@ def build_neighbor_item_buckets(owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
     n = len(train.ts)
     by_time = np.lexsort((train.item, train.ts))
     rank = np.argsort(by_time)
-    pair_owner = np.repeat(np.fromiter(social.neighbors, np.int64, len(social.neighbors)),
-                           [len(vs) for vs in social.neighbors.values()])
-    pair_nb = np.fromiter(chain.from_iterable(social.neighbors.values()), np.int64)
+    pair_owner, pair_nb = np.repeat(np.arange(social.counts.size), social.counts), social.ids
     own_events = np.bincount(train.user, minlength=int(pair_nb.max(initial=-1)) + 1)
     own_ranks = rank[np.argsort(train.user, kind="stable")]
     pair_events = own_events[pair_nb]
@@ -355,7 +362,8 @@ _ARRAYS = {"seq_len": np.int32, "items": np.int32, "ts": np.int64, "walks": np.u
 
 @dataclass(eq=False)
 class PreparedDataset:
-    """The prepared corpus: the snapshot's arrays (`_ARRAYS`), social aside.
+    """The prepared corpus: the snapshot's arrays (`_ARRAYS`) as `save` writes
+    them; `social` holds `social_len` and `social` as its counts and ids.
 
     User u's items and times (`items`, `ts`) start at item_start[u]: its
     n = seq_len[u] training events, then the validation and the test event.
@@ -407,11 +415,9 @@ class PreparedDataset:
         """Write dataset.npz and the raw-id sidecars. The arrays pass `load`'s
         checks before anything is written."""
         path = os.path.join(out_dir, SNAPSHOT_FILE)
-        neighbors = [self.social.of(u) for u in range(self.n_users)]
         arrays = {name: getattr(self, name)
                   for name in _ARRAYS.keys() - {"social_len", "social"}}
-        arrays["social_len"] = np.fromiter(map(len, neighbors), _ARRAYS["social_len"])
-        arrays["social"] = np.fromiter(chain.from_iterable(neighbors), _ARRAYS["social"])
+        arrays.update(social_len=self.social.counts, social=self.social.ids)
         head = {"format": SNAPSHOT_FORMAT, "n_users": self.n_users,
                 "n_items": self.n_items, "n_interactions": self.n_interactions,
                 "config": self.config}
@@ -458,34 +464,22 @@ class PreparedDataset:
                              f"{SNAPSHOT_FORMAT!r}; re-run `tea prepare` to rebuild it")
         _check_snapshot(path, head, arrays)
         n_users, n_items = head["n_users"], head["n_items"]
-        ends = np.cumsum(arrays.pop("social_len")).tolist()
-        flat = arrays.pop("social").tolist()
-        social = {u: flat[a:b] for u, (a, b) in enumerate(zip([0] + ends, ends)) if b > a}
-        ids = {}
+        social = SocialGraph(arrays.pop("social_len"), arrays.pop("social"))
+        ids = []
         for fname, n in (("user_ids.tsv", n_users), ("item_ids.tsv", n_items)):
-            side_path = os.path.join(out_dir, fname)
-            raw_of: list[str | None] = [None] * n
+            side_path, raws = os.path.join(out_dir, fname), []
             with open(side_path, "r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    fields = line.rstrip("\n").split("\t")
-                    if len(fields) != 2 or not (fields[1].isascii()
-                                                and fields[1].isdigit()):
-                        raise ParseError(side_path, line_no,
-                                         "expected 'raw_id<TAB>dense_id'")
-                    dense = int(fields[1])
-                    if dense >= n:
-                        raise ParseError(side_path, line_no, f"dense id {dense} out of "
-                                         f"range for {n} ids in {path}")
-                    if raw_of[dense] is not None:
-                        raise ParseError(side_path, line_no, f"dense id {dense} repeated")
-                    raw_of[dense] = fields[0]
-            if None in raw_of:
-                raise ValueError(f"{side_path}: dense id {raw_of.index(None)} missing "
-                                 f"({n} ids expected)")
-            ids[fname] = raw_of
-        return cls(n_users, n_items, **arrays, social=SocialGraph(social),
-                   config=head["config"], user_ids=ids["user_ids.tsv"],
-                   item_ids=ids["item_ids.tsv"], n_interactions=head["n_interactions"])
+                for k, line in enumerate(fh):       # save writes dense id k on line k + 1
+                    raw = line.partition("\t")[0]
+                    if line.rstrip("\n") != f"{raw}\t{k}" or k >= n:
+                        raise ParseError(side_path, k + 1, f"expected 'raw_id<TAB>{k}', "
+                                         f"one line per id in order, {n} ids in {path}")
+                    raws.append(raw)
+            if len(raws) < n:
+                raise ValueError(f"{side_path}: {len(raws)} ids, expected {n}")
+            ids.append(raws)
+        return cls(n_users, n_items, **arrays, social=social, config=head["config"],
+                   user_ids=ids[0], item_ids=ids[1], n_interactions=head["n_interactions"])
 
 
 def _check_snapshot(path, head: dict, arrays: dict) -> None:

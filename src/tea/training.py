@@ -14,7 +14,7 @@ and returns what the logged loss and the per-epoch clip counts need.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class TrainResult:
     params: ModelParams
     curve: list[dict]          # per-epoch: epoch, train_loss, val_hr10, val_ndcg10
     best_epoch: int            # 1-based; 0 when no epochs ran
-    config: TrainConfig
+    config: TrainConfig        # as trained: a copy of the caller's with the dataset's l_s
 
 
 def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
@@ -98,9 +98,8 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
 def train(ds: PreparedDataset, config: TrainConfig, log=None) -> TrainResult:
     """Run the optimization loop and return the best-validation parameters."""
     config.validate()
-    if config.l_s != ds.config.get("l_s", config.l_s):
-        # The prepared sequences were truncated at prepare time; that length wins.
-        config.l_s = ds.config["l_s"]
+    # The prepared sequences were truncated at prepare time; that length wins.
+    config = replace(config, l_s=ds.config.get("l_s", config.l_s))
     params = init_params(ds.n_users, ds.n_items, config.d, config.l_s,
                          config.variant, config.seed)
     state = AdamState(params.flat, lr=config.lr)

@@ -14,8 +14,6 @@ single-candidate reference lives with the tests.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from . import autodiff as ad
@@ -57,14 +55,14 @@ def bipartite_aggregate_attention(params: UnaryParams, anchors: np.ndarray,
     return ad.relu(ad.segment_sum(ad.mul(weights, q_bucket), buckets))
 
 
-def social_aggregate(params: UnaryParams, neighbor_lists: list[list[int]]) -> Tensor:
+def social_aggregate(params: UnaryParams, neighbors: np.ndarray,
+                     users: ad.Segments) -> Tensor:
     """relu(w_soc @ mean of neighbor user embeddings) per user, shape (B, d).
 
-    A user without neighbors gets zeros.
+    `neighbors` holds the users' neighbor ids one user after another, cut by
+    `users`; a user without neighbors gets zeros.
     """
-    flat = np.fromiter(chain.from_iterable(neighbor_lists), dtype=np.intp)
-    seg = ad.Segments([len(ids) for ids in neighbor_lists])
-    pooled = ad.segment_mean(ad.gather_rows(params.shared.user, flat), seg)
+    pooled = ad.segment_mean(ad.gather_rows(params.shared.user, neighbors), users)
     return ad.relu(ad.linear(pooled, params.w_soc))
 
 
@@ -119,6 +117,7 @@ def user_vectors(params: UnaryParams, ds: PreparedDataset, users: np.ndarray,
         summaries = bipartite_aggregate_sage(params, items, buckets)
     states = ad.gru_sequence(summaries, params.temporal_gru, n_steps)
     h_temporal = ad.gather_rows(states, (row_cell - 1) * n_users + row_user)
-    h_social = ad.gather_rows(
-        social_aggregate(params, [ds.social.of(u) for u in users.tolist()]), row_user)
-    return fuse_context(params, h_temporal, h_social, keep, p_drop)
+    counts = ds.social.counts[users]
+    neighbors = ds.social.ids[_ragged_arange(ds.social.start[users], counts)]
+    h_social = social_aggregate(params, neighbors, ad.Segments(counts))
+    return fuse_context(params, h_temporal, ad.gather_rows(h_social, row_user), keep, p_drop)

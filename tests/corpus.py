@@ -15,7 +15,9 @@ Two generators with known structure:
 
 `dataset_of` lays per-user records out in the prepared corpus's flat
 arrays, as `prepare` would; `synthetic_dataset` and the hand-built users
-of the scorer tests (`context_record`) go through it.
+of the scorer tests (`context_record`) go through it. `social_graph` lays
+a user -> neighbor list dict out in the social graph's two arrays, and
+`neighbors_of` reads one user's list back.
 """
 
 from __future__ import annotations
@@ -79,12 +81,28 @@ def follower_corpus(n_followers: int = 100, n_items: int = 50, length: int = 8,
     return rows, pairs
 
 
+def social_graph(neighbors: dict, n_users: int):
+    """The SocialGraph of n_users users whose neighbor lists `neighbors` holds
+    (user -> list; a user it does not name has none)."""
+    from tea.data import SocialGraph
+
+    lists = [list(neighbors.get(u, ())) for u in range(n_users)]
+    return SocialGraph(np.array([len(ids) for ids in lists], dtype=np.int32),
+                       np.array([x for ids in lists for x in ids], dtype=np.int32))
+
+
+def neighbors_of(social, user: int) -> list[int]:
+    """User `user`'s neighbor list in the SocialGraph `social`."""
+    start = int(social.start[user])
+    return social.ids[start:start + int(social.counts[user])].tolist()
+
+
 def dataset_of(records, n_items: int, neighbors: dict | None = None, l_s: int = 50,
                l_n: int = 3, seed: int = 0):
     """A PreparedDataset holding `records` (user u's is records[u]) and the
     `neighbors` adjacency, in memory: each record's lists laid out in the
     snapshot's flat arrays, one user after another."""
-    from tea.data import PreparedDataset, SocialGraph
+    from tea.data import PreparedDataset
 
     windows = [r.buckets + [r.bucket_val, r.bucket_gap] for r in records]
     config = {"min_actions": 5, "rating_threshold": 3.0, "tau_days": 60,
@@ -97,7 +115,7 @@ def dataset_of(records, n_items: int, neighbors: dict | None = None, l_s: int = 
         walks=[x for r in records for x in r.walks + [r.walks_val]],
         bucket_len=[len(b) for w in windows for b in w],
         buckets=[x for w in windows for b in w for x in b],
-        social=SocialGraph(dict(neighbors or {})), config=config,
+        social=social_graph(neighbors or {}, len(records)), config=config,
         user_ids=[f"u{i}" for i in range(len(records))],
         item_ids=[f"v{i}" for i in range(n_items)],
         n_interactions=sum(len(r.seq_items) + 2 for r in records))

@@ -27,6 +27,11 @@ windows: bisect over one user's neighbors' training events, sorted as
 (ts, item) tuples. `tea.data.build_neighbor_item_buckets` cuts every
 user's windows at once, and the tests assert the two agree.
 
+`load_social_edges` is the reference parse of a social edge file: a set
+of neighbors per user, each sorted at the end. `tea.data.load_social_edges`
+builds the graph's two arrays with one np.unique, and the tests assert
+they hold the same lists.
+
 `co_interactors` is the brute-force walk set of one event: the distinct
 users of the item's whole +-tau window, capped by the keyed draw.
 `tea.data.extract_time_restricted_walks` keeps only whether that set is
@@ -39,14 +44,17 @@ GRU's user and item outputs do not depend on the co-user, so
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from tea import autodiff as ad
 from tea.autodiff import Tensor
-from tea.data import PreparedDataset
+from tea.data import ParseError, PreparedDataset
 from tea.params import ModelParams, TransitionParams, UnaryParams
+
+from corpus import neighbors_of
 
 
 def embedding_row(table: Tensor, index: int) -> Tensor:
@@ -304,7 +312,7 @@ def score_candidates_single_route(params: ModelParams, ds: PreparedDataset, user
     else:
         walk = WalkAggregate(ad.zeros(params.d), ad.zeros(params.d), [])
     h_temporal = aggregate_steps(params.unary, buckets[:step], items[:step], l_s)
-    h_social = social_aggregate(params.unary, ds.social.of(user))
+    h_social = social_aggregate(params.unary, neighbors_of(ds.social, user))
     out = []
     for cand in candidates:
         g = transition_score(params.transition, user, history, cand, walk)
@@ -400,6 +408,28 @@ def bucket_items(neighbor_events: list[tuple[int, int]], lo: int, hi: int,
     j = bisect.bisect_left(neighbor_events, (hi, -1))
     window = neighbor_events[i:j]
     return [item for _, item in window[-l_n:]]
+
+
+def load_social_edges(path, user_index: dict[str, int]) -> dict[int, list[int]]:
+    """user -> sorted distinct neighbors, for each user with any: tab-separated
+    id pairs, both directions, self-loops and users not in user_index skipped."""
+    adj: dict[int, set[int]] = defaultdict(set)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(path, line_no,
+                                 f"expected 2 tab-separated fields, got {len(fields)}")
+            a, b = fields
+            if a == b or a not in user_index or b not in user_index:
+                continue
+            ua, ub = user_index[a], user_index[b]
+            adj[ua].add(ub)
+            adj[ub].add(ua)
+    return {u: sorted(vs) for u, vs in adj.items()}
 
 
 def build_neighbor_item_buckets(seq_ts: list[int], val_ts: int, test_ts: int,

@@ -553,3 +553,32 @@ class TestConfigPrecedence:
         key, _, raw = line.partition(" = ")
         assert f"{cfg}:3:" in err and key in err and repr(raw) in err and expected in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, expected", [
+        ("batchsize = 7", "not a train setting"),
+        ("all_steps = on", "1/0, true/false or yes/no"),
+        ("all_steps = ", "1/0, true/false or yes/no"),
+    ], ids=["unknown-key", "all-steps-on", "all-steps-empty"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_setting_the_file_cannot_use_names_file_line_and_key(self, data_dir, tmp_path,
+                                                                 capsys, line, expected,
+                                                                 command):
+        """A key that names no train setting, or an all_steps that is not a
+        yes/no word, exits 2 instead of training on the defaults."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nd = 4\n{line}\n")
+        out = tmp_path / "o"
+        code = main([command, "--data", data_dir, "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        key = line.partition(" =")[0]
+        assert code == 2 and f"{cfg}:3: {key} = " in err and expected in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("0", False), ("False", False), ("NO", False)])
+    def test_all_steps_reads_each_yes_no_word(self, data_dir, tmp_path, raw, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"d = 4\nmax_epochs = 0\nall_steps = {raw}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--data", data_dir, "--out", str(out), "--config", str(cfg)]) == 0
+        assert load_checkpoint(str(out / "checkpoint.tea"))[1]["all_steps"] is value

@@ -7,15 +7,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tea.data import (DAY_SECONDS, SNAPSHOT_FILE, EmptyDatasetError, Events, ParseError,
-                      PreparedDataset, SocialGraph, build_neighbor_item_buckets,
+                      PreparedDataset, build_neighbor_item_buckets,
                       extract_time_restricted_walks, load_interactions,
                       load_social_edges, preprocess, prepare_dataset, sample_negatives)
 
 import oracles
 from corpus import (SNAPSHOT_DEFECTS, cycle_corpus, edit_snapshot, follower_corpus,
-                    write_corpus)
+                    neighbors_of, social_graph, write_corpus)
 from oracles import co_interactors
 
 
@@ -95,22 +97,48 @@ class TestLoadSocial:
     def test_symmetrization(self, tmp_path):
         p = _write(tmp_path / "s.tsv", ["a\tb"])
         g = load_social_edges(p, {"a": 0, "b": 1})
-        assert g.of(0) == [1] and g.of(1) == [0]
+        assert neighbors_of(g, 0) == [1] and neighbors_of(g, 1) == [0]
 
     def test_self_loop_skipped(self, tmp_path):
         p = _write(tmp_path / "s.tsv", ["a\ta"])
         g = load_social_edges(p, {"a": 0})
-        assert g.of(0) == []
+        assert neighbors_of(g, 0) == []
 
     def test_duplicate_edge_stored_once(self, tmp_path):
         p = _write(tmp_path / "s.tsv", ["a\tb", "b\ta", "a\tb"])
         g = load_social_edges(p, {"a": 0, "b": 1})
-        assert g.of(0) == [1] and g.edge_count() == 1
+        assert neighbors_of(g, 0) == [1] and g.edge_count() == 1
 
     def test_unknown_users_dropped(self, tmp_path):
         p = _write(tmp_path / "s.tsv", ["a\tghost"])
         g = load_social_edges(p, {"a": 0})
-        assert g.of(0) == []
+        assert neighbors_of(g, 0) == []
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+           n_known=st.integers(0, 6), data=st.data())
+    def test_arrays_equal_the_reference_parse(self, tmp_path, edges, n_known, data):
+        """The graph's arrays hold the reference parse's sorted distinct lists
+        under any dense numbering. Raw ids u0..u7, of which u0..u{n_known - 1}
+        are known: each file also holds a self-loop, some edges repeated in
+        the other direction, an edge to an unknown id, comment and blank
+        lines, all shuffled."""
+        raw = [(f"u{a}", f"u{b}") for a, b in edges]
+        repeats = data.draw(st.lists(st.sampled_from(raw), max_size=5)) if raw else []
+        lines = ([f"{a}\t{b}" for a, b in raw] + [f"{b}\t{a}" for a, b in repeats]
+                 + ["u1\tu1", "u0\tghost", "", "# u0\tu1", "#"])
+        lines = data.draw(st.permutations(lines))
+        dense = data.draw(st.permutations(range(n_known)))
+        user_index = {f"u{i}": d for i, d in enumerate(dense)}
+        path = _write(tmp_path / "s.tsv", lines)
+        g = load_social_edges(path, user_index)
+        want = oracles.load_social_edges(path, user_index)
+        assert g.counts.dtype == g.ids.dtype == np.int32
+        assert g.counts.tolist() == [len(want.get(u, [])) for u in range(n_known)]
+        assert g.ids.tolist() == [v for u in range(n_known) for v in want.get(u, [])]
+        assert g.neighbors == want
+        assert g.edge_count() == sum(map(len, want.values())) // 2
 
 
 def _cols(rows) -> Events:
@@ -252,7 +280,7 @@ def _buckets(seq_ts, val_ts, test_ts, neighbor_events, l_n):
     counts, items = build_neighbor_item_buckets(
         np.zeros(len(bounds) - 1, dtype=np.int64), bounds[:-1], bounds[1:],
         _cols([(1, item, ts) for ts, item in neighbor_events]),
-        SocialGraph({0: [1], 1: [0]}), l_n)
+        social_graph({0: [1], 1: [0]}, 2), l_n)
     ends = np.cumsum(counts).tolist()
     windows = [items[a:b].tolist() for a, b in zip([0] + ends, ends)]
     return windows[:-2], windows[-2], windows[-1]
@@ -319,16 +347,16 @@ class TestBuckets:
         for u, rec in enumerate(ds.users):
             assert list(zip(rec.seq_ts, rec.seq_items)) == train[u][-l_s:]
             assert [(rec.val_ts, rec.val_item), (rec.test_ts, rec.test_item)] == events[u][-2:]
-            neighbor_events = sorted(e for nb in ds.social.of(u) for e in train[nb])
+            neighbor_events = sorted(e for nb in neighbors_of(ds.social, u) for e in train[nb])
             assert (rec.buckets, rec.bucket_val, rec.bucket_gap) == \
                 oracles.build_neighbor_item_buckets(rec.seq_ts, rec.val_ts, rec.test_ts,
                                                     neighbor_events, l_n)
             seen["truncated"] += len(train[u]) > l_s
-            seen["no neighbor"] += not ds.social.of(u)
+            seen["no neighbor"] += not neighbors_of(ds.social, u)
             stamps = [ts for ts, _ in neighbor_events]
             seen["same second"] += len(set(stamps)) < len(stamps)
             bounds = rec.seq_ts + [rec.val_ts, rec.test_ts]
-            for nb in ds.social.of(u):
+            for nb in neighbors_of(ds.social, u):
                 for ts, item in events[nb][-2:]:
                     seen["held out inside"] += any(
                         lo <= ts < hi and (ts, item) not in neighbor_events
@@ -599,7 +627,7 @@ class TestPreparedDataset:
         # A neighbor's val/test event must never appear inside a bucket
         # window even when the timestamps line up.
         for u, rec in enumerate(prepared.users):
-            neighbors = prepared.social.of(u)
+            neighbors = neighbors_of(prepared.social, u)
             windows = [(rec.seq_ts[t], rec.seq_ts[t + 1], rec.buckets[t])
                        for t in range(len(rec.buckets))]
             windows.append((rec.seq_ts[-1], rec.val_ts, rec.bucket_val))

@@ -193,9 +193,11 @@ def test_backward_writes_into_the_gradient_vector():
 
 def test_the_prepared_corpus_is_its_arrays(tmp_path, monkeypatch):
     """The package scores from the snapshot's arrays: no module defines a
-    per-user context, and outside data.py none names UserRecord or reads
-    `.users`. prepare_dataset, save and load construct no UserRecord; only
-    the `users` view, on first access, builds them."""
+    per-user context, and outside data.py none names UserRecord, reads
+    `.users` or `.neighbors`, or calls a `.of`; SocialGraph defines no `of`.
+    prepare_dataset, save and load construct no UserRecord and no neighbor
+    lists; only the `users` and `neighbors` views, on first access, build
+    them."""
     from tea import data
 
     from corpus import cycle_corpus, write_corpus
@@ -208,9 +210,13 @@ def test_the_prepared_corpus_is_its_arrays(tmp_path, monkeypatch):
             continue
         source = path.read_text(encoding="utf-8")
         assert "UserRecord" not in source, path.name
-        reads = [sub for sub in ast.walk(ast.parse(source))
-                 if isinstance(sub, ast.Attribute) and sub.attr == "users"]
+        tree = ast.parse(source)
+        reads = [sub for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute) and sub.attr in ("users", "neighbors")]
         assert not reads, (path.name, [ast.unparse(sub) for sub in reads])
+        assert "of" not in _calls(tree), path.name
+    graph = modules["data"].defs["SocialGraph"][0]
+    assert "of" not in {node.name for node in graph.body if isinstance(node, ast.FunctionDef)}
 
     built = []
 
@@ -226,4 +232,5 @@ def test_the_prepared_corpus_is_its_arrays(tmp_path, monkeypatch):
     prepared.save(str(tmp_path / "snap"))
     loaded = data.PreparedDataset.load(str(tmp_path / "snap"))
     assert built == []
+    assert "neighbors" not in vars(prepared.social) and "neighbors" not in vars(loaded.social)
     assert loaded.users == prepared.users and len(built) == 2 * prepared.n_users

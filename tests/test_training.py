@@ -1,6 +1,7 @@
 """Optimization loop: early stopping, convergence, determinism, checkpoints."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import struct
@@ -69,7 +70,7 @@ class TestTrainLoop:
         result = train(toy_dataset, config)
         assert result.curve == [] and result.best_epoch == 0
         fresh = init_params(toy_dataset.n_users, toy_dataset.n_items, config.d,
-                            config.l_s, config.variant, config.seed)
+                            result.config.l_s, config.variant, config.seed)
         for (_, a), (_, b) in zip(result.params.trainable(), fresh.trainable()):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -145,19 +146,30 @@ class TestTrainLoop:
         assert last < 0.25 * first
 
     def test_optimizer_touches_only_trainable_leaves(self, toy_dataset):
-        import copy
-        arrays = ("seq_len", "items", "ts", "walks", "bucket_len", "buckets")
-        before = {name: getattr(toy_dataset, name).copy() for name in arrays}
-        social_before = copy.deepcopy(toy_dataset.social.neighbors)
+        arrays = {name: (toy_dataset, name) for name in
+                  ("seq_len", "items", "ts", "walks", "bucket_len", "buckets")}
+        arrays.update(social_len=(toy_dataset.social, "counts"),
+                      social=(toy_dataset.social, "ids"))
+        before = {name: getattr(*where).copy() for name, where in arrays.items()}
         train(toy_dataset, _toy_config(max_epochs=1))
-        for name in arrays:
-            assert getattr(toy_dataset, name).tobytes() == before[name].tobytes(), name
-        assert toy_dataset.social.neighbors == social_before
+        for name, where in arrays.items():
+            assert getattr(*where).tobytes() == before[name].tobytes(), name
 
     def test_dataset_sequence_length_wins(self, toy_dataset):
         config = _toy_config(max_epochs=0, l_s=999)
-        train(toy_dataset, config)
-        assert config.l_s == toy_dataset.config["l_s"]
+        result = train(toy_dataset, config)
+        assert result.config.l_s == toy_dataset.config["l_s"]
+        assert result.params.l_s == toy_dataset.config["l_s"]
+
+    def test_train_leaves_the_callers_config_alone(self, toy_dataset):
+        """train runs on a copy with the snapshot's l_s and returns that copy;
+        the caller's TrainConfig reads as it did before the call."""
+        config = TrainConfig(d=4, max_epochs=0)
+        before = copy.deepcopy(config)
+        result = train(toy_dataset, config)
+        assert config == before and config.l_s == 50
+        assert result.config is not config
+        assert result.config == dataclasses.replace(before, l_s=toy_dataset.config["l_s"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostics(self, toy_dataset):
@@ -302,7 +314,7 @@ class TestOptimizerRoute:
         (users, steps, cands, rngs), = batches
 
         params = init_params(toy_dataset.n_users, toy_dataset.n_items, config.d,
-                             config.l_s, variant, config.seed)
+                             result.config.l_s, variant, config.seed)
         named = params.trainable()
         keys = [(user, step) for user, row in zip(users, steps) for step in row]
         with Tape() as tape:

@@ -8,7 +8,7 @@ from tea import unary as un
 from tea.params import init_params
 
 import oracles
-from corpus import context_record, dataset_of
+from corpus import context_record, dataset_of, social_graph
 from gradcheck import assert_gradients_match
 from scoring import score_steps
 
@@ -202,21 +202,27 @@ class TestTemporalRecurrence:
         np.testing.assert_allclose(got, states[-1], atol=1e-12, rtol=0)
 
 
+def _social(p, neighbor_lists):
+    """social_aggregate of one user per neighbor list, cut as user_vectors cuts it."""
+    g = social_graph(dict(enumerate(neighbor_lists)), len(neighbor_lists))
+    return un.social_aggregate(p, g.ids, ad.Segments(g.counts))
+
+
 class TestSocialAggregate:
     def test_identity_projection(self):
         p = _params()
         p.w_soc.data[...] = np.eye(4)
-        out = un.social_aggregate(p, [[0, 2]]).data[0]
+        out = _social(p, [[0, 2]]).data[0]
         want = np.maximum(p.shared.user.data[[0, 2]].mean(axis=0), 0.0)
         np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_no_neighbors(self):
-        np.testing.assert_array_equal(un.social_aggregate(_params(), [[]]).data[0],
+        np.testing.assert_array_equal(_social(_params(), [[]]).data[0],
                                       np.zeros(4))
 
     def test_matches_oracle(self):
         p = _params(seed=31)
-        got = un.social_aggregate(p, [[1, 2]]).data[0]
+        got = _social(p, [[1, 2]]).data[0]
         pooled = p.shared.user.data[[1, 2]].mean(axis=0)
         np.testing.assert_allclose(got, np.maximum(p.w_soc.data @ pooled, 0.0),
                                    atol=1e-12)
@@ -224,7 +230,7 @@ class TestSocialAggregate:
     def test_batch_of_users_matches_each_alone(self):
         p = _params(seed=32)
         neighbor_lists = [[1, 2], [], [0], [0, 1, 2]]
-        got = un.social_aggregate(p, neighbor_lists).data
+        got = _social(p, neighbor_lists).data
         for row, neighbors in zip(got, neighbor_lists):
             np.testing.assert_allclose(row, oracles.social_aggregate(p, neighbors).data,
                                        atol=1e-12)
