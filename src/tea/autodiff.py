@@ -132,8 +132,8 @@ class RowGrad:
 
     Row `ids[i]` (sorted, distinct) holds `values[i]`; `shape` is the
     table's. `gather_rows` hands these to `backward`, which writes them into
-    a leaf's buffer, or merges them into one dense buffer per non-leaf
-    table, instead of adding table-sized zeros.
+    a leaf's buffer instead of adding table-sized zeros. A non-leaf table is
+    batch-sized, so `backward` densifies one that reaches it.
     """
 
     __slots__ = ("ids", "values", "shape")
@@ -156,8 +156,8 @@ def backward(loss: Tensor, tape: Tape, into: Sequence[tuple[Tensor, Array]]) -> 
     shapes. Each buffer is zero-filled; the first gradient to reach its leaf
     is assigned (a row gradient only into its own rows) and later ones are
     added in place, in arrival order, as repeated dense sums would add them.
-    Other tensors' row gradients stay rows until a record consumes them or a
-    second gradient arrives; from then on the tensor owns one dense buffer.
+    Other tensors hold dense gradients: a row gradient is densified when it
+    arrives, and a second arrival gives the tensor one buffer of its own.
 
     The sweep pops each record off the tape once it has run its backward,
     so a record's arrays are freed for the rest of the sweep and the tape
@@ -173,7 +173,7 @@ def backward(loss: Tensor, tape: Tape, into: Sequence[tuple[Tensor, Array]]) -> 
     if id(loss) in leaves:           # a leaf loss: d loss / d loss = 1
         leaves[id(loss)][...] = 1.0
     written: set[int] = set()  # leaves whose buffer holds an arrival
-    grads: dict[int, Array | RowGrad] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()   # buffers this sweep allocated and may add into
     records = tape.records
     while records:
@@ -181,8 +181,6 @@ def backward(loss: Tensor, tape: Tape, into: Sequence[tuple[Tensor, Array]]) -> 
         g_out = grads.pop(id(rec.out), None)
         if g_out is None:
             continue
-        if isinstance(g_out, RowGrad):
-            g_out = g_out.dense()
         for inp, g_in in zip(rec.inputs, rec.backward(g_out)):
             if g_in is None or not inp.requires_grad:
                 continue
@@ -201,26 +199,17 @@ def backward(loss: Tensor, tape: Tape, into: Sequence[tuple[Tensor, Array]]) -> 
                 else:
                     buf += g_in
                 continue
+            if isinstance(g_in, RowGrad):
+                g_in = g_in.dense()
             acc = grads.get(key)
             if acc is None:
                 grads[key] = g_in
-                continue
-            if not isinstance(acc, RowGrad) and not isinstance(g_in, RowGrad):
-                if key in owned:
-                    acc += g_in
-                else:
-                    grads[key] = acc + g_in
-                    owned.add(key)
-                continue
-            if key not in owned:
-                # Never mutate arrays a closure handed over: they may alias g_out.
-                acc = acc.dense() if isinstance(acc, RowGrad) else acc.copy()
-                grads[key] = acc
-                owned.add(key)
-            if isinstance(g_in, RowGrad):
-                acc[g_in.ids] += g_in.values
-            else:
+            elif key in owned:
                 acc += g_in
+            else:
+                # Never mutate arrays a closure handed over: they may alias g_out.
+                grads[key] = acc + g_in
+                owned.add(key)
 
 
 # ---------------------------------------------------------------------------

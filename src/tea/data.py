@@ -137,8 +137,9 @@ def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
     """Parse tab-separated user-id pairs into an undirected adjacency.
 
     Self-loops are skipped, duplicates stored once, and users that never
-    appear in the interaction log are dropped. One np.unique over the kept
-    pairs' keys a * n + b and b * n + a (n users) sorts every neighbor list.
+    appear in the interaction log are dropped. One sort of the kept pairs'
+    keys a * n + b and b * n + a (n users), repeats dropped, orders every
+    neighbor list.
     """
     pairs: list[int] = []
     skipped_self = 0
@@ -161,7 +162,8 @@ def load_social_edges(path, user_index: dict[str, int]) -> SocialGraph:
         log.warning("skipped %d self-loop social edges in %s", skipped_self, path)
     n = len(user_index)
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]   # np.unique would import numpy.ma
     return SocialGraph(np.bincount(keys // n, minlength=n).astype(np.int32),
                        (keys % n).astype(np.int32))
 
@@ -488,7 +490,9 @@ def _check_snapshot(path, head: dict, arrays: dict) -> None:
     Each array needs its dtype, one dimension and as many entries as the
     counts give, and entries within bounds: item ids below n_items, user
     ids below n_users, 1..l_s training events per user, walk bits 0 or 1
-    and no negative count. A bad entry names its user.
+    and no negative count. Each user's neighbor list is strictly increasing,
+    leaves out the user and is mirrored: u lists v iff v lists u. A bad
+    entry names its user.
     """
     config = head.get("config")
     fields = {key: head.get(key) for key in ("n_users", "n_items", "n_interactions")}
@@ -522,7 +526,17 @@ def _check_snapshot(path, head: dict, arrays: dict) -> None:
     check("buckets", np.add.reduceat(bucket_len, np.cumsum(seq_len + 1) - seq_len - 1),
           "item id", 0, n_items)
     social_len = check("social_len", one, "neighbor count")
-    check("social", social_len, "user id", 0, n_users)
+    social = check("social", social_len, "user id", 0, n_users)
+    owner = np.repeat(np.arange(n_users), social_len)
+    keys = owner * n_users + social       # increasing iff every list is
+    back = social * n_users + owner
+    for bad, what in ((np.diff(keys, prepend=-1) <= 0, " out of order or twice"),
+                      (social == owner, " as its own neighbor"),
+                      (np.append(keys, -1)[np.searchsorted(keys, back)] != back,
+                       ", which does not list it back")):
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"{path}: user {owner[k]} lists user {social[k]}{what}")
 
 
 def prepare_dataset(interactions_path, social_path, min_actions: int = 5,

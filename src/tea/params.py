@@ -9,6 +9,7 @@ Every trainable tensor is a view into one float64 vector, `ModelParams.flat`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -39,9 +40,9 @@ class IncompatibleCheckpointError(ValueError):
 class SharedEmbeddings:
     """User, item and position tables shared by both score functions."""
 
-    user: Tensor      # (n_users, d)
-    item: Tensor      # (n_items, d)
-    position: Tensor  # (l_s, d)
+    user: Tensor
+    item: Tensor
+    position: Tensor
 
     def named(self) -> list[tuple[str, Tensor]]:
         return [("emb.user", self.user), ("emb.item", self.item),
@@ -59,7 +60,7 @@ class TransitionParams:
     b_g1: Tensor
     w_g2: Tensor
     b_g2: Tensor
-    w_g3: Tensor              # (d, 4d)
+    w_g3: Tensor
     walk_gru: GruParams | None
     shared: SharedEmbeddings
 
@@ -77,11 +78,11 @@ class TransitionParams:
 class UnaryParams:
     """Weights of the graph-context score f (plus shared embeddings)."""
 
-    w_agg: Tensor             # bipartite projection (d, d)
-    attn_vec: Tensor | None   # (2d,), attention aggregator only
-    w_soc: Tensor             # social projection (d, d)
+    w_agg: Tensor             # bipartite projection
+    attn_vec: Tensor | None   # attention aggregator only
+    w_soc: Tensor             # social projection
     temporal_gru: GruParams
-    w_f1: Tensor              # (d, 2d)
+    w_f1: Tensor
     b_f1: Tensor
     w_f2: Tensor
     b_f2: Tensor
@@ -99,19 +100,36 @@ class UnaryParams:
         return out
 
 
+def _layout(n_users: int, n_items: int, d: int, l_s: int, variant: str,
+            make) -> tuple[SharedEmbeddings, TransitionParams, UnaryParams]:
+    """The containers of `variant` at these counts, each tensor `make(shape)`
+    for its shape as a list of ints, made in `trainable()` order."""
+    aggregator, use_walks = VARIANTS[variant]
+
+    def gru() -> GruParams:
+        return GruParams(*(make(shape) for shape in [[d, d], [d, d], [d]] * 3))
+
+    shared = SharedEmbeddings(make([n_users, d]), make([n_items, d]), make([l_s, d]))
+    transition = TransitionParams(
+        *(make(shape) for shape in [[d, d]] * 4 + [[d], [d, d], [d], [d, 4 * d]]),
+        walk_gru=gru() if use_walks else None, shared=shared)
+    unary = UnaryParams(
+        make([d, d]), make([2 * d]) if aggregator == "attention" else None,
+        make([d, d]), gru(), make([d, 2 * d]), make([d]), make([d, d]), make([d]),
+        aggregator=aggregator, shared=shared)
+    return shared, transition, unary
+
+
 @dataclass
 class ModelParams:
     """Everything trainable, with the shared tables stored exactly once: each
-    tensor's data is a view into `flat`, in `trainable()` (checkpoint) order."""
+    tensor's data is a view into `flat`, in `trainable()` (checkpoint) order.
+    The counts are the tables' shapes; the variant follows from f's
+    aggregator and whether g has a walk GRU."""
 
     shared: SharedEmbeddings
     transition: TransitionParams
     unary: UnaryParams
-    d: int
-    n_users: int
-    n_items: int
-    l_s: int
-    variant: str
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,6 +137,16 @@ class ModelParams:
         for (_, t), view in zip(self.trainable(), self.views(self.flat)):
             view[...] = t.data
             t.data = view
+
+    n_users = property(lambda self: self.shared.user.shape[0])
+    n_items = property(lambda self: self.shared.item.shape[0])
+    l_s = property(lambda self: self.shared.position.shape[0])
+    d = property(lambda self: self.shared.user.shape[1])
+
+    @property
+    def variant(self) -> str:
+        kind = (self.unary.aggregator, self.transition.walk_gru is not None)
+        return next(name for name, spec in VARIANTS.items() if spec == kind)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return self.shared.named() + self.transition.named() + self.unary.named()
@@ -132,6 +160,11 @@ class ModelParams:
         return out
 
 
+def _zero_params(n_users: int, n_items: int, d: int, l_s: int, variant: str) -> ModelParams:
+    return ModelParams(*_layout(n_users, n_items, d, l_s, variant,
+                                lambda shape: Tensor(np.zeros(shape), requires_grad=True)))
+
+
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(name.encode())]))
@@ -140,71 +173,24 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
 _INIT_GAIN = np.sqrt(6.0)  # rectifier-appropriate uniform bound
 
 
-def _weight(seed: int, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    # gain/sqrt(fan_in): with a plain 1/sqrt(fan_in) bound the relu/GRU
-    # stack's input-dependent variation is too small for the score heads to
-    # ever differentiate inputs at trainable step sizes.
-    bound = _INIT_GAIN / np.sqrt(fan_in)
-    data = _rng_for(seed, name).uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True)
-
-
-def _embedding(seed: int, name: str, shape: tuple[int, ...]) -> Tensor:
-    # Fan-in scale, same as the weights: the score is a product of several
-    # embedding-scale factors, and a much smaller init leaves the optimizer
-    # on a constant-score plateau for hundreds of steps.
-    bound = 1.0 / np.sqrt(shape[1])
-    data = _rng_for(seed, name).uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True)
-
-
-def _gru(seed: int, prefix: str, d: int) -> GruParams:
-    fields = {}
-    for gate in ("z", "r", "n"):
-        fields[f"w_x{gate}"] = _weight(seed, f"{prefix}.w_x{gate}", (d, d), d)
-        fields[f"w_h{gate}"] = _weight(seed, f"{prefix}.w_h{gate}", (d, d), d)
-        fields[f"b_{gate}"] = _weight(seed, f"{prefix}.b_{gate}", (d,), d)
-    return GruParams(**fields)
-
-
 def init_params(n_users: int, n_items: int, d: int, l_s: int,
                 variant: str, seed: int) -> ModelParams:
+    """Each tensor uniform in +-gain/sqrt(fan-in), fan-in its last axis.
+
+    The weights' gain sqrt(6): with a plain 1/sqrt(fan_in) bound the
+    relu/GRU stack's input-dependent variation is too small for the score
+    heads to ever differentiate inputs at trainable step sizes. The
+    embeddings' gain 1: the score is a product of several embedding-scale
+    factors, and a much smaller init leaves the optimizer on a
+    constant-score plateau for hundreds of steps.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
-    aggregator, use_walks = VARIANTS[variant]
-    shared = SharedEmbeddings(
-        user=_embedding(seed, "emb.user", (n_users, d)),
-        item=_embedding(seed, "emb.item", (n_items, d)),
-        position=_embedding(seed, "emb.pos", (l_s, d)),
-    )
-    transition = TransitionParams(
-        w_q=_weight(seed, "g.w_q", (d, d), d),
-        w_k=_weight(seed, "g.w_k", (d, d), d),
-        w_v=_weight(seed, "g.w_v", (d, d), d),
-        w_g1=_weight(seed, "g.w_1", (d, d), d),
-        b_g1=_weight(seed, "g.b_1", (d,), d),
-        w_g2=_weight(seed, "g.w_2", (d, d), d),
-        b_g2=_weight(seed, "g.b_2", (d,), d),
-        w_g3=_weight(seed, "g.w_3", (d, 4 * d), 4 * d),
-        walk_gru=_gru(seed, "g.gru", d) if use_walks else None,
-        shared=shared,
-    )
-    unary = UnaryParams(
-        w_agg=_weight(seed, "f.w_agg", (d, d), d),
-        attn_vec=(_weight(seed, "f.attn", (2 * d,), 2 * d)
-                  if aggregator == "attention" else None),
-        w_soc=_weight(seed, "f.w_soc", (d, d), d),
-        temporal_gru=_gru(seed, "f.gru", d),
-        w_f1=_weight(seed, "f.w_1", (d, 2 * d), 2 * d),
-        b_f1=_weight(seed, "f.b_1", (d,), d),
-        w_f2=_weight(seed, "f.w_2", (d, d), d),
-        b_f2=_weight(seed, "f.b_2", (d,), d),
-        aggregator=aggregator,
-        shared=shared,
-    )
-    return ModelParams(shared=shared, transition=transition, unary=unary,
-                       d=d, n_users=n_users, n_items=n_items, l_s=l_s,
-                       variant=variant)
+    params = _zero_params(n_users, n_items, d, l_s, variant)
+    for name, t in params.trainable():
+        bound = (1.0 if name.startswith("emb.") else _INIT_GAIN) / np.sqrt(t.shape[-1])
+        t.data[...] = _rng_for(seed, name).uniform(-bound, bound, size=t.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +198,24 @@ def init_params(n_users: int, n_items: int, d: int, l_s: int,
 # ---------------------------------------------------------------------------
 
 
-def _tensor_specs(params: ModelParams) -> list[dict]:
-    return [{"name": n, "shape": list(t.data.shape)} for n, t in params.trainable()]
+def _tensor_specs(n_users: int, n_items: int, d: int, l_s: int, variant: str) -> list[dict]:
+    """The header's tensor list, in blob order; allocates no tensor."""
+    return [{"name": name, "shape": shape}
+            for part in _layout(n_users, n_items, d, l_s, variant, make=list)
+            for name, shape in part.named()]
+
+
+def _tensor_bytes(n_users: int, n_items: int, d: int, l_s: int, variant: str) -> int:
+    """`init_params(...).flat.nbytes`, from the counts alone."""
+    return 8 * sum(math.prod(spec["shape"])
+                   for spec in _tensor_specs(n_users, n_items, d, l_s, variant))
 
 
 def save_checkpoint(path, params: ModelParams, config: dict, epoch: int) -> None:
-    header = {
-        "format": CHECKPOINT_MAGIC,
-        "config": config,
-        "epoch": epoch,
-        "n_users": params.n_users,
-        "n_items": params.n_items,
-        "d": params.d,
-        "l_s": params.l_s,
-        "variant": params.variant,
-        "tensors": _tensor_specs(params),
-    }
+    counts = {"n_users": params.n_users, "n_items": params.n_items, "d": params.d,
+              "l_s": params.l_s, "variant": params.variant}
+    header = {"format": CHECKPOINT_MAGIC, "config": config, "epoch": epoch, **counts,
+              "tensors": _tensor_specs(**counts)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
@@ -244,8 +232,10 @@ def _read_exactly(fh, n: int, path, what: str) -> bytes:
     return raw
 
 
-def _check_header(path, header, blob_bytes: int) -> None:
-    """Reject a header whose fields init_params or the blob reader cannot use."""
+def _check_header(path, header, blob_bytes: int) -> tuple:
+    """Reject a header whose fields, tensor bytes or tensor list do not match
+    a blob of `blob_bytes`, before any tensor is allocated. Returns its counts
+    and variant, in `init_params`' argument order."""
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise IncompatibleCheckpointError(f"{path}: checkpoint header format mismatch")
     fields = (("n_users", 1), ("n_items", 1), ("d", 1), ("l_s", 1), ("epoch", 0))
@@ -265,22 +255,18 @@ def _check_header(path, header, blob_bytes: int) -> None:
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise IncompatibleCheckpointError(
             f"{path}: header field 'tensors' is not a list of objects")
-    # Checked before init_params allocates anything for the counts.
-    need = _tensor_bytes(header["n_users"], header["n_items"], header["d"],
-                         header["l_s"], header["variant"])
+    counts = tuple(header[key] for key in ("n_users", "n_items", "d", "l_s", "variant"))
+    need = _tensor_bytes(*counts)
     if need != blob_bytes:
         raise IncompatibleCheckpointError(
             f"{path}: header counts need {need} tensor bytes, "
             f"the file holds {blob_bytes} after the header")
-
-
-def _tensor_bytes(n_users: int, n_items: int, d: int, l_s: int, variant: str) -> int:
-    """`init_params(...).flat.nbytes`, from the counts alone."""
-    aggregator, use_walks = VARIANTS[variant]
-    per_d = n_users + n_items + l_s        # the embedding tables
-    per_d += 20 * d + 7                    # g's and f's weights, f's temporal GRU
-    per_d += use_walks * (6 * d + 3) + (aggregator == "attention") * 2
-    return 8 * d * per_d
+    for i, (want, got) in enumerate(zip_longest(_tensor_specs(*counts), tensors)):
+        if got != want:
+            raise IncompatibleCheckpointError(
+                f"{path}: header tensor #{i} is {got}, expected {want} "
+                f"for variant {header['variant']!r}")
+    return counts
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
@@ -297,15 +283,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
         except ValueError as exc:
             raise IncompatibleCheckpointError(
                 f"{path}: undecodable checkpoint header ({exc})") from None
-        _check_header(path, header, os.fstat(fh.fileno()).st_size - fh.tell())
-        params = init_params(header["n_users"], header["n_items"], header["d"],
-                             header["l_s"], header["variant"], seed=0)
-        for i, (want, got) in enumerate(zip_longest(_tensor_specs(params),
-                                                    header["tensors"])):
-            if got != want:
-                raise IncompatibleCheckpointError(
-                    f"{path}: header tensor #{i} is {got}, expected {want} "
-                    f"for variant {header['variant']!r}")
+        counts = _check_header(path, header, os.fstat(fh.fileno()).st_size - fh.tell())
+        params = _zero_params(*counts)
         raw = _read_exactly(fh, params.flat.nbytes, path, "tensors")
         params.flat[...] = np.frombuffer(raw, dtype="<f8")
     return params, header["config"], header["epoch"]

@@ -274,4 +274,12 @@ SNAPSHOT_DEFECTS = {
     "bit-not-0-or-1": _edit(lambda head, arrays: arrays["walks"].__setitem__(
         int(arrays["seq_len"][0]), 2)),                  # user 0's validation bit
     "other-format": _edit(lambda head, arrays: head.update(format="tea-dataset-2")),
+    # user 0's neighbor list (on the ring corpora, users 1 and n - 1), edited
+    "social-not-increasing": _edit(lambda head, arrays: arrays["social"].__setitem__(
+        slice(0, 2), arrays["social"][1::-1])),
+    "social-repeated": _edit(lambda head, arrays: arrays["social"].__setitem__(
+        1, arrays["social"][0])),
+    "social-lists-itself": _edit(lambda head, arrays: arrays["social"].__setitem__(0, 0)),
+    "social-not-mirrored": _edit(lambda head, arrays: arrays["social"].__setitem__(
+        0, arrays["social"][0] + 1)),
 }

@@ -343,7 +343,7 @@ class TestEval:
         bad.write_bytes(magic + b"\n" + struct.pack("<Q", len(header_bytes))
                         + header_bytes + bytes(padded))
         calls = []
-        monkeypatch.setattr(tea_params, "init_params",
+        monkeypatch.setattr(tea_params, "_zero_params",
                             lambda *args, **kwargs: calls.append(args))
         code = main(["eval", "--data", data_dir, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "ev")])

@@ -4,12 +4,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tea
 from tea.data import (DAY_SECONDS, SNAPSHOT_FILE, EmptyDatasetError, Events, ParseError,
                       PreparedDataset, build_neighbor_item_buckets,
                       extract_time_restricted_walks, load_interactions,
@@ -139,6 +142,24 @@ class TestLoadSocial:
         assert g.ids.tolist() == [v for u in range(n_known) for v in want.get(u, [])]
         assert g.neighbors == want
         assert g.edge_count() == sum(map(len, want.values())) // 2
+
+    def test_prepare_save_and_load_leave_numpy_ma_unimported(self, tmp_path):
+        """A plain np.unique imports numpy.ma, about 1 MiB of resident memory;
+        the pipeline from raw files to a loaded snapshot needs none of it."""
+        script = (
+            "import sys\n"
+            "from corpus import cycle_corpus, write_corpus\n"
+            "from tea.data import PreparedDataset, prepare_dataset\n"
+            "rows, pairs = cycle_corpus(n_users=12, n_items=10, length=8)\n"
+            f"files = write_corpus({str(tmp_path)!r}, rows, pairs)\n"
+            "prepare_dataset(*files, l_s=10, l_n=4).save(sys.argv[1])\n"
+            "PreparedDataset.load(sys.argv[1])\n"
+            "print('numpy.ma' in sys.modules)\n")
+        paths = [os.path.dirname(os.path.dirname(tea.__file__)), os.path.dirname(__file__)]
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "snap")],
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
 
 
 def _cols(rows) -> Events:
@@ -695,6 +716,23 @@ class TestPreparedDataset:
             arrays["social"][1] = 12               # user 0's second neighbor
         snap = self._corrupt_snapshot(prepared, tmp_path, edit)
         with pytest.raises(ValueError, match=r"dataset\.npz: user 0 has user id 12"):
+            PreparedDataset.load(snap)
+
+    @pytest.mark.parametrize("defect, fault", [
+        ("social-not-increasing", "user 0 lists user 1 out of order or twice"),
+        ("social-repeated", "user 0 lists user 1 out of order or twice"),
+        ("social-lists-itself", "user 0 lists user 0 as its own neighbor"),
+        ("social-not-mirrored", "user 0 lists user 2, which does not list it back"),
+    ], ids=["not-increasing", "repeated", "lists-itself", "not-mirrored"])
+    def test_load_names_the_user_of_a_bad_neighbor_list(self, prepared, tmp_path,
+                                                       defect, fault):
+        """User 0 of the ring lists users 1 and 11. Reversed, the list is out
+        of order; with 1 for 11 it repeats a user; with 0 for 1 it lists its
+        user; with 2 for 1 it lists a user that lists 1 and 3."""
+        snap = tmp_path / "snap"
+        prepared.save(snap)
+        SNAPSHOT_DEFECTS[defect](snap)
+        with pytest.raises(ValueError, match=r"dataset\.npz: " + fault):
             PreparedDataset.load(snap)
 
     def test_load_rejects_short_buckets(self, prepared, tmp_path):

@@ -8,6 +8,7 @@ references belong in `tests/`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tea
@@ -234,3 +235,25 @@ def test_the_prepared_corpus_is_its_arrays(tmp_path, monkeypatch):
     assert built == []
     assert "neighbors" not in vars(prepared.social) and "neighbors" not in vars(loaded.social)
     assert loaded.users == prepared.users and len(built) == 2 * prepared.n_users
+
+
+def test_the_parameter_layout_is_written_once():
+    """params.py states each tensor's shape once, in one constructor: every
+    name trainable() yields is a string literal in exactly one place in the
+    package (a GRU's tensors through their prefix and field), params.py
+    defines no per-kind init helper, and load_checkpoint reads into zeroed
+    tensors without drawing an init it would overwrite."""
+    from tea.params import VARIANTS, init_params
+
+    literals = Counter(sub.value for path in sorted(PACKAGE.glob("*.py"))
+                       for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    names = {name for variant in VARIANTS
+             for name, _ in init_params(2, 3, 2, 2, variant, seed=0).trainable()}
+    for name in sorted(names):
+        parts = [name] if name in literals else name.rsplit(".", 1)
+        assert all(literals[part] == 1 for part in parts), (name, parts)
+    params = load_package(PACKAGE)["params"]
+    for helper in ("_weight", "_embedding", "_gru"):
+        assert helper not in params.defs, helper
+    assert "init_params" not in _calls(params.defs["load_checkpoint"][0])

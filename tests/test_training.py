@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,28 @@ class TestCheckpoints:
         with pytest.raises(IncompatibleCheckpointError, match="tensor bytes") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    def test_wrong_tensor_list_rejected_before_allocating(self, tmp_path):
+        """Counts that match the file's tensor bytes, but g.w_q and g.w_k
+        swapped in the header's tensor list: rejected while the traced peak
+        stays below a tenth of the tensor bytes (an 11.4 MB file)."""
+        path = tmp_path / "model.tea"
+        params = init_params(600, 20_000, 64, 50, "tea-a", seed=3)
+        save_checkpoint(path, params, {}, 0)
+        tensors = [{"name": name, "shape": list(t.shape)} for name, t in params.trainable()]
+        nbytes = params.flat.nbytes
+        del params
+        assert [t["name"] for t in tensors[3:5]] == ["g.w_q", "g.w_k"]
+        tensors[3:5] = tensors[4:2:-1]
+        _edit_header(path, tensors=tensors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IncompatibleCheckpointError, match="header tensor #3"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 10, (peak, nbytes)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_header_byte_count_equals_the_allocation(self, variant):
